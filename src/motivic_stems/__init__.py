@@ -62,7 +62,6 @@ from .spectral import (
     DifferentialSpec,
     PageState,
     build_differential,
-    differential_matrix,
     initial_page,
     leibniz_extend,
     localized_motivic_anss,
@@ -103,7 +102,6 @@ __all__ = [
     "builtin_families",
     "classify",
     "ctau_homotopy",
-    "differential_matrix",
     "eta_local_group",
     "eta_localize_chart",
     "family_line",

@@ -61,7 +61,11 @@ class ClassicalChartClass:
 
 @dataclass
 class ClassicalChart:
-    """Classes of a classical Adams-Novikov E2 chart through stem s_max."""
+    """Classes of a classical Adams-Novikov E2 chart through stem s_max.
+
+    ``classes`` is kept in canonical (s, f, name) order, so equality does not
+    depend on the order the classes were given in.
+    """
 
     classes: list[ClassicalChartClass]
     s_max: int
@@ -70,6 +74,7 @@ class ClassicalChart:
     _by_bidegree: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self.classes = sorted(self.classes, key=lambda c: (c.s, c.f, c.name))
         self._by_name = {c.name: c for c in self.classes}
         self._by_bidegree = {}
         for c in self.classes:
@@ -148,12 +153,12 @@ def parse_chart(text: str, *, validate: bool = True) -> ClassicalChart:
 
 
 def serialize_chart(chart: ClassicalChart) -> str:
-    """Canonical form: metadata comments, then classes sorted by (s, f, name)."""
+    """Canonical form: metadata comments, then classes in (s, f, name) order."""
     lines = []
     if chart.provenance:
         lines.append(f"# provenance: {chart.provenance}")
     lines.append(f"# smax: {chart.s_max}")
-    for c in sorted(chart.classes, key=lambda c: (c.s, c.f, c.name)):
+    for c in chart.classes:
         order = "Z" if c.order == 0 else str(c.order)
         tail = f" eta:{c.eta_edge}" if c.eta_edge else ""
         lines.append(f"{c.s} {c.f} {c.name} {order}{tail}")

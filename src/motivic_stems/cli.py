@@ -1,8 +1,8 @@
 """Command line interface.
 
 Machine-readable `key=value` output on stdout, prose behind --pretty, errors
-on stderr. Exit codes: 0 on success, 1 when data fails validation or a
-verification check fails, 2 for usage errors (argparse's default).
+on stderr. Exit codes: 0 on success, 1 when a file cannot be read, data fails
+validation or a verification check fails, 2 for usage errors.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .algebra import PresentationError, Window
 from .charts import (
     ChartError,
     ctau_homotopy,
@@ -33,6 +34,7 @@ from .families import (
 from .regions import classify, resolve_group
 from .render import ChartStyle, RenderError, bidegree_window, groups_tsv, motivic_chart_svg, region_chart_svg
 from .resources import DATA_ENV_VAR
+from .spectral import localized_motivic_anss
 from . import verify as verify_mod
 
 REGION_PROSE = {
@@ -69,14 +71,16 @@ def _parse_window4(text: str, parser: argparse.ArgumentParser) -> tuple[int, int
 def _parse_exponent_window(text: str, parser: argparse.ArgumentParser) -> dict[str, tuple[int, int]]:
     bounds: dict[str, tuple[int, int]] = {}
     for piece in text.split(","):
-        if "=" not in piece or ":" not in piece:
-            parser.error(f"--einfty-window expects name=lo:hi[,...], got {piece!r}")
-        name, span = piece.split("=", 1)
-        lo_text, hi_text = span.split(":", 1)
+        name, _, span = piece.partition("=")
+        lo_text, _, hi_text = span.partition(":")
         try:
             bounds[name.strip()] = (int(lo_text), int(hi_text))
         except ValueError:
-            parser.error(f"--einfty-window has a non-integer bound in {piece!r}")
+            parser.error(f"--einfty-window expects name=lo:hi[,...] with integer bounds, got {piece!r}")
+    try:
+        Window.from_dict(localized_motivic_anss()[0], bounds)
+    except PresentationError as exc:
+        parser.error(f"--einfty-window: {exc}")
     return bounds
 
 
@@ -100,35 +104,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("s", type=int)
     p.add_argument("w", type=int)
     p.add_argument("--pretty", action="store_true")
+    p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("group", help="resolved group value at (s, w)")
     p.add_argument("s", type=int)
     p.add_argument("w", type=int)
     p.add_argument("--stems", default="sample", help="stems table file, or 'sample'")
     p.add_argument("--pretty", action="store_true")
+    p.set_defaults(func=_cmd_group)
 
     p = sub.add_parser("ctau", help="homotopy of the cofiber of tau at (s, w)")
     p.add_argument("s", type=int)
     p.add_argument("w", type=int)
     p.add_argument("--chart", default="sample", help="classical chart file, or 'sample'")
+    p.set_defaults(func=_cmd_ctau)
 
     p = sub.add_parser("localize", help="eta-localize the classes of a chart")
     p.add_argument("--chart", default="sample")
     p.add_argument("--name", help="restrict to one class")
     p.add_argument("--max-steps", type=int, default=None)
+    p.set_defaults(func=_cmd_localize)
 
     p = sub.add_parser("ingest", help="parse and validate a chart or stems file")
     p.add_argument("path")
     p.add_argument("--kind", choices=("chart", "stems"), default="chart")
     p.add_argument("--canonical", action="store_true", help="print the canonical serialization")
+    p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("families", help="named element families")
     fam_sub = p.add_subparsers(dest="families_command", required=True)
-    fam_sub.add_parser("list", help="bases, periods, and lines of the built-in families")
-    fam_sub.add_parser("check", help="run the families verification suite")
+    p = fam_sub.add_parser("list", help="bases, periods, and lines of the built-in families")
+    p.set_defaults(func=_cmd_families_list)
+    p = fam_sub.add_parser("check", help="run the families verification suite")
+    p.set_defaults(func=_cmd_families_check)
 
     p = sub.add_parser("may-census", help="May E1 generators up to a stem bound")
     p.add_argument("max_stem", type=int)
+    p.set_defaults(func=_cmd_may_census)
 
     p = sub.add_parser("chart", help="render charts")
     chart_sub = p.add_subparsers(dest="chart_command", required=True)
@@ -140,27 +152,31 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--overlay", action="append", default=[], help="family name; repeatable")
     pc.add_argument("--stems", default="sample")
     pc.add_argument("-o", "--output", default=None, help="output file; stdout when omitted")
+    pc.set_defaults(func=_cmd_chart_regions)
 
     pc = chart_sub.add_parser("groups", help="TSV of resolved groups over a window")
     pc.add_argument("--window", default="-2:12:-6:12", help="smin:smax:wmin:wmax")
     pc.add_argument("--stems", default="sample")
     pc.add_argument("-o", "--output", default=None)
+    pc.set_defaults(func=_cmd_chart_groups)
 
     pc = chart_sub.add_parser("motivic", help="SVG of the motivic lift of a chart")
     pc.add_argument("--chart", default="sample")
     pc.add_argument("--window", default=None, help="smin:smax:fmin:fmax")
     pc.add_argument("--scale", type=int, default=24)
     pc.add_argument("-o", "--output", default=None)
+    pc.set_defaults(func=_cmd_chart_motivic)
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("suites", nargs="*", help=f"subset of {', '.join(verify_mod.SUITES)}; all when omitted")
     p.add_argument("--table", action="store_true", help="with einfty: per-tridegree comparison table")
     p.add_argument("--einfty-window", default=None, help="override, e.g. tau=0:8,alpha1=-12:12,alpha3=0:6,alpha4=0:1")
+    p.set_defaults(func=_cmd_verify)
 
     return parser
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args, parser: argparse.ArgumentParser) -> int:
     label = classify(args.s, args.w)
     print(f"region={label}")
     if args.pretty:
@@ -168,7 +184,7 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_group(args) -> int:
+def _cmd_group(args, parser: argparse.ArgumentParser) -> int:
     table = _load_stems(args.stems)
     value = resolve_group(args.s, args.w, table)
     print(f"group={value.group_str} generator={value.generator_str}")
@@ -178,13 +194,15 @@ def _cmd_group(args) -> int:
     return 0
 
 
-def _cmd_ctau(args) -> int:
+def _cmd_ctau(args, parser: argparse.ArgumentParser) -> int:
     chart = _load_chart(args.chart)
     print(f"group={ctau_homotopy(chart, args.s, args.w)}")
     return 0
 
 
-def _cmd_localize(args) -> int:
+def _cmd_localize(args, parser: argparse.ArgumentParser) -> int:
+    if args.max_steps is not None and args.max_steps < 0:
+        parser.error(f"--max-steps must be >= 0, got {args.max_steps}")
     chart = _load_chart(args.chart)
     results = eta_localize_chart(chart, max_steps=args.max_steps)
     flat = [r for lst in results.values() for r in lst]
@@ -193,16 +211,15 @@ def _cmd_localize(args) -> int:
         if not flat:
             print(f"no class named {args.name!r} in the chart", file=sys.stderr)
             return 1
-    for r in sorted(flat, key=lambda r: (r.cls.s, r.cls.f, r.cls.name)):
+    for r in flat:  # chart classes, and so the results, are in (s, f, name) order
         target = r.value.name if r.value is not None else "0"
         print(f"{r.cls.name} ({r.cls.s},{r.cls.f}): {r.status} -> {target} steps={r.steps}")
     return 0
 
 
-def _cmd_ingest(args) -> int:
-    text = Path(args.path).read_text(encoding="utf-8") if args.path != "sample" else None
+def _cmd_ingest(args, parser: argparse.ArgumentParser) -> int:
     if args.kind == "chart":
-        chart = _load_chart(args.path) if text is None else parse_chart(text)
+        chart = _load_chart(args.path)
         print(
             f"ok: {len(chart.classes)} classes, s_max={chart.s_max}, "
             f"provenance={chart.provenance or '(none)'}"
@@ -210,56 +227,62 @@ def _cmd_ingest(args) -> int:
         if args.canonical:
             sys.stdout.write(serialize_chart(chart))
     else:
-        table = _load_stems(args.path) if text is None else parse_stems(text)
+        table = _load_stems(args.path)
         print(f"ok: stems 0..{table.s_max}, provenance={table.provenance or '(none)'}")
         if args.canonical:
             sys.stdout.write(serialize_stems(table))
     return 0
 
 
-def _cmd_families(args) -> int:
-    if args.families_command == "list":
-        for fam in builtin_families():
-            print(f"{fam.name}: base={fam.base} period={fam.period} annihilated_by={fam.annihilated_by}")
-            if fam.period.s != 0:
-                slope, intercept = family_line(fam.name)
-                print(f"  line: w = {slope}*s + {intercept}")
-            print(f"  {fam.note}")
-        print()
-        print(sharpness_report(load_sample_stems()))
-        return 0
+def _cmd_families_list(args, parser: argparse.ArgumentParser) -> int:
+    for fam in builtin_families():
+        print(f"{fam.name}: base={fam.base} period={fam.period} annihilated_by={fam.annihilated_by}")
+        if fam.period.s != 0:
+            slope, intercept = family_line(fam.name)
+            print(f"  line: w = {slope}*s + {intercept}")
+        print(f"  {fam.note}")
+    print()
+    print(sharpness_report(load_sample_stems()))
+    return 0
+
+
+def _cmd_families_check(args, parser: argparse.ArgumentParser) -> int:
     results = verify_mod.check_families()
     for r in results:
         print(r.line)
     return 0 if all(r.passed for r in results) else 1
 
 
-def _cmd_may_census(args) -> int:
+def _cmd_may_census(args, parser: argparse.ArgumentParser) -> int:
     for g in may_e1_generators(args.max_stem):
         print(f"{g.name} stem={g.stem} weight={g.weight}")
     return 0
 
 
-def _cmd_chart(args, parser: argparse.ArgumentParser) -> int:
-    if args.chart_command == "regions":
-        s_min, s_max, w_min, w_max = _parse_window4(args.window, parser)
-        style = ChartStyle(
-            s_min=s_min,
-            s_max=s_max,
-            w_min=w_min,
-            w_max=w_max,
-            scale=args.scale,
-            group_dots=args.dots,
-            family_overlays=tuple(args.overlay),
-        )
-        table = _load_stems(args.stems) if args.dots else None
-        _emit(region_chart_svg(style, stems_table=table), args.output)
-        return 0
-    if args.chart_command == "groups":
-        s_min, s_max, w_min, w_max = _parse_window4(args.window, parser)
-        table = _load_stems(args.stems)
-        _emit(groups_tsv(bidegree_window(s_min, s_max, w_min, w_max), stems_table=table), args.output)
-        return 0
+def _cmd_chart_regions(args, parser: argparse.ArgumentParser) -> int:
+    s_min, s_max, w_min, w_max = _parse_window4(args.window, parser)
+    style = ChartStyle(
+        s_min=s_min,
+        s_max=s_max,
+        w_min=w_min,
+        w_max=w_max,
+        scale=args.scale,
+        group_dots=args.dots,
+        family_overlays=tuple(args.overlay),
+    )
+    table = _load_stems(args.stems) if args.dots else None
+    _emit(region_chart_svg(style, stems_table=table), args.output)
+    return 0
+
+
+def _cmd_chart_groups(args, parser: argparse.ArgumentParser) -> int:
+    s_min, s_max, w_min, w_max = _parse_window4(args.window, parser)
+    table = _load_stems(args.stems)
+    _emit(groups_tsv(bidegree_window(s_min, s_max, w_min, w_max), stems_table=table), args.output)
+    return 0
+
+
+def _cmd_chart_motivic(args, parser: argparse.ArgumentParser) -> int:
     lift = lift_to_motivic(_load_chart(args.chart))
     if args.window is None:
         style = ChartStyle(
@@ -272,14 +295,13 @@ def _cmd_chart(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    window_bounds = None
-    if args.einfty_window:
-        window_bounds = _parse_exponent_window(args.einfty_window, build_parser())
+def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
+    window_bounds = _parse_exponent_window(args.einfty_window, parser) if args.einfty_window else None
     names = args.suites or list(verify_mod.SUITES)
     unknown = [n for n in names if n not in verify_mod.SUITES]
     if unknown:
-        print(f"unknown suites: {', '.join(unknown)}; available: {', '.join(verify_mod.SUITES)}", file=sys.stderr)
+        available = ", ".join(verify_mod.SUITES)
+        print(f"error: unknown suites: {', '.join(unknown)}; available: {available}", file=sys.stderr)
         return 2
     results = []
     for name in names:
@@ -301,27 +323,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "group":
-            return _cmd_group(args)
-        if args.command == "ctau":
-            return _cmd_ctau(args)
-        if args.command == "localize":
-            return _cmd_localize(args)
-        if args.command == "ingest":
-            return _cmd_ingest(args)
-        if args.command == "families":
-            return _cmd_families(args)
-        if args.command == "may-census":
-            return _cmd_may_census(args)
-        if args.command == "chart":
-            return _cmd_chart(args, parser)
-        return _cmd_verify(args)
-    except (ChartError, FamilyError, RenderError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+        return args.func(args, parser)
+    except (ChartError, FamilyError, RenderError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -70,22 +70,3 @@ def quotient_representatives(vectors: list[int], modulo: list[int]) -> list[int]
     sub = rref(modulo)
     return rref([reduce_mod(sub, v) for v in vectors])
 
-
-def solve(basis: list[int], v: int) -> int | None:
-    """Coordinates of v in the given independent basis rows, or None if outside."""
-    pivots: list[tuple[int, int, int]] = []
-    for j, row in enumerate(basis):
-        img, trk = row, 1 << j
-        for p, pi, pt in pivots:
-            if (img >> p) & 1:
-                img ^= pi
-                trk ^= pt
-        if img == 0:
-            raise ValueError("basis rows are linearly dependent")
-        pivots.append((low_bit(img), img, trk))
-    coords = 0
-    for p, pi, pt in pivots:
-        if (v >> p) & 1:
-            v ^= pi
-            coords ^= pt
-    return coords if v == 0 else None

@@ -17,6 +17,7 @@ multiplication so no floating point is involved anywhere.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 from .charts import StemsTable
@@ -124,25 +125,10 @@ def eta_local_group(s: int, w: int) -> GroupValue:
     return _TRIVIAL_VALUE
 
 
-_no_table_cache: dict[int, GroupValue] = {}
-
-
-def _tau_local_value(s: int, table: StemsTable | None) -> GroupValue:
-    # memoized per stem: the tau-local value does not depend on w
-    if table is None:
-        cache = _no_table_cache
-    else:
-        cache = getattr(table, "_resolve_cache", None)
-        if cache is None:
-            cache = {}
-            table._resolve_cache = cache
-    cached = cache.get(s)
-    if cached is not None:
-        return cached
-    entry = table.get(s) if table is not None else None
-    value = GroupValue.known(entry) if entry is not None else GroupValue.reducible_to_classical(s)
-    cache[s] = value
-    return value
+@functools.cache
+def _tau_local_value(s: int, entry: GroupDescriptor | None) -> GroupValue:
+    # memoized on every input, so a stems table edited in place cannot serve a stale value
+    return GroupValue.known(entry) if entry is not None else GroupValue.reducible_to_classical(s)
 
 
 def resolve_group(s: int, w: int, stems_table: StemsTable | None = None) -> GroupValue:
@@ -162,7 +148,7 @@ def resolve_group(s: int, w: int, stems_table: StemsTable | None = None) -> Grou
             k = -w
             generator = "1" if k == 0 else ("tau" if k == 1 else f"tau^{k}")
             return GroupValue.known(Z2_ADIC, generator)
-        return _tau_local_value(s, stems_table)
+        return _tau_local_value(s, stems_table.get(s) if stems_table is not None else None)
     if label is RegionLabel.ETA_LOCAL:
         return eta_local_group(s, w)
     return _UNKNOWN_VALUE

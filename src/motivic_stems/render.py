@@ -380,7 +380,7 @@ def motivic_chart_svg(lift: MotivicLift, style: ChartStyle | None = None) -> str
     positions: dict[str, tuple[Fraction, Fraction]] = {}
     in_range = [
         c
-        for c in sorted(lift.chart.classes, key=lambda c: (c.s, c.f, c.name))
+        for c in lift.chart.classes
         if style.s_min <= c.s <= style.s_max and style.w_min <= c.f <= style.w_max
     ]
     for c in in_range:

@@ -46,7 +46,7 @@ class DifferentialSpecError(PresentationError):
 
 
 class OutOfWindowError(ValueError):
-    """A requested tridegree or an image term falls outside the window."""
+    """A requested tridegree falls outside the window."""
 
 
 class Certainty(enum.Enum):
@@ -298,55 +298,6 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
         classes=new_classes,
         status=new_status,
     )
-
-
-@dataclass(frozen=True)
-class GF2Matrix:
-    """Matrix over GF(2); row i is the image of source class i as a bitmask."""
-
-    rows: tuple[int, ...]
-    n_rows: int
-    n_cols: int
-
-    def rank(self) -> int:
-        return gf2.rank(list(self.rows))
-
-
-def differential_matrix(
-    state: PageState, diff: DifferentialSpec, tridegree: Tridegree
-) -> GF2Matrix:
-    """Matrix of the differential from one tridegree in current-class bases.
-
-    Rows index the source classes at ``tridegree``, columns the classes at
-    ``tridegree + shift``. Raises OutOfWindowError when the source tridegree is
-    not covered or an image term escapes the window.
-    """
-    if tridegree not in state.classes:
-        raise OutOfWindowError(f"tridegree {tridegree} is not covered by the window")
-    pres = state.presentation
-    target_t = tridegree + diff.shift
-    target_classes = state.classes.get(target_t, [])
-    target_fiber = F2VectorSpace(target_t, state.basis.get(target_t, []))
-    target_vecs = [target_fiber.vector(c) for c in target_classes]
-    rows = []
-    for c in state.classes[tridegree]:
-        bits = 0
-        for term in d_sum(pres, diff, c):
-            pos = target_fiber.position(term)
-            if pos is None:
-                raise OutOfWindowError(
-                    f"image term {pres.monomial_str(term)} of a class at {tridegree} "
-                    f"falls outside the window"
-                )
-            bits ^= 1 << pos
-        if bits == 0:
-            rows.append(0)
-            continue
-        coords = gf2.solve(target_vecs, bits)
-        if coords is None:
-            raise ValueError(f"image at {target_t} is not spanned by the current classes there")
-        rows.append(coords)
-    return GF2Matrix(rows=tuple(rows), n_rows=len(rows), n_cols=len(target_classes))
 
 
 def run_to_einfty(

@@ -14,7 +14,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 from .algebra import Monomial, Tridegree, Window, iter_window_monomials
 from .charts import (
@@ -824,13 +824,3 @@ SUITES: dict[str, Callable[[], list[CheckResult]]] = {
     "golden": check_golden,
 }
 
-
-def run_suites(names: Iterable[str] | None = None) -> list[CheckResult]:
-    selected = list(SUITES) if names is None else list(names)
-    unknown = [n for n in selected if n not in SUITES]
-    if unknown:
-        raise KeyError(f"unknown verification suites {unknown}; available: {sorted(SUITES)}")
-    out: list[CheckResult] = []
-    for name in selected:
-        out.extend(SUITES[name]())
-    return out

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from motivic_stems.charts import (
@@ -101,12 +103,17 @@ def test_validation_collects_multiple_violations():
     assert any("stem exceeds declared range" in v for v in violations)
 
 
-def test_serialize_is_canonical_and_roundtrips():
+def test_serialize_is_canonical_and_roundtrips(sample_chart):
     shuffled = "# smax: 2\n2 2 x 2\n0 0 1 Z\n"
     canonical = serialize_chart(parse_chart(shuffled))
     assert canonical == "# smax: 2\n0 0 1 Z\n2 2 x 2\n"
     assert serialize_chart(parse_chart(canonical)) == canonical
     assert serialize_chart(parse_chart(MINIMAL)) == MINIMAL
+    classes = list(sample_chart.classes)
+    random.Random(0).shuffle(classes)
+    chart = ClassicalChart(classes=classes, s_max=sample_chart.s_max, provenance=sample_chart.provenance)
+    assert chart == sample_chart
+    assert parse_chart(serialize_chart(chart)) == chart
 
 
 def test_lift_rejects_odd_total_degree():

@@ -75,6 +75,14 @@ def test_localize_missing_name(capsys):
     assert "ghost" in err
 
 
+def test_localize_negative_max_steps(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["localize", "--max-steps", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--max-steps must be >= 0" in err and "Traceback" not in err
+
+
 def test_ingest_sample(capsys):
     code, out, _ = run(capsys, "ingest", "sample")
     assert code == 0
@@ -105,6 +113,22 @@ def test_ingest_missing_file(capsys):
     code, _, err = run(capsys, "ingest", "/no/such/file.txt")
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_unreadable_files_are_data_errors(capsys, tmp_path):
+    binary = tmp_path / "chart.bin"
+    binary.write_bytes(b"\xff\xfe0 0 1 Z\n")
+    for argv in (
+        ["ingest", str(binary)],
+        ["ingest", str(tmp_path)],
+        ["ingest", str(binary), "--kind", "stems"],
+        ["group", "3", "1", "--stems", str(binary)],
+        ["ctau", "3", "2", "--chart", str(tmp_path)],
+        ["chart", "groups", "--window", "0:3:0:3", "-o", str(tmp_path)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
 
 
 def test_families_list(capsys):
@@ -198,6 +222,22 @@ def test_verify_bad_einfty_window(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "einfty", "--einfty-window", "xx"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        ("tau=0:8", "missing bounds"),
+        ("tau=0:8,alpha1=-12:12,alpha3=0:6,alpha4=0:1,bogus=0:1", "unknown generators"),
+        ("tau:0=8", "expects name=lo:hi"),
+    ],
+)
+def test_verify_einfty_window_is_checked_at_parse_time(capsys, bounds, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "einfty", "--einfty-window", bounds])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_data_dir_override(capsys, monkeypatch, tmp_path):

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -61,19 +60,3 @@ def test_quotient_representatives(vectors, modulo):
         assert rep != 0
         assert gf2.reduce_mod(mod_echelon, rep) == rep
         assert gf2.in_span(gf2.rref(vectors + modulo), rep)
-
-
-def test_solve_roundtrip():
-    basis = [0b001, 0b011, 0b110]
-    v = 0b101
-    coords = gf2.solve(basis, v)
-    assert coords is not None
-    combo = 0
-    for i, b in enumerate(basis):
-        if (coords >> i) & 1:
-            combo ^= b
-    assert combo == v
-    assert gf2.solve([0b01, 0b10], 0b11) == 0b11
-    assert gf2.solve([0b01], 0b10) is None
-    with pytest.raises(ValueError):
-        gf2.solve([0b01, 0b01], 0b01)

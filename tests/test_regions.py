@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from motivic_stems.charts import StemsTable
+from motivic_stems.groups import TRIVIAL_GROUP, Z_MOD_2, GroupDescriptor
 from motivic_stems.regions import (
     GroupValue,
     RegionLabel,
@@ -65,6 +67,17 @@ def test_tau_local_values(sample_stems):
     bare = resolve_group(6, 3)
     assert bare.kind == "classical" and bare.stem == 6
     assert bare.group_str == "pi_6" and bare.generator_str == "-"
+
+
+def test_tau_local_values_follow_the_table():
+    table = StemsTable(groups={5: TRIVIAL_GROUP})
+    assert resolve_group(5, 2, table).group_str == "0"
+    table.groups[5] = Z_MOD_2
+    assert resolve_group(5, 2, table).group_str == "Z/2"
+    other = StemsTable(groups={5: GroupDescriptor.cyclic(4)})
+    assert resolve_group(5, 2, other).group_str == "Z/4"
+    assert resolve_group(5, 2, table).group_str == "Z/2"
+    assert resolve_group(5, 2).group_str == "pi_5"
 
 
 @pytest.mark.parametrize(

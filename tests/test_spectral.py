@@ -13,7 +13,6 @@ from motivic_stems.spectral import (
     OutOfWindowError,
     build_differential,
     d_sum,
-    differential_matrix,
     initial_page,
     leibniz_extend,
     localized_motivic_anss,
@@ -105,30 +104,6 @@ def test_initial_page_is_monomial_basis(presentation_and_d3, einfty_window):
     assert state.classes[t] == [frozenset((presentation.monomial(alpha3=1),))]
     with pytest.raises(OutOfWindowError):
         state.fiber(Tridegree(999, 999, 999))
-
-
-def test_differential_matrix_alpha3_line(presentation_and_d3, einfty_window):
-    presentation, d3 = presentation_and_d3
-    state = initial_page(presentation, einfty_window, page=3)
-    m = differential_matrix(state, d3, Tridegree(5, 1, 3))
-    assert (m.rows, m.n_rows, m.n_cols) == ((1,), 1, 1)
-    assert m.rank() == 1
-    zero = differential_matrix(state, d3, Tridegree(4, 4, 4))
-    assert zero.rows == (0,)
-    with pytest.raises(OutOfWindowError, match="not covered"):
-        differential_matrix(state, d3, Tridegree(999, 999, 999))
-
-
-def test_differential_matrix_escaping_image(presentation_and_d3):
-    # With tau clamped to zero the image tau*alpha1^4 of alpha3 has nowhere to
-    # land, and the matrix refuses to silently truncate it.
-    presentation, d3 = presentation_and_d3
-    window = Window.from_dict(
-        presentation, {"tau": (0, 0), "alpha1": (-8, 8), "alpha3": (0, 2), "alpha4": (0, 1)}
-    )
-    state = initial_page(presentation, window, page=3)
-    with pytest.raises(OutOfWindowError, match="falls outside the window"):
-        differential_matrix(state, d3, Tridegree(5, 1, 3))
 
 
 def test_turn_page_requires_matching_page(presentation_and_d3, einfty_window):
