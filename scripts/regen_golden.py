@@ -9,22 +9,13 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from motivic_stems.charts import lift_to_motivic, load_sample_chart, load_sample_stems
-from motivic_stems.render import bidegree_window, groups_tsv, motivic_chart_svg, region_chart_svg
-from motivic_stems.verify import GOLDEN_GROUPS_WINDOW, GOLDEN_MOTIVIC_STYLE, GOLDEN_REGIONS_STYLE
+from motivic_stems.verify import golden_artifacts
 
 
 def main() -> None:
     golden_dir = Path(__file__).resolve().parent.parent / "src" / "motivic_stems" / "data" / "golden"
     golden_dir.mkdir(parents=True, exist_ok=True)
-    stems = load_sample_stems()
-
-    artifacts = {
-        "regions.svg": region_chart_svg(GOLDEN_REGIONS_STYLE, stems_table=stems),
-        "groups.tsv": groups_tsv(bidegree_window(*GOLDEN_GROUPS_WINDOW), stems_table=stems),
-        "motivic.svg": motivic_chart_svg(lift_to_motivic(load_sample_chart()), GOLDEN_MOTIVIC_STYLE),
-    }
-    for name, text in artifacts.items():
+    for name, text in golden_artifacts().items():
         path = golden_dir / name
         path.write_text(text, encoding="utf-8")
         print(f"wrote {path} ({len(text)} bytes)")

@@ -62,10 +62,12 @@ def _parse_window4(text: str, parser: argparse.ArgumentParser) -> tuple[int, int
     if len(parts) != 4:
         parser.error(f"--window expects smin:smax:wmin:wmax, got {text!r}")
     try:
-        return tuple(int(p) for p in parts)  # type: ignore[return-value]
+        s_min, s_max, w_min, w_max = (int(p) for p in parts)
     except ValueError:
         parser.error(f"--window has a non-integer bound in {text!r}")
-        raise AssertionError  # unreachable; parser.error exits
+    if s_min > s_max or w_min > w_max:
+        parser.error(f"--window bounds must satisfy smin <= smax and wmin <= wmax, got {text!r}")
+    return s_min, s_max, w_min, w_max
 
 
 def _parse_exponent_window(text: str, parser: argparse.ArgumentParser) -> dict[str, tuple[int, int]]:
@@ -149,7 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--window", default="-4:24:-8:26", help="smin:smax:wmin:wmax")
     pc.add_argument("--scale", type=int, default=20)
     pc.add_argument("--dots", action="store_true", help="mark each lattice point with its group")
-    pc.add_argument("--overlay", action="append", default=[], help="family name; repeatable")
+    family_names = [f.name for f in builtin_families()]
+    pc.add_argument("--overlay", action="append", default=[], choices=family_names, help="family name; repeatable")
     pc.add_argument("--stems", default="sample")
     pc.add_argument("-o", "--output", default=None, help="output file; stdout when omitted")
     pc.set_defaults(func=_cmd_chart_regions)
@@ -209,7 +212,7 @@ def _cmd_localize(args, parser: argparse.ArgumentParser) -> int:
     if args.name:
         flat = [r for r in flat if r.cls.name == args.name]
         if not flat:
-            print(f"no class named {args.name!r} in the chart", file=sys.stderr)
+            print(f"error: no class named {args.name!r} in the chart", file=sys.stderr)
             return 1
     for r in flat:  # chart classes, and so the results, are in (s, f, name) order
         target = r.value.name if r.value is not None else "0"
@@ -261,6 +264,8 @@ def _cmd_may_census(args, parser: argparse.ArgumentParser) -> int:
 
 def _cmd_chart_regions(args, parser: argparse.ArgumentParser) -> int:
     s_min, s_max, w_min, w_max = _parse_window4(args.window, parser)
+    if args.scale <= 0:
+        parser.error(f"--scale must be > 0, got {args.scale}")
     style = ChartStyle(
         s_min=s_min,
         s_max=s_max,
@@ -283,6 +288,8 @@ def _cmd_chart_groups(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_chart_motivic(args, parser: argparse.ArgumentParser) -> int:
+    if args.scale <= 0:
+        parser.error(f"--scale must be > 0, got {args.scale}")
     lift = lift_to_motivic(_load_chart(args.chart))
     if args.window is None:
         style = ChartStyle(

@@ -229,25 +229,27 @@ def _legend_layer(canvas: _Canvas) -> list[str]:
 
 
 def _dot_layer(canvas: _Canvas, resolver: Callable[[int, int], GroupValue]) -> list[str]:
+    # x depends only on s and y only on w: format each once, not once per cell
     style = canvas.style
     out = []
-    r = Fraction(style.scale * 18, 100)
+    r = fmt3(Fraction(style.scale * 18, 100))
+    rows = [(w, fmt3(canvas.y(w)), fmt3(canvas.y(w) + 3)) for w in range(style.w_min, style.w_max + 1)]
     for s in range(style.s_min, style.s_max + 1):
-        for w in range(style.w_min, style.w_max + 1):
+        cx = fmt3(canvas.x(s))
+        for w, cy, text_y in rows:
             value = resolver(s, w)
-            cx, cy = canvas.x(s), canvas.y(w)
             if value.kind == "unknown":
                 out.append(
-                    f'<text x="{fmt3(cx)}" y="{fmt3(cy + 3)}" font-size="10.000" '
+                    f'<text x="{cx}" y="{text_y}" font-size="10.000" '
                     f'text-anchor="middle" fill="#7a3fd1">?</text>'
                 )
             elif value.kind == "classical":
                 out.append(
-                    f'<circle cx="{fmt3(cx)}" cy="{fmt3(cy)}" r="{fmt3(r)}" '
+                    f'<circle cx="{cx}" cy="{cy}" r="{r}" '
                     f'fill="none" stroke="#222222" stroke-width="1.000"/>'
                 )
             elif not value.descriptor.is_trivial:
-                out.append(f'<circle cx="{fmt3(cx)}" cy="{fmt3(cy)}" r="{fmt3(r)}" fill="#222222"/>')
+                out.append(f'<circle cx="{cx}" cy="{cy}" r="{r}" fill="#222222"/>')
     return out
 
 
@@ -354,7 +356,7 @@ def groups_tsv(
     lines = ["# s\tw\tregion\tgroup\tgenerator"]
     for s, w in sorted(set(window)):
         value = resolver(s, w)
-        lines.append(f"{s}\t{w}\t{classify(s, w)}\t{value.group_str}\t{value.generator_str}")
+        lines.append(f"{s}\t{w}\t{classify(s, w).value}\t{value.group_str}\t{value.generator_str}")
     return "\n".join(lines) + "\n"
 
 
@@ -377,38 +379,38 @@ def motivic_chart_svg(lift: MotivicLift, style: ChartStyle | None = None) -> str
     ]
     parts.extend(_axes_layer(canvas, vertical_label="f"))
     parts.append("</g>")
-    positions: dict[str, tuple[Fraction, Fraction]] = {}
     in_range = [
         c
         for c in lift.chart.classes
         if style.s_min <= c.s <= style.s_max and style.w_min <= c.f <= style.w_max
     ]
-    for c in in_range:
-        siblings = [d for d in lift.chart.at(c.s, c.f) if d in in_range]
-        offset = Fraction(0)
-        if len(siblings) > 1:
-            i = sorted(s.name for s in siblings).index(c.name)
+    # classes sharing (s, f) are spread by name; chart.at lists them in name order
+    positions: dict[str, tuple[str, str]] = {}
+    for s, f in dict.fromkeys((c.s, c.f) for c in in_range):
+        siblings = lift.chart.at(s, f)
+        y = fmt3(canvas.y(f))
+        for i, c in enumerate(siblings):
             offset = Fraction(22 * (2 * i - (len(siblings) - 1)), 100)
-        positions[c.name] = (canvas.x(Fraction(c.s) + offset), canvas.y(c.f))
+            positions[c.name] = (fmt3(canvas.x(s + offset)), y)
     parts.append('<g id="eta-edges">')
     for c in in_range:
         if c.eta_edge and c.eta_edge in positions:
             x1, y1 = positions[c.name]
             x2, y2 = positions[c.eta_edge]
             parts.append(
-                f'<line x1="{fmt3(x1)}" y1="{fmt3(y1)}" x2="{fmt3(x2)}" y2="{fmt3(y2)}" '
+                f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
                 f'stroke="#999999" stroke-width="1.000"/>'
             )
     parts.append("</g>")
     parts.append('<g id="classes">')
-    r = Fraction(style.scale * 16, 100)
+    r = fmt3(Fraction(style.scale * 16, 100))
     for c in in_range:
         x, y = positions[c.name]
         top = lift.w_top[c.name]
         label = _escape(f"{c.name}: w <= {top}")
         order = "Z2" if c.order == 0 else f"Z/{c.order}"
         parts.append(
-            f'<circle cx="{fmt3(x)}" cy="{fmt3(y)}" r="{fmt3(r)}" fill="#1d3f8f">'
+            f'<circle cx="{x}" cy="{y}" r="{r}" fill="#1d3f8f">'
             f"<title>{label} ({_escape(order)})</title></circle>"
         )
     parts.append("</g>")

@@ -771,44 +771,36 @@ def check_roundtrip() -> list[CheckResult]:
     return results
 
 
-def check_golden() -> list[CheckResult]:
+def golden_artifacts() -> dict[str, str]:
+    """The golden renders from the pinned styles, by file name under data/golden."""
     stems = load_sample_stems()
-    svg = region_chart_svg(GOLDEN_REGIONS_STYLE, stems_table=stems)
-    svg_again = region_chart_svg(GOLDEN_REGIONS_STYLE, stems_table=stems)
-    tsv = groups_tsv(bidegree_window(*GOLDEN_GROUPS_WINDOW), stems_table=stems)
-    tsv_again = groups_tsv(bidegree_window(*GOLDEN_GROUPS_WINDOW), stems_table=stems)
-    lift_svg = motivic_chart_svg(_sample_lift(), GOLDEN_MOTIVIC_STYLE)
-    lift_again = motivic_chart_svg(_sample_lift(), GOLDEN_MOTIVIC_STYLE)
-    return [
+    return {
+        "regions.svg": region_chart_svg(GOLDEN_REGIONS_STYLE, stems_table=stems),
+        "groups.tsv": groups_tsv(bidegree_window(*GOLDEN_GROUPS_WINDOW), stems_table=stems),
+        "motivic.svg": motivic_chart_svg(lift_to_motivic(load_sample_chart()), GOLDEN_MOTIVIC_STYLE),
+    }
+
+
+def check_golden() -> list[CheckResult]:
+    artifacts = golden_artifacts()
+    results = [
         CheckResult(
             "golden",
             "deterministic_rerender",
-            svg == svg_again and tsv == tsv_again and lift_svg == lift_again,
+            artifacts == golden_artifacts(),
             "two renders, identical bytes",
-        ),
-        CheckResult(
-            "golden",
-            "regions_svg_bytes",
-            svg == read_data_text("golden/regions.svg"),
-            f"{len(svg)} bytes",
-        ),
-        CheckResult(
-            "golden",
-            "groups_tsv_bytes",
-            tsv == read_data_text("golden/groups.tsv"),
-            f"{len(tsv)} bytes",
-        ),
-        CheckResult(
-            "golden",
-            "motivic_svg_bytes",
-            lift_svg == read_data_text("golden/motivic.svg"),
-            f"{len(lift_svg)} bytes",
-        ),
+        )
     ]
-
-
-def _sample_lift():
-    return lift_to_motivic(load_sample_chart())
+    for name, text in artifacts.items():
+        results.append(
+            CheckResult(
+                "golden",
+                f"{name.replace('.', '_')}_bytes",
+                text == read_data_text(f"golden/{name}"),
+                f"{len(text)} bytes",
+            )
+        )
+    return results
 
 
 SUITES: dict[str, Callable[[], list[CheckResult]]] = {

@@ -72,7 +72,7 @@ def test_localize_max_steps(capsys):
 def test_localize_missing_name(capsys):
     code, _, err = run(capsys, "localize", "--name", "ghost")
     assert code == 1
-    assert "ghost" in err
+    assert err.startswith("error:") and "ghost" in err
 
 
 def test_localize_negative_max_steps(capsys):
@@ -171,11 +171,22 @@ def test_chart_regions_stdout_with_options(capsys):
     assert "eta_powers" in out
 
 
-def test_chart_regions_bad_window(capsys):
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["chart", "regions", "--window", "1:2:3"], "--window expects", id="short-window"),
+        pytest.param(["chart", "regions", "--window=5:4:0:1"], "--window bounds must satisfy", id="regions-s-reversed"),
+        pytest.param(["chart", "groups", "--window=5:4:0:1"], "--window bounds must satisfy", id="groups-s-reversed"),
+        pytest.param(["chart", "regions", "--scale", "0"], "--scale must be > 0", id="zero-scale"),
+        pytest.param(["chart", "regions", "--overlay", "nope"], "invalid choice: 'nope'", id="unknown-overlay"),
+    ],
+)
+def test_chart_regions_bad_window(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
-        main(["chart", "regions", "--window", "1:2:3"])
+        main(argv)
     assert exc.value.code == 2
-    assert "--window expects" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_chart_groups_stdout(capsys):

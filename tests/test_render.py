@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from motivic_stems.charts import lift_to_motivic
+from motivic_stems.charts import lift_to_motivic, parse_chart
 from motivic_stems.regions import resolve_group
 from motivic_stems.render import (
     REGION_FILL,
@@ -59,6 +59,17 @@ def test_region_chart_is_deterministic_and_well_formed(sample_stems):
         assert fill in svg
     assert "eta_powers" in svg
     assert "w = 3s/5 + 1" in svg
+
+    # an odd scale; by hand, x = 56 + (s + 1/2)*7, y = 36 + (15 + 1/2 - w)*7, r = 7*18/100
+    odd = ChartStyle(s_min=0, s_max=22, w_min=0, w_max=15, scale=7, group_dots=True)
+    svg = region_chart_svg(odd, stems_table=sample_stems)
+    assert (  # (20, 13) is not understood; the ? sits 3 px below the lattice point
+        '<text x="199.500" y="56.500" font-size="10.000" text-anchor="middle" fill="#7a3fd1">?</text>' in svg
+    )
+    assert (  # (21, 0) is tau-local past the sample table's last stem: an open circle
+        '<circle cx="206.500" cy="144.500" r="1.260" fill="none" stroke="#222222" stroke-width="1.000"/>' in svg
+    )
+    assert '<circle cx="94.500" cy="109.500" r="1.260" fill="#222222"/>' in svg  # (5, 5), eta^5
 
 
 def test_region_chart_layers_can_be_switched_off():
@@ -113,6 +124,23 @@ def test_motivic_chart_tooltips(sample_chart):
     assert "<title>alpha2/2: w &lt;= 2 (Z/4)</title>" in svg
     assert svg.count("<line ") >= 13  # eta-edge segments along the alpha1 spine
     assert '<g id="eta-edges">' in svg and '<g id="classes">' in svg
+
+
+def test_motivic_chart_spreads_classes_sharing_a_bidegree():
+    chart = parse_chart(
+        "# smax: 2\n"
+        "0 0 1 Z\n"
+        "2 2 c 2\n"
+        "2 2 a 2\n"
+        "2 2 b 4\n"
+    )
+    svg = motivic_chart_svg(lift_to_motivic(chart), ChartStyle(s_min=0, s_max=2, w_min=0, w_max=2, scale=24))
+    cx = {
+        circle.find("{http://www.w3.org/2000/svg}title").text.split(":")[0]: circle.get("cx")
+        for circle in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}circle")
+    }
+    # 56 + (2 + 1/2 + 22*(2i - 2)/100)*24 for i = 0, 1, 2 in name order; a lone class is not shifted
+    assert cx == {"1": "68.000", "a": "105.440", "b": "116.000", "c": "126.560"}
 
 
 def test_motivic_chart_default_style(sample_chart):
