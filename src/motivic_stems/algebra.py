@@ -12,6 +12,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from itertools import product
+from operator import mul
 from typing import Iterable, Iterator
 
 
@@ -319,12 +320,18 @@ def enumerate_basis(
     """Group the window's monomials by tridegree.
 
     Keys are sorted by (s, f, w); each fiber keeps the canonical lexicographic
-    monomial order, which downstream linear algebra relies on.
+    monomial order, which downstream linear algebra relies on. Window monomials
+    are valid by construction, so degrees come straight from the generator
+    degrees without ``degree``'s validation.
     """
-    fibers: dict[Tridegree, list[Monomial]] = {}
+    gens = presentation.generators
+    ds, df, dw = [g.degree.s for g in gens], [g.degree.f for g in gens], [g.degree.w for g in gens]
+    fibers: dict[tuple[int, int, int], list[Monomial]] = {}
     for m in iter_window_monomials(presentation, window):
-        fibers.setdefault(presentation.degree(m), []).append(m)
-    return {t: fibers[t] for t in sorted(fibers, key=Tridegree.as_tuple)}
+        e = m.exponents
+        key = (sum(map(mul, e, ds)), sum(map(mul, e, df)), sum(map(mul, e, dw)))
+        fibers.setdefault(key, []).append(m)
+    return {Tridegree(*key): fibers[key] for key in sorted(fibers)}
 
 
 class F2VectorSpace:

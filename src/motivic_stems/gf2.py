@@ -10,18 +10,18 @@ def low_bit(x: int) -> int:
 
 def rref(rows: list[int]) -> list[int]:
     """Reduced row echelon form, pivots on lowest set bits, sorted by pivot."""
-    echelon: list[int] = []  # kept fully reduced against each other
+    echelon: list[tuple[int, int]] = []  # (pivot, row), rows fully reduced against each other
     for r in rows:
-        for b in echelon:
-            if (r >> low_bit(b)) & 1:
+        for p, b in echelon:
+            if (r >> p) & 1:
                 r ^= b
         if r == 0:
             continue
         p = low_bit(r)
-        echelon = [b ^ r if (b >> p) & 1 else b for b in echelon]
-        echelon.append(r)
-    echelon.sort(key=low_bit)
-    return echelon
+        echelon = [(q, b ^ r) if (b >> p) & 1 else (q, b) for q, b in echelon]
+        echelon.append((p, r))
+    echelon.sort()
+    return [b for _, b in echelon]
 
 
 def rank(rows: list[int]) -> int:
@@ -64,9 +64,16 @@ def kernel_and_image(columns: list[int]) -> tuple[list[int], list[int]]:
 def quotient_representatives(vectors: list[int], modulo: list[int]) -> list[int]:
     """Canonical representatives of span(vectors) / span(modulo).
 
-    Reduces every vector against the subspace, then takes reduced echelon form,
-    so the output is independent of the order and presentation of the inputs.
+    ``modulo`` must already be in reduced echelon form, as ``rref`` and
+    ``kernel_and_image`` return it. Reduces every vector against it, then
+    takes reduced echelon form, so the output is independent of the order and
+    presentation of the vectors.
     """
-    sub = rref(modulo)
-    return rref([reduce_mod(sub, v) for v in vectors])
-
+    pivots = [(low_bit(b), b) for b in modulo]
+    reduced = []
+    for v in vectors:
+        for p, b in pivots:
+            if (v >> p) & 1:
+                v ^= b
+        reduced.append(v)
+    return rref(reduced)

@@ -15,6 +15,12 @@ window's fiber equals the full fiber of the algebra (true for the built-in
 instance, where each tridegree carries at most one monomial), a VALID answer
 equals the answer in the infinite algebra.
 
+Inputs are validated at the boundary: ``build_differential`` and
+``turn_page`` check a differential's images against the presentation with
+one shared rule, and ``leibniz_extend`` checks its monomial as well. Inside a
+page turn the window monomials and their Leibniz terms are valid by
+construction and are not checked again.
+
 The built-in instance is the E2 page of the eta-localized motivic
 Adams-Novikov spectral sequence for the 2-complete sphere over C, with its
 single nonzero differential on the third page.
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import add, le, sub
 from typing import Iterable, Mapping
 
 from . import gf2
@@ -80,13 +87,28 @@ def build_differential(
     """Validate generator images against the presentation and fix the shift."""
     if page < 2:
         raise DifferentialSpecError(f"page must be at least 2, got {page}")
-    frozen: dict[str, FormalSum] = {}
+    frozen = {name: frozenset(terms) for name, terms in images.items()}
+    shift = _image_shift(presentation, frozen, shift)
+    if shift is None:
+        shift = Tridegree(-1, page, 0)
+    return DifferentialSpec(page=page, shift=shift, images=frozen)
+
+
+def _image_shift(
+    presentation: MonomialAlgebraPresentation,
+    images: Mapping[str, Iterable[Monomial]],
+    shift: Tridegree | None,
+) -> Tridegree | None:
+    """Check generator images against the presentation; return their shift.
+
+    Every image must be keyed by a known generator, and every term must be a
+    valid monomial of the presentation sitting in degree(generator) + shift.
+    With ``shift`` None the first term fixes it.
+    """
     for name, terms in images.items():
         gdeg = presentation.generator(name).degree
-        fs = frozenset(terms)
-        for u in fs:
-            presentation.validate_monomial(u)
-            observed = presentation.degree(u) - gdeg
+        for u in terms:
+            observed = presentation.degree(u) - gdeg  # degree validates u
             if shift is None:
                 shift = observed
             elif observed != shift:
@@ -94,10 +116,48 @@ def build_differential(
                     f"image term {presentation.monomial_str(u)} of {name!r} sits in shift "
                     f"{observed}, expected {shift}"
                 )
-        frozen[name] = fs
-    if shift is None:
-        shift = Tridegree(-1, page, 0)
-    return DifferentialSpec(page=page, shift=shift, images=frozen)
+    return shift
+
+
+class _LeibnizRule:
+    """A differential applied to exponent tuples, with its images checked.
+
+    Building one checks that every image is keyed by a known generator and
+    that every term is a valid monomial; the shift is ``_image_shift``'s
+    job. ``offsets`` lists, per generator g with a nonzero image, its index
+    and u - e_g for every image term u: the term (m / g) * u of a monomial m
+    is m + (u - e_g).
+    """
+
+    def __init__(self, presentation: MonomialAlgebraPresentation, diff: DifferentialSpec):
+        self.offsets: list[tuple[int, list[tuple[int, ...]]]] = []
+        for name, image in diff.images.items():
+            i = presentation.index_of(name)
+            offsets = []
+            for u in image:
+                presentation.validate_monomial(u)
+                off = list(u.exponents)
+                off[i] -= 1
+                offsets.append(tuple(off))
+            if offsets:
+                self.offsets.append((i, offsets))
+        self.square_zero = [j for j, g in enumerate(presentation.generators) if g.square_zero]
+
+    def terms(self, exps: tuple[int, ...]) -> set[tuple[int, ...]]:
+        """Nonzero Leibniz terms of the monomial with exponents ``exps``, mod 2.
+
+        Each generator slot with an odd exponent contributes (m / g) * d(g);
+        terms erased by a square-zero relation are genuinely zero, and terms
+        appearing twice cancel.
+        """
+        out: set[tuple[int, ...]] = set()
+        for i, offsets in self.offsets:
+            if exps[i] % 2:
+                for off in offsets:
+                    p = tuple(map(add, exps, off))
+                    if not any(p[j] > 1 for j in self.square_zero):
+                        out.symmetric_difference_update((p,))
+        return out
 
 
 def leibniz_extend(
@@ -105,25 +165,11 @@ def leibniz_extend(
 ) -> FormalSum:
     """Differential of a monomial via the Leibniz rule, mod 2.
 
-    Each generator slot with an odd exponent contributes (m / g) * d(g); terms
-    erased by a square-zero relation are genuinely zero, and terms appearing
-    twice cancel.
+    Checks the monomial and the differential's image terms, then applies the
+    same rule as the page turn.
     """
     presentation.validate_monomial(m)
-    terms: set[Monomial] = set()
-    for i, g in enumerate(presentation.generators):
-        e = m.exponents[i]
-        if e % 2 == 0:
-            continue
-        image = diff.images.get(g.name)
-        if not image:
-            continue
-        reduced = Monomial(m.exponents[:i] + (e - 1,) + m.exponents[i + 1 :])
-        for u in image:
-            p = presentation.multiply(reduced, u)
-            if p is not None:
-                terms.symmetric_difference_update((p,))
-    return frozenset(terms)
+    return frozenset(map(Monomial, _LeibnizRule(presentation, diff).terms(m.exponents)))
 
 
 def d_sum(
@@ -189,46 +235,16 @@ def initial_page(
     )
 
 
-def _forward_closed(
-    presentation: MonomialAlgebraPresentation,
-    window: Window,
-    diff: DifferentialSpec,
-    monomials: Iterable[Monomial],
-) -> bool:
-    # Every nonzero Leibniz term of every fiber monomial must stay in-window,
-    # otherwise the outgoing matrix is truncated.
-    for m in monomials:
-        for term in leibniz_extend(presentation, diff, m):
-            if not window.contains(presentation, term):
-                return False
-    return True
-
-
-def _backward_closed(
-    presentation: MonomialAlgebraPresentation,
-    window: Window,
-    diff: DifferentialSpec,
-    monomials: Iterable[Monomial],
-) -> bool:
-    # Every valid exponent vector whose differential can hit a fiber monomial
-    # must lie in-window, otherwise the incoming image is underestimated.
-    n_gens = len(presentation.generators)
-    for n in monomials:
-        for name, image in diff.images.items():
-            gi = presentation.index_of(name)
-            for u in image:
-                exps = list(n.exponents)
-                exps[gi] += 1
-                for j in range(n_gens):
-                    exps[j] -= u.exponents[j]
-                cand = tuple(exps)
-                if not presentation.is_valid_exponents(cand):
-                    continue
-                if cand[gi] % 2 == 0:
-                    continue  # the Leibniz term toward n carries an even coefficient
-                if not window.contains(presentation, Monomial(cand)):
-                    return False
-    return True
+def _combine(vectors: list[int], mask: int) -> int:
+    """Sum of ``vectors[j]`` over the set bits j of ``mask``."""
+    v = 0
+    j = 0
+    while mask:
+        if mask & 1:
+            v ^= vectors[j]
+        mask >>= 1
+        j += 1
+    return v
 
 
 def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
@@ -241,60 +257,73 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
     """
     if diff.page != state.page:
         raise ValueError(f"differential is for page {diff.page}, state is on page {state.page}")
-    pres, window = state.presentation, state.window
-    fibers = {t: F2VectorSpace(t, mons) for t, mons in state.basis.items()}
+    pres, basis, shift = state.presentation, state.basis, diff.shift
+    _image_shift(pres, diff.images, shift)  # the target-fibre lookups below rely on it
+    rule = _LeibnizRule(pres, diff)
+    bounds = state.window.effective_bounds(pres)
+    lows, highs = [lo for lo, _ in bounds], [hi for _, hi in bounds]
+    valid = pres.is_valid_exponents
 
-    # Outgoing image vectors per tridegree, in target fiber coordinates.
-    out_vectors: dict[Tridegree, list[int]] = {}
-    for t, class_list in state.classes.items():
-        target = fibers.get(t + diff.shift)
-        vecs = []
-        for c in class_list:
+    def reached_only_from_window(mons: list[Monomial]) -> bool:
+        # Every valid exponent vector whose differential can hit a fiber
+        # monomial must lie in-window, otherwise the incoming image is
+        # underestimated. A candidate n - (u - e_g) with an even g exponent
+        # reaches n with an even coefficient.
+        for n in mons:
+            for i, offsets in rule.offsets:
+                for off in offsets:
+                    cand = tuple(map(sub, n.exponents, off))
+                    if cand[i] % 2 and not (all(map(le, lows, cand)) and all(map(le, cand, highs))) and valid(cand):
+                        return False
+        return True
+
+    # Walk tridegrees by ascending t . shift, so t - shift comes before t and
+    # its image echelon and forward flag are ready, and can be dropped, when t
+    # is reached. The outputs keep the basis order.
+    order = sorted(basis, key=lambda t: t.s * shift.s + t.f * shift.f + t.w * shift.w)
+    pending: dict[Tridegree, tuple[list[int], bool]] = {}
+    new_classes: dict[Tridegree, list[FormalSum]] = dict.fromkeys(basis)
+    new_status: dict[Tridegree, Certainty] = dict.fromkeys(basis)
+    for t in order:
+        mons, class_list = basis[t], state.classes[t]
+        downstream = t + shift
+        target = basis.get(downstream, ())
+        # Leibniz terms are valid and sit in t + shift, so a term lies in the
+        # window exactly when it is in the target fiber. Terms outside are
+        # dropped from the matrix, and the tridegree is not forward-closed.
+        position = {m.exponents: k for k, m in enumerate(target)}
+        forward = True
+        images = []
+        for m in mons:
             bits = 0
-            for term in d_sum(pres, diff, c):
-                pos = target.position(term) if target is not None else None
-                if pos is not None:
-                    bits ^= 1 << pos
-                # terms outside the window are dropped; certification below
-                # marks such tridegrees INDETERMINATE
-            vecs.append(bits)
-        out_vectors[t] = vecs
-
-    forward_ok = {
-        t: _forward_closed(pres, window, diff, mons) for t, mons in state.basis.items()
-    }
-    new_classes: dict[Tridegree, list[FormalSum]] = {}
-    new_status: dict[Tridegree, Certainty] = {}
-    for t, class_list in state.classes.items():
-        fiber = fibers[t]
-        kernel_coords, _ = gf2.kernel_and_image(out_vectors[t])
+            for p in rule.terms(m.exponents):
+                k = position.get(p)
+                if k is None:
+                    forward = False
+                else:
+                    bits ^= 1 << k
+            images.append(bits)
+        fiber = F2VectorSpace(t, mons)
         class_vecs = [fiber.vector(c) for c in class_list]
-        kernel_vecs = []
-        for trk in kernel_coords:
-            v = 0
-            j = 0
-            while trk:
-                if trk & 1:
-                    v ^= class_vecs[j]
-                trk >>= 1
-                j += 1
-            kernel_vecs.append(v)
-        incoming = out_vectors.get(t - diff.shift, [])
-        survivors = gf2.quotient_representatives(kernel_vecs, list(incoming))
+        kernel_coords, image_echelon = gf2.kernel_and_image([_combine(images, v) for v in class_vecs])
+        if target:
+            pending[downstream] = (image_echelon, forward)
+        incoming, upstream_forward = pending.pop(t, ([], True))
+        kernel_vecs = [_combine(class_vecs, trk) for trk in kernel_coords]
+        survivors = gf2.quotient_representatives(kernel_vecs, incoming)
         new_classes[t] = [fiber.sum_from_vector(v) for v in survivors]
-        upstream = t - diff.shift
         certified = (
             state.status[t] is Certainty.VALID
-            and forward_ok[t]
-            and forward_ok.get(upstream, True)
-            and _backward_closed(pres, window, diff, state.basis[t])
+            and forward
+            and upstream_forward
+            and reached_only_from_window(mons)
         )
         new_status[t] = Certainty.VALID if certified else Certainty.INDETERMINATE
     return PageState(
         presentation=pres,
-        window=window,
+        window=state.window,
         page=diff.page + 1,
-        basis=state.basis,
+        basis=basis,
         classes=new_classes,
         status=new_status,
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -227,6 +228,27 @@ def test_verify_einfty_table(capsys):
     assert lines[-1] == "3/3 checks passed"
     assert any(line.startswith("PASS einfty.survivors_match_closed_form") for line in lines)
     assert any(" ok" in line for line in lines)
+
+
+@pytest.mark.parametrize(
+    "window, digest",
+    [
+        (None, "d7a177b8574153384e16f3cd90894d879bda24c374f21a795b0ce8c35db592c1"),
+        (
+            "tau=0:16,alpha1=-24:24,alpha3=0:12,alpha4=0:1",
+            "b2d6cbb95877f1cafc88782cd9a459a8835e9ffee0622d55dacce1f869a9c38a",
+        ),
+    ],
+    ids=["acceptance", "doubled"],
+)
+def test_verify_einfty_table_bytes_are_pinned(capsys, window, digest):
+    # SHA-256 of the whole table and check lines, without the measured
+    # time_budget line; pins every class, status and mark, not only PASS
+    argv = ["verify", "einfty", "--table"] + (["--einfty-window", window] if window else [])
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    kept = "".join(line for line in out.splitlines(keepends=True) if "time_budget" not in line)
+    assert hashlib.sha256(kept.encode()).hexdigest() == digest
 
 
 def test_verify_bad_einfty_window(capsys):

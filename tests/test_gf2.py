@@ -53,9 +53,12 @@ def test_kernel_image_rank_nullity(columns):
 
 @given(matrices, matrices)
 def test_quotient_representatives(vectors, modulo):
-    reps = gf2.quotient_representatives(vectors, modulo)
-    assert len(reps) == gf2.rank(vectors + modulo) - gf2.rank(modulo)
+    # modulo is passed as the echelon kernel_and_image returns for an image
     mod_echelon = gf2.rref(modulo)
+    reps = gf2.quotient_representatives(vectors, mod_echelon)
+    assert len(reps) == gf2.rank(vectors + modulo) - gf2.rank(modulo)
+    assert reps == gf2.rref(reps)
+    assert reps == gf2.quotient_representatives(vectors[::-1], gf2.kernel_and_image(modulo[::-1])[1])
     for rep in reps:
         assert rep != 0
         assert gf2.reduce_mod(mod_echelon, rep) == rep

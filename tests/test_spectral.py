@@ -2,13 +2,25 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from motivic_stems.algebra import Tridegree, Window
+from motivic_stems import gf2
+from motivic_stems.algebra import (
+    GeneratorSpec,
+    Monomial,
+    MonomialAlgebraPresentation,
+    PresentationError,
+    PresentationMismatchError,
+    Tridegree,
+    Window,
+)
 from motivic_stems.spectral import (
     Certainty,
+    DifferentialSpec,
     DifferentialSpecError,
     OutOfWindowError,
     build_differential,
@@ -93,6 +105,28 @@ def test_build_differential_rejects_mixed_shift(presentation_and_d3):
             images={"alpha3": [presentation.monomial(tau=1, alpha1=4)]},
             shift=Tridegree(0, 0, 0),
         )
+
+
+@pytest.mark.parametrize(
+    "shift, images, error, message",
+    [
+        (Tridegree(-1, 2, 0), None, DifferentialSpecError, "expected"),
+        (None, {"alpha3": [Monomial((1, 4))]}, PresentationMismatchError, "2 exponents"),
+        (None, {"alpha3": [Monomial((-1, 4, 0, 0))]}, PresentationError, "negative exponent"),
+        (None, {"ghost": [Monomial((1, 4, 0, 0))]}, PresentationMismatchError, "ghost"),
+    ],
+    ids=["wrong-shift", "short-term", "invalid-term", "unknown-generator"],
+)
+def test_bad_differential_is_rejected_at_the_boundary(presentation_and_d3, shift, images, error, message):
+    # turn_page checks a hand-built spec with the rules of build_differential
+    # before any page work, so it neither crashes inside nor answers wrongly
+    presentation, d3 = presentation_and_d3
+    spec = DifferentialSpec(3, shift or d3.shift, images or d3.images)
+    window = Window.from_dict(presentation, {"tau": (0, 2), "alpha1": (-4, 4), "alpha3": (0, 2), "alpha4": (0, 1)})
+    with pytest.raises(error, match=message):
+        run_to_einfty(presentation, [spec], window)
+    with pytest.raises(error, match=message):
+        build_differential(presentation, page=3, images=spec.images, shift=shift)
 
 
 def test_initial_page_is_monomial_basis(presentation_and_d3, einfty_window):
@@ -193,3 +227,94 @@ def test_d3_satisfies_leibniz(e1, e2):
         presentation, leibniz_extend(presentation, d3, m2), m1
     )
     assert lhs == rhs
+
+
+# --- random presentations against the definition ---------------------------
+
+_kinds = st.sampled_from(["plain", "invertible", "square_zero"])
+_generators = st.lists(
+    st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1), _kinds), min_size=2, max_size=4
+)
+
+
+def _exponent_range(g, even):
+    if g.square_zero:
+        return range(0, 1 if even else 2)
+    return range(-2 if g.invertible else 0, 3, 2 if even else 1)
+
+
+@st.composite
+def presentations_with_differential(draw):
+    """2-4 generators with random flags, one differential and a small window.
+
+    Only one generator has a nonzero image, and every image term carries an
+    even exponent of it, so every image term is a cycle: d squares to zero,
+    also after truncation to any window. The image terms share a tridegree,
+    drawn from the small exponent box around the unit.
+    """
+    specs = draw(_generators)
+    presentation = MonomialAlgebraPresentation(
+        GeneratorSpec(
+            f"g{i}", Tridegree(s, f, w), invertible=kind == "invertible", square_zero=kind == "square_zero"
+        )
+        for i, (s, f, w, kind) in enumerate(specs)
+    )
+    gens = presentation.generators
+    source = draw(st.integers(0, len(gens) - 1))
+    by_degree: dict[Tridegree, list[Monomial]] = {}
+    for exps in product(*(_exponent_range(g, i == source) for i, g in enumerate(gens))):
+        by_degree.setdefault(presentation.degree(Monomial(exps)), []).append(Monomial(exps))
+    terms = draw(st.sampled_from(sorted(by_degree.values(), key=len)))
+    image = draw(st.lists(st.sampled_from(terms), min_size=1, max_size=3, unique=True))
+    diff = build_differential(presentation, page=draw(st.integers(2, 4)), images={gens[source].name: image})
+    bounds = draw(st.lists(st.tuples(st.integers(-2, 0), st.integers(0, 2)), min_size=len(gens), max_size=len(gens)))
+    return presentation, diff, Window(tuple(bounds))
+
+
+@given(presentations_with_differential())
+def test_page_turn_matches_the_definition(case):
+    presentation, diff, window = case
+    state = run_to_einfty(presentation, [diff], window)
+    basis = state.basis
+    assert list(state.classes) == list(basis) == list(state.status)
+    d = {m: leibniz_extend(presentation, diff, m) for mons in basis.values() for m in mons}
+
+    def rows(source, target):
+        position = {m: i for i, m in enumerate(target)}
+        out = []
+        for m in source:
+            bits = 0
+            for p in d[m]:
+                if window.contains(presentation, p):
+                    bits ^= 1 << position[p]
+            out.append(bits)
+        return out
+
+    def forward(mons):
+        return all(window.contains(presentation, p) for m in mons for p in d[m])
+
+    def backward(mons):
+        # every valid exponent vector whose differential hits n lies in the window
+        for n in mons:
+            for name, image in diff.images.items():
+                i = presentation.index_of(name)
+                for u in image:
+                    cand = tuple(a + (j == i) - b for j, (a, b) in enumerate(zip(n.exponents, u.exponents)))
+                    if not presentation.is_valid_exponents(cand):
+                        continue
+                    c = Monomial(cand)
+                    if n in leibniz_extend(presentation, diff, c) and not window.contains(presentation, c):
+                        return False
+        return True
+
+    for t, fibre in basis.items():
+        upstream = basis.get(t - diff.shift, [])
+        dim_ker = len(fibre) - gf2.rank(rows(fibre, basis.get(t + diff.shift, [])))
+        dim_im = gf2.rank(rows(upstream, fibre))
+        assert len(state.classes[t]) == dim_ker - dim_im
+        certified = forward(fibre) and forward(upstream) and backward(fibre)
+        assert state.status[t] is (Certainty.VALID if certified else Certainty.INDETERMINATE)
+        for c in state.classes[t]:
+            boundary = d_sum(presentation, diff, c)
+            assert not any(window.contains(presentation, p) for p in boundary)
+            assert not boundary or not certified
