@@ -42,9 +42,6 @@ class Tridegree:
     def __sub__(self, other: Tridegree) -> Tridegree:
         return Tridegree(self.s - other.s, self.f - other.f, self.w - other.w)
 
-    def __neg__(self) -> Tridegree:
-        return Tridegree(-self.s, -self.f, -self.w)
-
     def __mul__(self, k: int) -> Tridegree:
         return Tridegree(self.s * k, self.f * k, self.w * k)
 
@@ -67,9 +64,6 @@ class Bidegree:
     s: int
     w: int
 
-    def __add__(self, other: Bidegree) -> Bidegree:
-        return Bidegree(self.s + other.s, self.w + other.w)
-
     def __mul__(self, k: int) -> Bidegree:
         return Bidegree(self.s * k, self.w * k)
 
@@ -77,9 +71,6 @@ class Bidegree:
 
     def __str__(self) -> str:
         return f"({self.s},{self.w})"
-
-
-ZERO_DEGREE = Tridegree(0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -103,13 +94,6 @@ class Monomial:
     """Exponent vector over a presentation's generators, in declaration order."""
 
     exponents: tuple[int, ...]
-
-    @property
-    def is_unit(self) -> bool:
-        return all(e == 0 for e in self.exponents)
-
-    def __len__(self) -> int:
-        return len(self.exponents)
 
 
 @dataclass(frozen=True)
@@ -234,17 +218,6 @@ class MonomialAlgebraPresentation:
             )
         return cls(gens)
 
-    def serialize(self) -> str:
-        lines = []
-        for g in self.generators:
-            flags = []
-            if g.invertible:
-                flags.append("invertible")
-            if g.square_zero:
-                flags.append("square_zero")
-            lines.append(" ".join([g.name, str(g.degree.s), str(g.degree.f), str(g.degree.w), *flags]))
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class Window:
@@ -288,20 +261,6 @@ class Window:
         if len(m.exponents) != len(self.bounds):
             return False
         return all(lo <= e <= hi for e, (lo, hi) in zip(m.exponents, self.effective_bounds(presentation)))
-
-    def tridegree_bounds(self, presentation: MonomialAlgebraPresentation) -> tuple[Tridegree, Tridegree]:
-        """Componentwise (min, max) tridegree over the exponent box."""
-        lo_s = lo_f = lo_w = 0
-        hi_s = hi_f = hi_w = 0
-        for g, (lo, hi) in zip(presentation.generators, self.effective_bounds(presentation)):
-            ds, df, dw = g.degree.s, g.degree.f, g.degree.w
-            lo_s += min(lo * ds, hi * ds)
-            hi_s += max(lo * ds, hi * ds)
-            lo_f += min(lo * df, hi * df)
-            hi_f += max(lo * df, hi * df)
-            lo_w += min(lo * dw, hi * dw)
-            hi_w += max(lo * dw, hi * dw)
-        return Tridegree(lo_s, lo_f, lo_w), Tridegree(hi_s, hi_f, hi_w)
 
 
 def iter_window_monomials(presentation: MonomialAlgebraPresentation, window: Window) -> Iterator[Monomial]:
@@ -347,13 +306,6 @@ class F2VectorSpace:
         self._pos = {m: i for i, m in enumerate(self.basis)}
         if len(self._pos) != len(self.basis):
             raise PresentationError(f"repeated monomial in fiber basis at {tridegree}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def position(self, m: Monomial) -> int | None:
-        return self._pos.get(m)
 
     def vector(self, monomials: Iterable[Monomial]) -> int:
         bits = 0

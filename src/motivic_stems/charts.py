@@ -102,8 +102,8 @@ def _parse_order_token(token: str, lineno: int) -> int:
     return n
 
 
-def parse_chart(text: str, *, validate: bool = True) -> ClassicalChart:
-    """Parse a chart file; with validate=True (default) structural violations raise."""
+def parse_chart(text: str) -> ClassicalChart:
+    """Parse a chart file; structural violations raise ChartValidationError."""
     classes: list[ClassicalChartClass] = []
     provenance = ""
     declared_smax: int | None = None
@@ -145,10 +145,9 @@ def parse_chart(text: str, *, validate: bool = True) -> ClassicalChart:
         classes.append(ClassicalChartClass(name=name, s=s, f=f, order=order, eta_edge=eta_edge))
     s_max = declared_smax if declared_smax is not None else max((c.s for c in classes), default=0)
     chart = ClassicalChart(classes=classes, s_max=s_max, provenance=provenance)
-    if validate:
-        violations = validate_chart(chart)
-        if violations:
-            raise ChartValidationError(violations)
+    violations = validate_chart(chart)
+    if violations:
+        raise ChartValidationError(violations)
     return chart
 
 
@@ -193,46 +192,12 @@ def validate_chart(chart: ClassicalChart) -> list[str]:
     return violations
 
 
-@dataclass(frozen=True)
-class MotivicChartClass:
-    """A classical class placed in one motivic weight of its tau tower."""
-
-    classical: ClassicalChartClass
-    w: int
-    w_top: int  # = (s + f) / 2; presence requires w <= w_top
-
-    @property
-    def tau_power(self) -> int:
-        return self.w_top - self.w
-
-    @property
-    def is_tower_top(self) -> bool:
-        return self.w == self.w_top
-
-
 @dataclass
 class MotivicLift:
     """Motivic lift of a chart: each class spans the weights w <= (s+f)/2."""
 
     chart: ClassicalChart
-    w_top: dict[str, int]
-
-    def at(self, s: int, f: int, w: int) -> list[MotivicChartClass]:
-        out = []
-        for c in self.chart.at(s, f):
-            top = self.w_top[c.name]
-            if w <= top:
-                out.append(MotivicChartClass(classical=c, w=w, w_top=top))
-        return out
-
-    def table(self, w_min: int) -> dict[tuple[int, int, int], list[MotivicChartClass]]:
-        """Materialize all entries with w >= w_min, keyed by (s, f, w)."""
-        out: dict[tuple[int, int, int], list[MotivicChartClass]] = {}
-        for c in self.chart.classes:
-            top = self.w_top[c.name]
-            for w in range(w_min, top + 1):
-                out.setdefault((c.s, c.f, w), []).append(MotivicChartClass(c, w, top))
-        return dict(sorted(out.items()))
+    w_top: dict[str, int]  # class name -> (s + f) / 2, the top of its tau tower
 
 
 def lift_to_motivic(chart: ClassicalChart) -> MotivicLift:

@@ -79,10 +79,13 @@ def _parse_exponent_window(text: str, parser: argparse.ArgumentParser) -> dict[s
             bounds[name.strip()] = (int(lo_text), int(hi_text))
         except ValueError:
             parser.error(f"--einfty-window expects name=lo:hi[,...] with integer bounds, got {piece!r}")
+    presentation = localized_motivic_anss()[0]
     try:
-        Window.from_dict(localized_motivic_anss()[0], bounds)
+        window = Window.from_dict(presentation, bounds)
     except PresentationError as exc:
         parser.error(f"--einfty-window: {exc}")
+    if window.is_inverted(presentation):
+        parser.error(f"--einfty-window holds no monomials: {text!r}")
     return bounds
 
 
@@ -137,8 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     fam_sub = p.add_subparsers(dest="families_command", required=True)
     p = fam_sub.add_parser("list", help="bases, periods, and lines of the built-in families")
     p.set_defaults(func=_cmd_families_list)
-    p = fam_sub.add_parser("check", help="run the families verification suite")
-    p.set_defaults(func=_cmd_families_check)
 
     p = sub.add_parser("may-census", help="May E1 generators up to a stem bound")
     p.add_argument("max_stem", type=int)
@@ -249,13 +250,6 @@ def _cmd_families_list(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _cmd_families_check(args, parser: argparse.ArgumentParser) -> int:
-    results = verify_mod.check_families()
-    for r in results:
-        print(r.line)
-    return 0 if all(r.passed for r in results) else 1
-
-
 def _cmd_may_census(args, parser: argparse.ArgumentParser) -> int:
     for g in may_e1_generators(args.max_stem):
         print(f"{g.name} stem={g.stem} weight={g.weight}")
@@ -310,13 +304,15 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
         available = ", ".join(verify_mod.SUITES)
         print(f"error: unknown suites: {', '.join(unknown)}; available: {available}", file=sys.stderr)
         return 2
+    if args.table and "einfty" not in names:
+        parser.error("--table needs the einfty suite")
     results = []
     for name in names:
         if name == "einfty":
-            if args.table:
-                for line in verify_mod.einfty_report(window_bounds):
-                    print(line)
-            results.extend(verify_mod.check_einfty(window_bounds))
+            table = [] if args.table else None
+            results.extend(verify_mod.check_einfty(window_bounds, table=table))
+            for line in table or ():
+                print(line)
         else:
             results.extend(verify_mod.SUITES[name]())
     for r in results:

@@ -52,16 +52,6 @@ class GroupDescriptor:
     def is_trivial(self) -> bool:
         return not self.summands
 
-    @property
-    def order(self) -> int | None:
-        """Total order; None when a 2-adic summand makes the group infinite."""
-        total = 1
-        for n in self.summands:
-            if n == 0:
-                return None
-            total *= n
-        return total
-
     def __str__(self) -> str:
         if not self.summands:
             return "0"

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .charts import MotivicLift, StemsTable
 from .families import builtin_families
-from .regions import GroupValue, RegionLabel, classify, resolve_group
+from .regions import RegionLabel, classify, resolve_group
 
 REGION_FILL = {
     RegionLabel.ZERO: "#f2f2f2",
@@ -64,15 +64,13 @@ def _escape(text: str) -> str:
 
 @dataclass(frozen=True)
 class ChartStyle:
-    """Viewport and layer toggles for the region chart, in chart units."""
+    """Viewport and optional layers for the region chart, in chart units."""
 
     s_min: int = -4
     s_max: int = 24
     w_min: int = -8
     w_max: int = 26
     scale: int = 20  # pixels per unit
-    shade_regions: bool = True
-    boundary_lines: bool = True
     group_dots: bool = False
     family_overlays: tuple[str, ...] = ()
 
@@ -228,7 +226,7 @@ def _legend_layer(canvas: _Canvas) -> list[str]:
     return out
 
 
-def _dot_layer(canvas: _Canvas, resolver: Callable[[int, int], GroupValue]) -> list[str]:
+def _dot_layer(canvas: _Canvas, stems_table: StemsTable | None) -> list[str]:
     # x depends only on s and y only on w: format each once, not once per cell
     style = canvas.style
     out = []
@@ -237,7 +235,7 @@ def _dot_layer(canvas: _Canvas, resolver: Callable[[int, int], GroupValue]) -> l
     for s in range(style.s_min, style.s_max + 1):
         cx = fmt3(canvas.x(s))
         for w, cy, text_y in rows:
-            value = resolver(s, w)
+            value = resolve_group(s, w, stems_table)
             if value.kind == "unknown":
                 out.append(
                     f'<text x="{cx}" y="{text_y}" font-size="10.000" '
@@ -289,11 +287,7 @@ def _family_layer(canvas: _Canvas) -> list[str]:
     return out
 
 
-def region_chart_svg(
-    style: ChartStyle | None = None,
-    resolver: Callable[[int, int], GroupValue] | None = None,
-    stems_table: StemsTable | None = None,
-) -> str:
+def region_chart_svg(style: ChartStyle | None = None, stems_table: StemsTable | None = None) -> str:
     """Region chart of the (s, w) plane, drawn to scale.
 
     Lattice cells are shaded by region, the three boundary lines are drawn
@@ -301,8 +295,6 @@ def region_chart_svg(
     lattice point with its resolved group (blank, dot, open dot, or ?).
     """
     style = style or ChartStyle()
-    if resolver is None:
-        resolver = lambda s, w: resolve_group(s, w, stems_table)
     canvas = _Canvas(style)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{canvas.width}" height="{canvas.height}" '
@@ -310,20 +302,18 @@ def region_chart_svg(
         "<title>Region structure of the motivic stable stems over C</title>",
         f'<rect x="0.000" y="0.000" width="{fmt3(canvas.width)}" height="{fmt3(canvas.height)}" fill="#ffffff"/>',
     ]
-    if style.shade_regions:
-        parts.append('<g id="regions">')
-        parts.extend(_region_cells(canvas))
-        parts.append("</g>")
+    parts.append('<g id="regions">')
+    parts.extend(_region_cells(canvas))
+    parts.append("</g>")
     parts.append('<g id="axes">')
     parts.extend(_axes_layer(canvas))
     parts.append("</g>")
-    if style.boundary_lines:
-        parts.append('<g id="boundaries">')
-        parts.extend(_boundary_layer(canvas))
-        parts.append("</g>")
+    parts.append('<g id="boundaries">')
+    parts.extend(_boundary_layer(canvas))
+    parts.append("</g>")
     if style.group_dots:
         parts.append('<g id="groups">')
-        parts.extend(_dot_layer(canvas, resolver))
+        parts.extend(_dot_layer(canvas, stems_table))
         parts.append("</g>")
     if style.family_overlays:
         parts.append('<g id="families">')
@@ -345,17 +335,11 @@ def bidegree_window(s_min: int, s_max: int, w_min: int, w_max: int) -> Iterator[
             yield s, w
 
 
-def groups_tsv(
-    window: Iterable[tuple[int, int]],
-    resolver: Callable[[int, int], GroupValue] | None = None,
-    stems_table: StemsTable | None = None,
-) -> str:
+def groups_tsv(window: Iterable[tuple[int, int]], stems_table: StemsTable | None = None) -> str:
     """One row per (s, w): region, group, and generator, sorted by (s, w)."""
-    if resolver is None:
-        resolver = lambda s, w: resolve_group(s, w, stems_table)
     lines = ["# s\tw\tregion\tgroup\tgenerator"]
     for s, w in sorted(set(window)):
-        value = resolver(s, w)
+        value = resolve_group(s, w, stems_table)
         lines.append(f"{s}\t{w}\t{classify(s, w).value}\t{value.group_str}\t{value.generator_str}")
     return "\n".join(lines) + "\n"
 

@@ -52,10 +52,6 @@ class DifferentialSpecError(PresentationError):
     """Differential data inconsistent with the presentation or the shift."""
 
 
-class OutOfWindowError(ValueError):
-    """A requested tridegree falls outside the window."""
-
-
 class Certainty(enum.Enum):
     VALID = "VALID"
     INDETERMINATE = "INDETERMINATE"
@@ -210,11 +206,6 @@ class PageState:
     basis: dict[Tridegree, list[Monomial]]
     classes: dict[Tridegree, list[FormalSum]]
     status: dict[Tridegree, Certainty]
-
-    def fiber(self, t: Tridegree) -> F2VectorSpace:
-        if t not in self.basis:
-            raise OutOfWindowError(f"tridegree {t} is not covered by the window")
-        return F2VectorSpace(t, self.basis[t])
 
     def valid_classes(self) -> dict[Tridegree, list[FormalSum]]:
         return {t: cls for t, cls in self.classes.items() if self.status[t] is Certainty.VALID}

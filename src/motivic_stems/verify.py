@@ -117,18 +117,35 @@ def expected_einfty_classes(presentation, window) -> dict[Tridegree, list[frozen
     return out
 
 
-def _run_einfty(window_bounds: dict[str, tuple[int, int]] | None = None):
+def check_einfty(
+    window_bounds: dict[str, tuple[int, int]] | None = None, *, table: list[str] | None = None
+) -> list[CheckResult]:
+    """The einfty suite against the closed form.
+
+    With ``table`` given, the same run's per-tridegree table of computed
+    against expected classes is appended to it, so ``--table`` needs no
+    second engine run.
+    """
     presentation, diffs = localized_motivic_anss()
     window = Window.from_dict(presentation, dict(window_bounds or EINFTY_WINDOW))
     t0 = time.perf_counter()
     state = run_to_einfty(presentation, diffs, window)
     elapsed = time.perf_counter() - t0
-    return presentation, window, state, elapsed
-
-
-def check_einfty(window_bounds: dict[str, tuple[int, int]] | None = None) -> list[CheckResult]:
-    presentation, window, state, elapsed = _run_einfty(window_bounds)
     expected = expected_einfty_classes(presentation, window)
+    if table is not None:
+        table.append("tridegree (s,f,w) | status | computed | expected")
+        for t in sorted(state.classes, key=Tridegree.as_tuple):
+            comp = sorted(presentation.sum_str(c) for c in state.classes[t])
+            exp = sorted(presentation.sum_str(c) for c in expected.get(t, []))
+            status = state.status[t]
+            if status is Certainty.INDETERMINATE:
+                mark = "boundary"
+            else:
+                mark = "ok" if comp == exp else "MISMATCH"
+            table.append(
+                f"{str(t):>14} | {status.value:13} | {'; '.join(comp) or '0':24} | "
+                f"{'; '.join(exp) or '0':24} | {mark}"
+            )
     computed_pairs = {(t, c) for t, cls in state.valid_classes().items() for c in cls}
     expected_pairs = {(t, c) for t, cls in expected.items() for c in cls}
     n_indet = sum(1 for st in state.status.values() if st is Certainty.INDETERMINATE)
@@ -148,26 +165,6 @@ def check_einfty(window_bounds: dict[str, tuple[int, int]] | None = None) -> lis
         ),
         CheckResult("einfty", "time_budget", elapsed < EINFTY_TIME_BUDGET, f"{elapsed:.2f}s < {EINFTY_TIME_BUDGET:.0f}s"),
     ]
-
-
-def einfty_report(window_bounds: dict[str, tuple[int, int]] | None = None) -> list[str]:
-    """Per-tridegree table of computed classes against the closed form."""
-    presentation, window, state, _ = _run_einfty(window_bounds)
-    expected = expected_einfty_classes(presentation, window)
-    lines = ["tridegree (s,f,w) | status | computed | expected"]
-    for t in sorted(state.classes, key=Tridegree.as_tuple):
-        comp = sorted(presentation.sum_str(c) for c in state.classes[t])
-        exp = sorted(presentation.sum_str(c) for c in expected.get(t, []))
-        status = state.status[t]
-        if status is Certainty.INDETERMINATE:
-            mark = "boundary"
-        else:
-            mark = "ok" if comp == exp else "MISMATCH"
-        lines.append(
-            f"{str(t):>14} | {status.value:13} | {'; '.join(comp) or '0':24} | "
-            f"{'; '.join(exp) or '0':24} | {mark}"
-        )
-    return lines
 
 
 def check_leibniz() -> list[CheckResult]:

@@ -7,9 +7,11 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from motivic_stems import verify
 from motivic_stems.cli import main
 from motivic_stems.render import ChartStyle, region_chart_svg
 from motivic_stems.resources import DATA_ENV_VAR, data_path
+from motivic_stems.spectral import run_to_einfty
 
 
 def run(capsys, *argv):
@@ -140,10 +142,12 @@ def test_families_list(capsys):
     assert "exotic:" in out
 
 
-def test_families_check(capsys):
-    code, out, _ = run(capsys, "families", "check")
+def test_verify_families(capsys):
+    code, out, _ = run(capsys, "verify", "families")
     assert code == 0
-    assert "PASS families." in out
+    lines = out.splitlines()
+    assert lines[:-1] and all(line.startswith("PASS families.") for line in lines[:-1])
+    assert lines[-1] == f"{len(lines) - 1}/{len(lines) - 1} checks passed"
 
 
 def test_may_census(capsys):
@@ -230,6 +234,26 @@ def test_verify_einfty_table(capsys):
     assert any(" ok" in line for line in lines)
 
 
+def test_verify_einfty_table_runs_the_engine_once(capsys, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return run_to_einfty(*args)
+
+    monkeypatch.setattr(verify, "run_to_einfty", counting)
+    code, out, _ = run(capsys, "verify", "einfty", "--table")
+    assert code == 0 and out.startswith("tridegree (s,f,w) | status")
+    assert len(calls) == 1
+
+
+def test_verify_table_needs_the_einfty_suite(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "partition", "--table"])
+    assert exc.value.code == 2
+    assert "--table needs the einfty suite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "window, digest",
     [
@@ -263,6 +287,8 @@ def test_verify_bad_einfty_window(capsys):
         ("tau=0:8", "missing bounds"),
         ("tau=0:8,alpha1=-12:12,alpha3=0:6,alpha4=0:1,bogus=0:1", "unknown generators"),
         ("tau:0=8", "expects name=lo:hi"),
+        ("tau=0:8,alpha1=12:-12,alpha3=0:6,alpha4=0:1", "holds no monomials"),
+        ("tau=0:8,alpha1=-12:12,alpha3=0:6,alpha4=5:9", "holds no monomials"),  # square-zero caps alpha4 at 1
     ],
 )
 def test_verify_einfty_window_is_checked_at_parse_time(capsys, bounds, message):

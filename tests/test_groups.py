@@ -35,13 +35,6 @@ def test_invalid_summands_rejected(bad):
         GroupDescriptor((bad,))
 
 
-def test_order():
-    assert TRIVIAL_GROUP.order == 1
-    assert Z2_ADIC.order is None
-    assert GroupDescriptor((8, 2)).order == 16
-    assert GroupDescriptor((0, 4)).order is None
-
-
 def test_from_orders_matches_constructor():
     assert GroupDescriptor.from_orders([4, 0, 2]) == GroupDescriptor((0, 4, 2))
     assert GroupDescriptor.cyclic(32) == GroupDescriptor((32,))

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from motivic_stems.charts import lift_to_motivic, parse_chart
+from motivic_stems import render
 from motivic_stems.regions import resolve_group
 from motivic_stems.render import (
     REGION_FILL,
@@ -72,11 +73,10 @@ def test_region_chart_is_deterministic_and_well_formed(sample_stems):
     assert '<circle cx="94.500" cy="109.500" r="1.260" fill="#222222"/>' in svg  # (5, 5), eta^5
 
 
-def test_region_chart_layers_can_be_switched_off():
-    style = ChartStyle(s_min=0, s_max=4, w_min=0, w_max=4, shade_regions=False, boundary_lines=False)
-    svg = region_chart_svg(style)
-    assert '<g id="regions">' not in svg
-    assert '<g id="boundaries">' not in svg
+def test_region_chart_layers():
+    svg = region_chart_svg(ChartStyle(s_min=0, s_max=4, w_min=0, w_max=4))
+    assert '<g id="regions">' in svg
+    assert '<g id="boundaries">' in svg
     assert '<g id="groups">' not in svg  # dots default to off
 
 
@@ -100,17 +100,17 @@ def test_groups_tsv_rows(sample_stems):
     assert len(data) == 9 * 7
 
 
-def test_groups_tsv_dedupes_and_accepts_custom_resolver():
+def test_groups_tsv_dedupes_and_sorts(sample_stems, monkeypatch):
     calls = []
 
-    def resolver(s, w):
+    def counting(s, w, table):
         calls.append((s, w))
-        return resolve_group(s, w)
+        return resolve_group(s, w, table)
 
-    out = groups_tsv([(0, 0), (0, 0), (2, 1)], resolver=resolver)
-    assert len(out.splitlines()) == 3
+    monkeypatch.setattr(render, "resolve_group", counting)  # the module global, as the bench tracer patches it
+    out = groups_tsv([(2, 1), (0, 0), (2, 1), (0, 0)], stems_table=sample_stems)
+    assert out.splitlines()[1:] == ["0\t0\tTauLocal\tZ2\t1", "2\t1\tTauLocal\tZ/2\t-"]
     assert calls == [(0, 0), (2, 1)]
-    assert "2\t1\tTauLocal\tpi_2\t-" in out
 
 
 def test_motivic_chart_tooltips(sample_chart):
