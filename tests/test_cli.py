@@ -142,7 +142,8 @@ def test_families_list(capsys):
     assert "exotic:" in out
 
 
-def test_verify_families(capsys):
+def test_families_check(capsys):
+    # `verify families` is the one path to the families check
     code, out, _ = run(capsys, "verify", "families")
     assert code == 0
     lines = out.splitlines()

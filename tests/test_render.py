@@ -73,11 +73,15 @@ def test_region_chart_is_deterministic_and_well_formed(sample_stems):
     assert '<circle cx="94.500" cy="109.500" r="1.260" fill="#222222"/>' in svg  # (5, 5), eta^5
 
 
-def test_region_chart_layers():
-    svg = region_chart_svg(ChartStyle(s_min=0, s_max=4, w_min=0, w_max=4))
-    assert '<g id="regions">' in svg
-    assert '<g id="boundaries">' in svg
-    assert '<g id="groups">' not in svg  # dots default to off
+def test_region_chart_layers_can_be_switched_off(sample_stems):
+    # the dots layer is the one that switches; regions and boundaries are always drawn
+    off = region_chart_svg(ChartStyle(s_min=0, s_max=4, w_min=0, w_max=4))
+    on = region_chart_svg(ChartStyle(s_min=0, s_max=4, w_min=0, w_max=4, group_dots=True), stems_table=sample_stems)
+    for svg in (off, on):
+        assert '<g id="regions">' in svg
+        assert '<g id="boundaries">' in svg
+    assert '<g id="groups">' not in off  # dots default to off
+    assert '<g id="groups">' in on
 
 
 def test_bidegree_window():
@@ -100,7 +104,7 @@ def test_groups_tsv_rows(sample_stems):
     assert len(data) == 9 * 7
 
 
-def test_groups_tsv_dedupes_and_sorts(sample_stems, monkeypatch):
+def test_groups_tsv_dedupes_and_accepts_custom_resolver(sample_stems, monkeypatch):
     calls = []
 
     def counting(s, w, table):
