@@ -291,37 +291,3 @@ def enumerate_basis(
         key = (sum(map(mul, e, ds)), sum(map(mul, e, df)), sum(map(mul, e, dw)))
         fibers.setdefault(key, []).append(m)
     return {Tridegree(*key): fibers[key] for key in sorted(fibers)}
-
-
-class F2VectorSpace:
-    """Ordered monomial basis of one tridegree fiber; vectors are int bitmasks.
-
-    Bit i corresponds to ``basis[i]``. Monomials must be pairwise distinct and
-    share a tridegree; the enumeration code guarantees both.
-    """
-
-    def __init__(self, tridegree: Tridegree, basis: Iterable[Monomial]):
-        self.tridegree = tridegree
-        self.basis = tuple(basis)
-        self._pos = {m: i for i, m in enumerate(self.basis)}
-        if len(self._pos) != len(self.basis):
-            raise PresentationError(f"repeated monomial in fiber basis at {tridegree}")
-
-    def vector(self, monomials: Iterable[Monomial]) -> int:
-        bits = 0
-        for m in monomials:
-            i = self._pos.get(m)
-            if i is None:
-                raise PresentationMismatchError(f"monomial {m} not in fiber basis at {self.tridegree}")
-            bits ^= 1 << i
-        return bits
-
-    def sum_from_vector(self, bits: int) -> frozenset[Monomial]:
-        out = []
-        i = 0
-        while bits:
-            if bits & 1:
-                out.append(self.basis[i])
-            bits >>= 1
-            i += 1
-        return frozenset(out)

@@ -20,7 +20,6 @@ suffices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .groups import GroupDescriptor
 from .resources import SAMPLE_CHART_FILE, SAMPLE_STEMS_FILE, read_data_text

@@ -40,16 +40,16 @@ def in_span(echelon: list[int], v: int) -> bool:
     return reduce_mod(echelon, v) == 0
 
 
-def kernel_and_image(columns: list[int]) -> tuple[list[int], list[int]]:
-    """Kernel basis and image echelon of the map sending source basis j to columns[j].
+def kernel_and_image(columns: list[int], sources: list[int]) -> tuple[list[int], list[int]]:
+    """Kernel basis and image echelon of the map sending sources[j] to columns[j].
 
-    Kernel vectors are bitmasks over source indices, produced deterministically
-    in source order; the image comes back in reduced echelon form.
+    Each kernel vector is the sum of the sources whose columns sum to zero,
+    produced deterministically in source order; the image comes back in
+    reduced echelon form.
     """
     pivots: list[tuple[int, int, int]] = []  # (pivot bit, image, tracker)
     kernel: list[int] = []
-    for j, col in enumerate(columns):
-        img, trk = col, 1 << j
+    for img, trk in zip(columns, sources, strict=True):
         for p, pi, pt in pivots:
             if (img >> p) & 1:
                 img ^= pi

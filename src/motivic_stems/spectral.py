@@ -17,9 +17,12 @@ equals the answer in the infinite algebra.
 
 Inputs are validated at the boundary: ``build_differential`` and
 ``turn_page`` check a differential's images against the presentation with
-one shared rule, and ``leibniz_extend`` checks its monomial as well. Inside a
-page turn the window monomials and their Leibniz terms are valid by
-construction and are not checked again.
+one shared rule, and ``d_sum`` and ``leibniz_extend`` check their monomials
+as well. Inside a page turn the window monomials and their Leibniz terms are
+valid by construction and are not checked again.
+
+A page keeps its classes once, as bitmasks over each tridegree's window
+monomials; ``PageState.classes`` builds formal sums from them per lookup.
 
 The built-in instance is the E2 page of the eta-localized motivic
 Adams-Novikov spectral sequence for the 2-complete sphere over C, with its
@@ -29,13 +32,12 @@ single nonzero differential on the third page.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from operator import add, le, sub
-from typing import Iterable, Mapping
 
 from . import gf2
 from .algebra import (
-    F2VectorSpace,
     GeneratorSpec,
     MonomialAlgebraPresentation,
     Monomial,
@@ -159,23 +161,20 @@ class _LeibnizRule:
 def leibniz_extend(
     presentation: MonomialAlgebraPresentation, diff: DifferentialSpec, m: Monomial
 ) -> FormalSum:
-    """Differential of a monomial via the Leibniz rule, mod 2.
-
-    Checks the monomial and the differential's image terms, then applies the
-    same rule as the page turn.
-    """
-    presentation.validate_monomial(m)
-    return frozenset(map(Monomial, _LeibnizRule(presentation, diff).terms(m.exponents)))
+    """Differential of a monomial via the Leibniz rule, mod 2: ``d_sum`` of m alone."""
+    return d_sum(presentation, diff, (m,))
 
 
 def d_sum(
     presentation: MonomialAlgebraPresentation, diff: DifferentialSpec, s: Iterable[Monomial]
 ) -> FormalSum:
-    """Linear extension of the differential to a formal sum."""
-    acc: set[Monomial] = set()
+    """Linear extension of the differential to a formal sum; checks each monomial."""
+    rule = _LeibnizRule(presentation, diff)
+    acc: set[tuple[int, ...]] = set()
     for m in s:
-        acc.symmetric_difference_update(leibniz_extend(presentation, diff, m))
-    return frozenset(acc)
+        presentation.validate_monomial(m)
+        acc.symmetric_difference_update(rule.terms(m.exponents))
+    return frozenset(map(Monomial, acc))
 
 
 def sum_multiply(
@@ -190,25 +189,56 @@ def sum_multiply(
     return frozenset(acc)
 
 
+def _set_bits(v: int) -> Iterator[int]:
+    """Indices of the set bits of v, lowest first."""
+    while v:
+        low = v & -v
+        yield low.bit_length() - 1
+        v ^= low
+
+
+class _ClassView(Mapping):
+    """A page's classes as formal sums, built per lookup from its bitmasks."""
+
+    def __init__(self, page: PageState):
+        self._page = page
+
+    def __getitem__(self, t: Tridegree) -> list[FormalSum]:
+        mons = self._page.basis[t]
+        return [frozenset(mons[i] for i in _set_bits(v)) for v in self._page.vectors[t]]
+
+    def __iter__(self) -> Iterator[Tridegree]:
+        return iter(self._page.vectors)
+
+    def __len__(self) -> int:
+        return len(self._page.vectors)
+
+
 @dataclass
 class PageState:
     """One page of a windowed spectral sequence.
 
-    ``basis`` holds the fixed window monomial fibers; ``classes`` holds the
-    surviving classes of the current page as canonical reduced-echelon formal
-    sums of window monomials; ``status`` records the per-tridegree
-    certification accumulated over all applied pages.
+    ``basis`` holds the fixed window monomial fibers; ``vectors[t]`` holds the
+    surviving classes at t as canonical reduced-echelon bitmasks over
+    ``basis[t]`` (bit i is ``basis[t][i]``), and ``classes`` reads them as
+    formal sums; ``status`` records the per-tridegree certification
+    accumulated over all applied pages.
     """
 
     presentation: MonomialAlgebraPresentation
     window: Window
     page: int
     basis: dict[Tridegree, list[Monomial]]
-    classes: dict[Tridegree, list[FormalSum]]
+    vectors: dict[Tridegree, list[int]]
     status: dict[Tridegree, Certainty]
 
+    @property
+    def classes(self) -> Mapping[Tridegree, list[FormalSum]]:
+        return _ClassView(self)
+
     def valid_classes(self) -> dict[Tridegree, list[FormalSum]]:
-        return {t: cls for t, cls in self.classes.items() if self.status[t] is Certainty.VALID}
+        classes = self.classes
+        return {t: classes[t] for t, st in self.status.items() if st is Certainty.VALID}
 
 
 def initial_page(
@@ -221,21 +251,9 @@ def initial_page(
         window=window,
         page=page,
         basis=basis,
-        classes={t: [frozenset((m,)) for m in mons] for t, mons in basis.items()},
+        vectors={t: [1 << i for i in range(len(mons))] for t, mons in basis.items()},
         status={t: Certainty.VALID for t in basis},
     )
-
-
-def _combine(vectors: list[int], mask: int) -> int:
-    """Sum of ``vectors[j]`` over the set bits j of ``mask``."""
-    v = 0
-    j = 0
-    while mask:
-        if mask & 1:
-            v ^= vectors[j]
-        mask >>= 1
-        j += 1
-    return v
 
 
 def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
@@ -243,8 +261,10 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
 
     Per tridegree, new classes are the kernel of the outgoing matrix modulo the
     image of the incoming one, with reduced-echelon canonical representatives
-    in the fixed monomial order. Certification shrinks to tridegrees whose
-    differential interactions were fully visible inside the window.
+    in the fixed monomial order. The matrices act on the current page's
+    classes, each sent to the sum of its monomials' Leibniz images.
+    Certification shrinks to tridegrees whose differential interactions were
+    fully visible inside the window.
     """
     if diff.page != state.page:
         raise ValueError(f"differential is for page {diff.page}, state is on page {state.page}")
@@ -273,10 +293,10 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
     # is reached. The outputs keep the basis order.
     order = sorted(basis, key=lambda t: t.s * shift.s + t.f * shift.f + t.w * shift.w)
     pending: dict[Tridegree, tuple[list[int], bool]] = {}
-    new_classes: dict[Tridegree, list[FormalSum]] = dict.fromkeys(basis)
+    new_vectors: dict[Tridegree, list[int]] = dict.fromkeys(basis)
     new_status: dict[Tridegree, Certainty] = dict.fromkeys(basis)
     for t in order:
-        mons, class_list = basis[t], state.classes[t]
+        mons, classes = basis[t], state.vectors[t]
         downstream = t + shift
         target = basis.get(downstream, ())
         # Leibniz terms are valid and sit in t + shift, so a term lies in the
@@ -294,15 +314,17 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
                 else:
                     bits ^= 1 << k
             images.append(bits)
-        fiber = F2VectorSpace(t, mons)
-        class_vecs = [fiber.vector(c) for c in class_list]
-        kernel_coords, image_echelon = gf2.kernel_and_image([_combine(images, v) for v in class_vecs])
+        columns = []
+        for v in classes:
+            col = 0
+            for i in _set_bits(v):
+                col ^= images[i]
+            columns.append(col)
+        kernel, image_echelon = gf2.kernel_and_image(columns, classes)
         if target:
             pending[downstream] = (image_echelon, forward)
         incoming, upstream_forward = pending.pop(t, ([], True))
-        kernel_vecs = [_combine(class_vecs, trk) for trk in kernel_coords]
-        survivors = gf2.quotient_representatives(kernel_vecs, incoming)
-        new_classes[t] = [fiber.sum_from_vector(v) for v in survivors]
+        new_vectors[t] = gf2.quotient_representatives(kernel, incoming)
         certified = (
             state.status[t] is Certainty.VALID
             and forward
@@ -315,7 +337,7 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
         window=state.window,
         page=diff.page + 1,
         basis=basis,
-        classes=new_classes,
+        vectors=new_vectors,
         status=new_status,
     )
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .algebra import Monomial, Tridegree, Window, iter_window_monomials
+from .algebra import Tridegree, Window, iter_window_monomials
 from .charts import (
     ChartValidationError,
     LOCALIZATION_STABLE,
@@ -132,10 +132,11 @@ def check_einfty(
     state = run_to_einfty(presentation, diffs, window)
     elapsed = time.perf_counter() - t0
     expected = expected_einfty_classes(presentation, window)
+    classes = dict(state.classes)  # one formal-sum build per tridegree for the table and the check
     if table is not None:
         table.append("tridegree (s,f,w) | status | computed | expected")
-        for t in sorted(state.classes, key=Tridegree.as_tuple):
-            comp = sorted(presentation.sum_str(c) for c in state.classes[t])
+        for t in sorted(classes, key=Tridegree.as_tuple):
+            comp = sorted(presentation.sum_str(c) for c in classes[t])
             exp = sorted(presentation.sum_str(c) for c in expected.get(t, []))
             status = state.status[t]
             if status is Certainty.INDETERMINATE:
@@ -146,7 +147,7 @@ def check_einfty(
                 f"{str(t):>14} | {status.value:13} | {'; '.join(comp) or '0':24} | "
                 f"{'; '.join(exp) or '0':24} | {mark}"
             )
-    computed_pairs = {(t, c) for t, cls in state.valid_classes().items() for c in cls}
+    computed_pairs = {(t, c) for t, cls in classes.items() if state.status[t] is Certainty.VALID for c in cls}
     expected_pairs = {(t, c) for t, cls in expected.items() for c in cls}
     n_indet = sum(1 for st in state.status.values() if st is Certainty.INDETERMINATE)
     return [
@@ -173,9 +174,8 @@ def check_leibniz() -> list[CheckResult]:
     window = Window.from_dict(presentation, dict(EINFTY_WINDOW))
     monomials = list(iter_window_monomials(presentation, window))
 
-    dd_failures = sum(
-        1 for m in monomials if d_sum(presentation, d3, leibniz_extend(presentation, d3, m))
-    )
+    d = {m: leibniz_extend(presentation, d3, m) for m in monomials}
+    dd_failures = sum(1 for m in monomials if d_sum(presentation, d3, d[m]))
     rng = random.Random(SAMPLE_SEED)
     product_failures = 0
     for _ in range(LEIBNIZ_PAIR_SAMPLES):
@@ -183,9 +183,7 @@ def check_leibniz() -> list[CheckResult]:
         y = rng.choice(monomials)
         xy = presentation.multiply(x, y)
         left = leibniz_extend(presentation, d3, xy) if xy is not None else frozenset()
-        right = sum_multiply(presentation, leibniz_extend(presentation, d3, x), y) ^ sum_multiply(
-            presentation, leibniz_extend(presentation, d3, y), x
-        )
+        right = sum_multiply(presentation, d[x], y) ^ sum_multiply(presentation, d[y], x)
         if left != right:
             product_failures += 1
     return [

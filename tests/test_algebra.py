@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from motivic_stems.algebra import (
     Bidegree,
     EmptyWindowWarning,
-    F2VectorSpace,
     GeneratorSpec,
     Monomial,
     MonomialAlgebraPresentation,
@@ -154,18 +153,6 @@ def test_window_fibers_are_singletons(presentation_and_d3, einfty_window):
     presentation, _ = presentation_and_d3
     for monomials in enumerate_basis(presentation, einfty_window).values():
         assert len(monomials) == 1
-
-
-def test_f2vectorspace_roundtrip(presentation_and_d3):
-    presentation, _ = presentation_and_d3
-    t = Tridegree(0, 0, 0)
-    ms = [Monomial((0, 0, 0, 0)), Monomial((1, 1, -3, 0))]
-    space = F2VectorSpace(t, ms)
-    bits = space.vector(ms)
-    assert bits == 0b11
-    assert space.sum_from_vector(bits) == frozenset(ms)
-    with pytest.raises(PresentationMismatchError):
-        space.vector([Monomial((9, 9, 9, 9))])
 
 
 exponents_strategy = st.tuples(

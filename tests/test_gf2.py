@@ -38,17 +38,20 @@ def test_rref_is_canonical_and_spans(rows):
                 assert not (other >> gf2.low_bit(e)) & 1
 
 
-@given(matrices)
-def test_kernel_image_rank_nullity(columns):
-    kernel, image = gf2.kernel_and_image(columns)
+@given(st.lists(st.tuples(st.integers(0, 2**12 - 1), st.integers(0, 2**12 - 1)), max_size=14))
+def test_kernel_image_rank_nullity(pairs):
+    columns, sources = [c for c, _ in pairs], [s for _, s in pairs]
+    kernel, image = gf2.kernel_and_image(columns, sources)
     assert len(kernel) + gf2.rank(list(image)) == len(columns)
-    for tracker in kernel:
-        combo = 0
-        for i, col in enumerate(columns):
-            if (tracker >> i) & 1:
-                combo ^= col
-        assert combo == 0
-        assert tracker != 0
+    assert image == gf2.rref(columns)
+    # each kernel vector is the sum of the sources over some set of indices
+    # whose columns sum to 0: (column, source) pairs summing to (0, vector)
+    graph = gf2.rref([c << 12 | s for c, s in pairs])
+    for vector in kernel:
+        assert gf2.in_span(graph, vector)
+    if gf2.rank(sources) == len(sources):
+        assert gf2.rank(kernel) == len(kernel)
+        assert 0 not in kernel
 
 
 @given(matrices, matrices)
@@ -58,7 +61,7 @@ def test_quotient_representatives(vectors, modulo):
     reps = gf2.quotient_representatives(vectors, mod_echelon)
     assert len(reps) == gf2.rank(vectors + modulo) - gf2.rank(modulo)
     assert reps == gf2.rref(reps)
-    assert reps == gf2.quotient_representatives(vectors[::-1], gf2.kernel_and_image(modulo[::-1])[1])
+    assert reps == gf2.quotient_representatives(vectors[::-1], gf2.kernel_and_image(modulo[::-1], [0] * len(modulo))[1])
     for rep in reps:
         assert rep != 0
         assert gf2.reduce_mod(mod_echelon, rep) == rep

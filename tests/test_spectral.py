@@ -315,3 +315,50 @@ def test_page_turn_matches_the_definition(case):
             boundary = d_sum(presentation, diff, c)
             assert not any(window.contains(presentation, p) for p in boundary)
             assert not boundary or not certified
+
+
+def test_second_page_turn_acts_on_classes_not_monomials():
+    # d3 sends each of u, v, x to a, so E4 holds sums such as u + v; d4 sends
+    # only u to b, so the second turn acts on classes that are not single
+    # monomials and keeps v + x.
+    presentation = MonomialAlgebraPresentation(
+        [
+            GeneratorSpec("a", Tridegree(0, 3, 0)),
+            GeneratorSpec("b", Tridegree(0, 4, 0)),
+            *(GeneratorSpec(name, Tridegree(1, 0, 0), square_zero=True) for name in "uvx"),
+        ]
+    )
+    a, b = presentation.monomial(a=1), presentation.monomial(b=1)
+    d3 = build_differential(presentation, page=3, images={"u": [a], "v": [a], "x": [a]})
+    d4 = build_differential(presentation, page=4, images={"u": [b]})
+    window = Window.from_dict(presentation, {"a": (0, 3), "b": (0, 3), "u": (0, 1), "v": (0, 1), "x": (0, 1)})
+    e4 = turn_page(initial_page(presentation, window, page=3), d3)
+    e5 = turn_page(e4, d4)
+    basis = e4.basis
+
+    def vector(t, formal_sum):
+        # the in-window part of a formal sum at t, as a bitmask over basis[t]
+        position = {m: i for i, m in enumerate(basis.get(t, []))}
+        return sum(1 << position[m] for m in formal_sum if m in position)
+
+    v, x = presentation.monomial(v=1), presentation.monomial(x=1)
+    assert e5.classes[Tridegree(1, 0, 0)] == [frozenset((v, x))]
+    assert sum(len(c) > 1 for cls in e4.classes.values() for c in cls) > 1
+    assert sum(len(c) > 1 for cls in e5.classes.values() for c in cls) > 1
+    # turn_page's definition on the E4 representatives r: the kernel K of d4
+    # on their span, modulo the image I of d4 from one shift upstream. The
+    # rows (d4 r, r) and (0, i) for i in I combine to (0, y) exactly for y in
+    # K + I. An image need not lie in span(r): a^3*u is on E4 only because
+    # d3(a^3*u) = a^4 leaves the window, and d4(a^3*u) = a^3*b = d3(a^2*b*u).
+    for t, fibre in basis.items():
+        reps = e4.classes[t]
+        out_rows = [vector(t + d4.shift, d_sum(presentation, d4, c)) for c in reps]
+        in_rows = [vector(t, d_sum(presentation, d4, c)) for c in e4.classes.get(t - d4.shift, [])]
+        graph = gf2.rref([o << len(fibre) | vector(t, c) for o, c in zip(out_rows, reps)] + in_rows)
+        dim_im = gf2.rank(in_rows)
+        new = e5.classes[t]
+        assert len(new) == len(graph) - gf2.rank(out_rows) - dim_im
+        assert gf2.rank(in_rows + [vector(t, c) for c in new]) == dim_im + len(new)
+        for c in new:
+            assert gf2.in_span(graph, vector(t, c))
+            assert vector(t + d4.shift, d_sum(presentation, d4, c)) == 0
