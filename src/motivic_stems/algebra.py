@@ -5,6 +5,8 @@ An algebra is presented by a finite ordered list of generators, each carrying a
 negative exponents, ``square_zero`` caps the exponent at 1 and kills higher
 powers. Coefficients always live in the two-element field, so a polynomial is
 just a set of monomials and arithmetic is exact integer arithmetic throughout.
+Degrees and monomials are named tuples: they order, hash and unpack as tuples,
+while ``+``, ``-`` and integer ``*`` on degrees act coordinatewise.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 from itertools import product
 from operator import mul
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 class PresentationError(ValueError):
@@ -28,8 +30,7 @@ class EmptyWindowWarning(UserWarning):
     """Issued when a window has inverted bounds and enumerates nothing."""
 
 
-@dataclass(frozen=True)
-class Tridegree:
+class Tridegree(NamedTuple):
     """Degree triple (stem s, filtration f, motivic weight w)."""
 
     s: int
@@ -57,8 +58,7 @@ class Tridegree:
         return f"({self.s},{self.f},{self.w})"
 
 
-@dataclass(frozen=True)
-class Bidegree:
+class Bidegree(NamedTuple):
     """Chart coordinate (stem s, motivic weight w)."""
 
     s: int
@@ -89,8 +89,7 @@ class GeneratorSpec:
             raise PresentationError(f"generator {self.name!r} cannot be both invertible and square-zero")
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple):
     """Exponent vector over a presentation's generators, in declaration order."""
 
     exponents: tuple[int, ...]
@@ -185,7 +184,7 @@ class MonomialAlgebraPresentation:
         return "*".join(parts) if parts else "1"
 
     def sum_str(self, terms: Iterable[Monomial]) -> str:
-        ordered = sorted(terms, key=lambda m: m.exponents)
+        ordered = sorted(terms)
         return " + ".join(self.monomial_str(m) for m in ordered) if ordered else "0"
 
     @classmethod
@@ -275,8 +274,8 @@ def iter_window_monomials(presentation: MonomialAlgebraPresentation, window: Win
 
 def enumerate_basis(
     presentation: MonomialAlgebraPresentation, window: Window
-) -> dict[Tridegree, list[Monomial]]:
-    """Group the window's monomials by tridegree.
+) -> dict[Tridegree, list[tuple[int, ...]]]:
+    """Group the window's exponent tuples by tridegree.
 
     Keys are sorted by (s, f, w); each fiber keeps the canonical lexicographic
     monomial order, which downstream linear algebra relies on. Window monomials
@@ -285,9 +284,9 @@ def enumerate_basis(
     """
     gens = presentation.generators
     ds, df, dw = [g.degree.s for g in gens], [g.degree.f for g in gens], [g.degree.w for g in gens]
-    fibers: dict[tuple[int, int, int], list[Monomial]] = {}
+    fibers: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
     for m in iter_window_monomials(presentation, window):
         e = m.exponents
         key = (sum(map(mul, e, ds)), sum(map(mul, e, df)), sum(map(mul, e, dw)))
-        fibers.setdefault(key, []).append(m)
+        fibers.setdefault(key, []).append(e)
     return {Tridegree(*key): fibers[key] for key in sorted(fibers)}

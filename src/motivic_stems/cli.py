@@ -75,6 +75,8 @@ def _parse_exponent_window(text: str, parser: argparse.ArgumentParser) -> dict[s
     for piece in text.split(","):
         name, _, span = piece.partition("=")
         lo_text, _, hi_text = span.partition(":")
+        if name.strip() in bounds:
+            parser.error(f"--einfty-window gives {name.strip()!r} twice")
         try:
             bounds[name.strip()] = (int(lo_text), int(hi_text))
         except ValueError:
@@ -304,8 +306,9 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
         available = ", ".join(verify_mod.SUITES)
         print(f"error: unknown suites: {', '.join(unknown)}; available: {available}", file=sys.stderr)
         return 2
-    if args.table and "einfty" not in names:
-        parser.error("--table needs the einfty suite")
+    flag = "--table" if args.table else "--einfty-window" if args.einfty_window else None
+    if flag and "einfty" not in names:
+        parser.error(f"{flag} needs the einfty suite")
     results = []
     for name in names:
         if name == "einfty":

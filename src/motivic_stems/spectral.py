@@ -21,8 +21,10 @@ one shared rule, and ``d_sum`` and ``leibniz_extend`` check their monomials
 as well. Inside a page turn the window monomials and their Leibniz terms are
 valid by construction and are not checked again.
 
-A page keeps its classes once, as bitmasks over each tridegree's window
-monomials; ``PageState.classes`` builds formal sums from them per lookup.
+A page keeps each tridegree's window monomials as exponent tuples and its
+classes as bitmasks over them; ``PageState.classes`` builds formal sums per
+lookup. A page starts at E2, and a page-r differential turns any page up to
+r, since the pages in between are zero.
 
 The built-in instance is the E2 page of the eta-localized motivic
 Adams-Novikov spectral sequence for the 2-complete sphere over C, with its
@@ -205,7 +207,7 @@ class _ClassView(Mapping):
 
     def __getitem__(self, t: Tridegree) -> list[FormalSum]:
         mons = self._page.basis[t]
-        return [frozenset(mons[i] for i in _set_bits(v)) for v in self._page.vectors[t]]
+        return [frozenset(Monomial(mons[i]) for i in _set_bits(v)) for v in self._page.vectors[t]]
 
     def __iter__(self) -> Iterator[Tridegree]:
         return iter(self._page.vectors)
@@ -218,17 +220,17 @@ class _ClassView(Mapping):
 class PageState:
     """One page of a windowed spectral sequence.
 
-    ``basis`` holds the fixed window monomial fibers; ``vectors[t]`` holds the
-    surviving classes at t as canonical reduced-echelon bitmasks over
-    ``basis[t]`` (bit i is ``basis[t][i]``), and ``classes`` reads them as
-    formal sums; ``status`` records the per-tridegree certification
-    accumulated over all applied pages.
+    ``basis`` holds the fixed window monomial fibers as exponent tuples;
+    ``vectors[t]`` holds the surviving classes at t as canonical
+    reduced-echelon bitmasks over ``basis[t]`` (bit i is ``basis[t][i]``), and
+    ``classes`` reads them as formal sums; ``status`` records the
+    per-tridegree certification accumulated over all applied pages.
     """
 
     presentation: MonomialAlgebraPresentation
     window: Window
     page: int
-    basis: dict[Tridegree, list[Monomial]]
+    basis: dict[Tridegree, list[tuple[int, ...]]]
     vectors: dict[Tridegree, list[int]]
     status: dict[Tridegree, Certainty]
 
@@ -241,15 +243,13 @@ class PageState:
         return {t: classes[t] for t, st in self.status.items() if st is Certainty.VALID}
 
 
-def initial_page(
-    presentation: MonomialAlgebraPresentation, window: Window, page: int = 2
-) -> PageState:
-    """E2-style starting page: every window monomial is its own class, all VALID."""
+def initial_page(presentation: MonomialAlgebraPresentation, window: Window) -> PageState:
+    """The E2 page: every window monomial is its own class, all VALID."""
     basis = enumerate_basis(presentation, window)
     return PageState(
         presentation=presentation,
         window=window,
-        page=page,
+        page=2,
         basis=basis,
         vectors={t: [1 << i for i in range(len(mons))] for t, mons in basis.items()},
         status={t: Certainty.VALID for t in basis},
@@ -257,16 +257,16 @@ def initial_page(
 
 
 def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
-    """Homology of the current page at diff's page number.
+    """Homology at diff's page number, which must not precede the state's page.
 
-    Per tridegree, new classes are the kernel of the outgoing matrix modulo the
-    image of the incoming one, with reduced-echelon canonical representatives
-    in the fixed monomial order. The matrices act on the current page's
-    classes, each sent to the sum of its monomials' Leibniz images.
-    Certification shrinks to tridegrees whose differential interactions were
-    fully visible inside the window.
+    The pages in between are zero. Per tridegree, new classes are the kernel
+    of the outgoing matrix modulo the image of the incoming one, with
+    reduced-echelon canonical representatives in the fixed monomial order.
+    The matrices act on the current page's classes, each sent to the sum of
+    its monomials' Leibniz images. Certification shrinks to tridegrees whose
+    differential interactions were fully visible inside the window.
     """
-    if diff.page != state.page:
+    if diff.page < state.page:
         raise ValueError(f"differential is for page {diff.page}, state is on page {state.page}")
     pres, basis, shift = state.presentation, state.basis, diff.shift
     _image_shift(pres, diff.images, shift)  # the target-fibre lookups below rely on it
@@ -275,7 +275,7 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
     lows, highs = [lo for lo, _ in bounds], [hi for _, hi in bounds]
     valid = pres.is_valid_exponents
 
-    def reached_only_from_window(mons: list[Monomial]) -> bool:
+    def reached_only_from_window(mons: list[tuple[int, ...]]) -> bool:
         # Every valid exponent vector whose differential can hit a fiber
         # monomial must lie in-window, otherwise the incoming image is
         # underestimated. A candidate n - (u - e_g) with an even g exponent
@@ -283,7 +283,7 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
         for n in mons:
             for i, offsets in rule.offsets:
                 for off in offsets:
-                    cand = tuple(map(sub, n.exponents, off))
+                    cand = tuple(map(sub, n, off))
                     if cand[i] % 2 and not (all(map(le, lows, cand)) and all(map(le, cand, highs))) and valid(cand):
                         return False
         return True
@@ -302,12 +302,12 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
         # Leibniz terms are valid and sit in t + shift, so a term lies in the
         # window exactly when it is in the target fiber. Terms outside are
         # dropped from the matrix, and the tridegree is not forward-closed.
-        position = {m.exponents: k for k, m in enumerate(target)}
+        position = {e: k for k, e in enumerate(target)}
         forward = True
         images = []
-        for m in mons:
+        for e in mons:
             bits = 0
-            for p in rule.terms(m.exponents):
+            for p in rule.terms(e):
                 k = position.get(p)
                 if k is None:
                     forward = False
@@ -356,9 +356,8 @@ def run_to_einfty(
     pages = [d.page for d in diffspecs]
     if pages != sorted(pages) or len(set(pages)) != len(pages):
         raise DifferentialSpecError(f"differentials must be listed in strictly increasing page order, got {pages}")
-    state = initial_page(presentation, window, page=pages[0] if pages else 2)
+    state = initial_page(presentation, window)
     for d in diffspecs:
-        state.page = d.page  # pages with no listed differential are zero and skipped
         state = turn_page(state, d)
     return state
 

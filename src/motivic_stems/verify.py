@@ -135,7 +135,7 @@ def check_einfty(
     classes = dict(state.classes)  # one formal-sum build per tridegree for the table and the check
     if table is not None:
         table.append("tridegree (s,f,w) | status | computed | expected")
-        for t in sorted(classes, key=Tridegree.as_tuple):
+        for t in sorted(classes):
             comp = sorted(presentation.sum_str(c) for c in classes[t])
             exp = sorted(presentation.sum_str(c) for c in expected.get(t, []))
             status = state.status[t]
@@ -646,15 +646,15 @@ def check_families() -> list[CheckResult]:
     placement_ok = True
     families = {f.name: f for f in builtin_families()}
     for k in range(1, 101):
-        if classify(*_pair(families["Pk_h1_4"].bidegree(k))) is not RegionLabel.NOT_UNDERSTOOD:
+        if classify(*families["Pk_h1_4"].bidegree(k)) is not RegionLabel.NOT_UNDERSTOOD:
             placement_ok = False
-        if classify(*_pair(families["w1_family"].bidegree(k))) is not RegionLabel.NOT_UNDERSTOOD:
+        if classify(*families["w1_family"].bidegree(k)) is not RegionLabel.NOT_UNDERSTOOD:
             placement_ok = False
-        if classify(*_pair(families["Pk_h1"].bidegree(k))) is not RegionLabel.TAU_LOCAL:
+        if classify(*families["Pk_h1"].bidegree(k)) is not RegionLabel.TAU_LOCAL:
             placement_ok = False
-        if k >= 2 and classify(*_pair(families["eta_powers"].bidegree(k))) is not RegionLabel.ETA_LOCAL:
+        if k >= 2 and classify(*families["eta_powers"].bidegree(k)) is not RegionLabel.ETA_LOCAL:
             placement_ok = False
-        if classify(*_pair(families["tau_powers"].bidegree(k))) is not RegionLabel.TAU_LOCAL:
+        if classify(*families["tau_powers"].bidegree(k)) is not RegionLabel.TAU_LOCAL:
             placement_ok = False
     results.append(
         CheckResult(
@@ -717,10 +717,6 @@ def check_families() -> list[CheckResult]:
         )
     )
     return results
-
-
-def _pair(bidegree) -> tuple[int, int]:
-    return bidegree.s, bidegree.w
 
 
 def check_roundtrip() -> list[CheckResult]:

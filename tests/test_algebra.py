@@ -22,17 +22,22 @@ from motivic_stems.algebra import (
 def test_tridegree_arithmetic():
     a = Tridegree(1, 2, 3)
     b = Tridegree(5, 1, 3)
-    assert a + b == Tridegree(6, 3, 6)
-    assert b - a == Tridegree(4, -1, 0)
-    assert 3 * a == a * 3 == Tridegree(3, 6, 9)
+    # coordinatewise, not tuple concatenation or repetition
+    for value, expected in ((a + b, (6, 3, 6)), (b - a, (4, -1, 0)), (3 * a, (3, 6, 9)), (a * 3, (3, 6, 9))):
+        assert type(value) is Tridegree and value == Tridegree(*expected)
     assert a.bidegree() == Bidegree(1, 3)
     assert a.as_tuple() == (1, 2, 3)
     assert str(a) == "(1,2,3)"
+    degrees = [Tridegree(s, f, w) for s in (1, -1, 0) for f in (2, 0) for w in (-3, 3)]
+    assert sorted(degrees) == sorted(degrees, key=Tridegree.as_tuple)
 
 
 def test_bidegree_arithmetic():
-    assert 2 * Bidegree(3, 5) == Bidegree(6, 10)
+    for value in (2 * Bidegree(3, 5), Bidegree(3, 5) * 2):
+        assert type(value) is Bidegree and value == Bidegree(6, 10)
     assert str(Bidegree(-1, 4)) == "(-1,4)"
+    points = [Bidegree(s, w) for s in (2, -2, 0) for w in (1, -1)]
+    assert sorted(points) == sorted(points, key=lambda p: (p.s, p.w))
 
 
 def test_generator_spec_validation():
@@ -141,8 +146,8 @@ def test_enumerate_basis_sorted_and_grouped(presentation_and_d3, einfty_window):
     basis = enumerate_basis(presentation, einfty_window)
     keys = list(basis)
     assert keys == sorted(keys, key=Tridegree.as_tuple)
-    for t, monomials in basis.items():
-        for m in monomials:
+    for t, fibre in basis.items():
+        for m in map(Monomial, fibre):
             assert presentation.degree(m) == t
             assert einfty_window.contains(presentation, m)
 

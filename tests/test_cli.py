@@ -255,6 +255,13 @@ def test_verify_table_needs_the_einfty_suite(capsys):
     assert "--table needs the einfty suite" in capsys.readouterr().err
 
 
+def test_verify_einfty_window_needs_the_einfty_suite(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "ctau", "--einfty-window", "tau=0:8,alpha1=-12:12,alpha3=0:6,alpha4=0:1"])
+    assert exc.value.code == 2
+    assert "--einfty-window needs the einfty suite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "window, digest",
     [
@@ -290,6 +297,7 @@ def test_verify_bad_einfty_window(capsys):
         ("tau:0=8", "expects name=lo:hi"),
         ("tau=0:8,alpha1=12:-12,alpha3=0:6,alpha4=0:1", "holds no monomials"),
         ("tau=0:8,alpha1=-12:12,alpha3=0:6,alpha4=5:9", "holds no monomials"),  # square-zero caps alpha4 at 1
+        ("tau=0:1,alpha1=0:0,alpha3=0:0,alpha4=0:0,alpha4=0:1", "gives 'alpha4' twice"),
     ],
 )
 def test_verify_einfty_window_is_checked_at_parse_time(capsys, bounds, message):

@@ -137,16 +137,18 @@ def test_initial_page_is_monomial_basis(presentation_and_d3, einfty_window):
     assert state.classes[t] == [frozenset((presentation.monomial(alpha3=1),))]
 
 
-def test_turn_page_requires_matching_page(presentation_and_d3, einfty_window):
+def test_turn_page_rejects_an_earlier_page_and_turns_a_later_one(presentation_and_d3, einfty_window):
+    # E2 turns with d3 directly, since d2 is zero; E4 cannot take d3 again
     presentation, d3 = presentation_and_d3
-    state = initial_page(presentation, einfty_window, page=2)
-    with pytest.raises(ValueError, match="page 3"):
+    state = turn_page(initial_page(presentation, einfty_window), d3)
+    assert state.page == 4
+    with pytest.raises(ValueError, match="differential is for page 3, state is on page 4"):
         turn_page(state, d3)
 
 
 def test_turn_page_kills_the_d3_image(presentation_and_d3, einfty_window):
     presentation, d3 = presentation_and_d3
-    state = turn_page(initial_page(presentation, einfty_window, page=3), d3)
+    state = turn_page(initial_page(presentation, einfty_window), d3)
     assert state.page == 4
     hit = Tridegree(4, 4, 3)  # tau * alpha1^4, the image of alpha3
     assert state.classes[hit] == []
@@ -167,7 +169,7 @@ def test_truncated_window_is_flagged_indeterminate(presentation_and_d3):
     window = Window.from_dict(
         presentation, {"tau": (0, 0), "alpha1": (-8, 8), "alpha3": (0, 2), "alpha4": (0, 1)}
     )
-    state = turn_page(initial_page(presentation, window, page=3), d3)
+    state = turn_page(initial_page(presentation, window), d3)
     t = Tridegree(5, 1, 3)
     assert state.classes[t] == [frozenset((presentation.monomial(alpha3=1),))]
     assert state.status[t] is Certainty.INDETERMINATE
@@ -272,8 +274,8 @@ def presentations_with_differential(draw):
 def test_page_turn_matches_the_definition(case):
     presentation, diff, window = case
     state = run_to_einfty(presentation, [diff], window)
-    basis = state.basis
-    assert list(state.classes) == list(basis) == list(state.status)
+    assert list(state.classes) == list(state.basis) == list(state.status)
+    basis = {t: [Monomial(e) for e in mons] for t, mons in state.basis.items()}
     d = {m: leibniz_extend(presentation, diff, m) for mons in basis.values() for m in mons}
 
     def rows(source, target):
@@ -317,6 +319,18 @@ def test_page_turn_matches_the_definition(case):
             assert not boundary or not certified
 
 
+@given(presentations_with_differential())
+def test_one_page_turn_from_e2_is_the_run_to_einfty(case):
+    # turn_page takes any later page's differential; the pages in between are zero
+    presentation, diff, window = case
+    turned = turn_page(initial_page(presentation, window), diff)
+    run = run_to_einfty(presentation, [diff], window)
+    assert turned.basis == run.basis
+    assert dict(turned.classes) == dict(run.classes)
+    assert turned.status == run.status
+    assert turned.page == run.page == diff.page + 1
+
+
 def test_second_page_turn_acts_on_classes_not_monomials():
     # d3 sends each of u, v, x to a, so E4 holds sums such as u + v; d4 sends
     # only u to b, so the second turn acts on classes that are not single
@@ -332,9 +346,9 @@ def test_second_page_turn_acts_on_classes_not_monomials():
     d3 = build_differential(presentation, page=3, images={"u": [a], "v": [a], "x": [a]})
     d4 = build_differential(presentation, page=4, images={"u": [b]})
     window = Window.from_dict(presentation, {"a": (0, 3), "b": (0, 3), "u": (0, 1), "v": (0, 1), "x": (0, 1)})
-    e4 = turn_page(initial_page(presentation, window, page=3), d3)
+    e4 = turn_page(initial_page(presentation, window), d3)
     e5 = turn_page(e4, d4)
-    basis = e4.basis
+    basis = {t: [Monomial(e) for e in mons] for t, mons in e4.basis.items()}
 
     def vector(t, formal_sum):
         # the in-window part of a formal sum at t, as a bitmask over basis[t]
