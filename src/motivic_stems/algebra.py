@@ -110,20 +110,11 @@ class MonomialAlgebraPresentation:
             raise PresentationError(f"duplicate generator names: {sorted(dupes)}")
         object.__setattr__(self, "_index", {g.name: i for i, g in enumerate(self.generators)})
 
-    def __len__(self) -> int:
-        return len(self.generators)
-
     def index_of(self, name: str) -> int:
         try:
             return self._index[name]
         except KeyError:
             raise PresentationMismatchError(f"unknown generator name {name!r}") from None
-
-    def generator(self, name: str) -> GeneratorSpec:
-        return self.generators[self.index_of(name)]
-
-    def unit(self) -> Monomial:
-        return Monomial((0,) * len(self.generators))
 
     def monomial(self, **exponents: int) -> Monomial:
         """Build a monomial from keyword exponents; unnamed generators get 0."""

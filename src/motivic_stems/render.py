@@ -135,14 +135,10 @@ def _region_cells(canvas: _Canvas) -> list[str]:
 def _clip_line(
     slope: Fraction, intercept: Fraction, s_lo: Fraction, s_hi: Fraction, w_lo: Fraction, w_hi: Fraction
 ) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]] | None:
-    # segment of w = slope*s + intercept inside the rectangle, exact arithmetic
-    lo, hi = s_lo, s_hi
-    if slope > 0:
-        lo = max(lo, (w_lo - intercept) / slope)
-        hi = min(hi, (w_hi - intercept) / slope)
-    elif slope == 0:
-        if not (w_lo <= intercept <= w_hi):
-            return None
+    # segment of w = slope*s + intercept inside the rectangle, exact
+    # arithmetic; every boundary line has a positive slope
+    lo = max(s_lo, (w_lo - intercept) / slope)
+    hi = min(s_hi, (w_hi - intercept) / slope)
     if lo > hi:
         return None
     return (lo, slope * lo + intercept), (hi, slope * hi + intercept)
@@ -264,11 +260,9 @@ def _family_layer(canvas: _Canvas) -> list[str]:
         while True:
             p = fam.bidegree(k)
             if not (style.s_min <= p.s <= style.s_max and style.w_min <= p.w <= style.w_max):
-                if fam.period.s >= 0 and p.s > style.s_max:
-                    break
-                if fam.period.s == 0 and p.w < style.w_min:
-                    break
-                if k > 4 * (abs(style.s_max) + abs(style.w_min) + 2):
+                # a family advances the stem or is the tau tower, which
+                # descends in weight, so one of these ends the walk
+                if p.s > style.s_max or (fam.period.s == 0 and p.w < style.w_min):
                     break
                 k += 1
                 continue

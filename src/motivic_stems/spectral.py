@@ -15,11 +15,13 @@ window's fiber equals the full fiber of the algebra (true for the built-in
 instance, where each tridegree carries at most one monomial), a VALID answer
 equals the answer in the infinite algebra.
 
-Inputs are validated at the boundary: ``build_differential`` and
-``turn_page`` check a differential's images against the presentation with
-one shared rule, and ``d_sum`` and ``leibniz_extend`` check their monomials
-as well. Inside a page turn the window monomials and their Leibniz terms are
-valid by construction and are not checked again.
+Inputs are validated at the boundary. A ``DifferentialSpec`` checks its
+images against its presentation once, when it is built, and carries them
+prepared for the Leibniz rule; every consumer trusts it. ``turn_page`` only
+checks that the differential and the page share a presentation, and
+``d_sum`` and ``leibniz_extend`` check the monomials they are given. Inside
+a page turn the window monomials and their Leibniz terms are valid by
+construction and are not checked again.
 
 A page keeps each tridegree's window monomials as exponent tuples and its
 classes as bitmasks over them; ``PageState.classes`` builds formal sums per
@@ -35,8 +37,9 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import add, le, sub
+from types import MappingProxyType
 
 from . import gf2
 from .algebra import (
@@ -44,6 +47,7 @@ from .algebra import (
     MonomialAlgebraPresentation,
     Monomial,
     PresentationError,
+    PresentationMismatchError,
     Tridegree,
     Window,
     enumerate_basis,
@@ -68,80 +72,55 @@ class Certainty(enum.Enum):
 class DifferentialSpec:
     """Page-r differential given by generator images; zero off the listed names.
 
-    ``images`` maps generator name to a formal sum of monomials. Every image
-    term must sit in degree(generator) + shift; for the spectral sequences
-    treated here the shift is (-1, r, 0).
+    ``images`` maps generator name to the monomials of its image; it is
+    stored read-only, as formal sums. Building a spec checks it against the
+    presentation: ``page`` is at least 2, every image is keyed by a known
+    generator, and every term is a valid monomial sitting in
+    degree(generator) + ``shift`` for one common ``shift``. The shift is
+    derived from the terms, or (-1, r, 0) when there are none. Consumers
+    trust a built spec and do not check it again.
+
+    ``offsets`` lists, per generator g with a nonzero image, its index and
+    u - e_g for every image term u: the term (m / g) * u of a monomial m is
+    m + (u - e_g). ``square_zero`` lists the square-zero generator indices.
     """
 
+    presentation: MonomialAlgebraPresentation
     page: int
-    shift: Tridegree
     images: Mapping[str, FormalSum]
+    shift: Tridegree = field(init=False)
+    offsets: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...] = field(init=False, repr=False, compare=False)
+    square_zero: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-
-def build_differential(
-    presentation: MonomialAlgebraPresentation,
-    page: int,
-    images: Mapping[str, Iterable[Monomial]],
-    shift: Tridegree | None = None,
-) -> DifferentialSpec:
-    """Validate generator images against the presentation and fix the shift."""
-    if page < 2:
-        raise DifferentialSpecError(f"page must be at least 2, got {page}")
-    frozen = {name: frozenset(terms) for name, terms in images.items()}
-    shift = _image_shift(presentation, frozen, shift)
-    if shift is None:
-        shift = Tridegree(-1, page, 0)
-    return DifferentialSpec(page=page, shift=shift, images=frozen)
-
-
-def _image_shift(
-    presentation: MonomialAlgebraPresentation,
-    images: Mapping[str, Iterable[Monomial]],
-    shift: Tridegree | None,
-) -> Tridegree | None:
-    """Check generator images against the presentation; return their shift.
-
-    Every image must be keyed by a known generator, and every term must be a
-    valid monomial of the presentation sitting in degree(generator) + shift.
-    With ``shift`` None the first term fixes it.
-    """
-    for name, terms in images.items():
-        gdeg = presentation.generator(name).degree
-        for u in terms:
-            observed = presentation.degree(u) - gdeg  # degree validates u
-            if shift is None:
-                shift = observed
-            elif observed != shift:
-                raise DifferentialSpecError(
-                    f"image term {presentation.monomial_str(u)} of {name!r} sits in shift "
-                    f"{observed}, expected {shift}"
-                )
-    return shift
-
-
-class _LeibnizRule:
-    """A differential applied to exponent tuples, with its images checked.
-
-    Building one checks that every image is keyed by a known generator and
-    that every term is a valid monomial; the shift is ``_image_shift``'s
-    job. ``offsets`` lists, per generator g with a nonzero image, its index
-    and u - e_g for every image term u: the term (m / g) * u of a monomial m
-    is m + (u - e_g).
-    """
-
-    def __init__(self, presentation: MonomialAlgebraPresentation, diff: DifferentialSpec):
-        self.offsets: list[tuple[int, list[tuple[int, ...]]]] = []
-        for name, image in diff.images.items():
-            i = presentation.index_of(name)
-            offsets = []
+    def __post_init__(self) -> None:
+        pres = self.presentation
+        if self.page < 2:
+            raise DifferentialSpecError(f"page must be at least 2, got {self.page}")
+        images = MappingProxyType({name: frozenset(terms) for name, terms in self.images.items()})
+        shift = None
+        offsets = []
+        for name, image in images.items():
+            i = pres.index_of(name)
+            gdeg = pres.generators[i].degree
+            offs = []
             for u in image:
-                presentation.validate_monomial(u)
+                observed = pres.degree(u) - gdeg  # degree validates u
+                if shift is None:
+                    shift = observed
+                elif observed != shift:
+                    raise DifferentialSpecError(
+                        f"image term {pres.monomial_str(u)} of {name!r} sits in shift "
+                        f"{observed}, expected {shift}"
+                    )
                 off = list(u.exponents)
                 off[i] -= 1
-                offsets.append(tuple(off))
-            if offsets:
-                self.offsets.append((i, offsets))
-        self.square_zero = [j for j, g in enumerate(presentation.generators) if g.square_zero]
+                offs.append(tuple(off))
+            if offs:
+                offsets.append((i, tuple(offs)))
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "shift", Tridegree(-1, self.page, 0) if shift is None else shift)
+        object.__setattr__(self, "offsets", tuple(offsets))
+        object.__setattr__(self, "square_zero", tuple(j for j, g in enumerate(pres.generators) if g.square_zero))
 
     def terms(self, exps: tuple[int, ...]) -> set[tuple[int, ...]]:
         """Nonzero Leibniz terms of the monomial with exponents ``exps``, mod 2.
@@ -160,22 +139,30 @@ class _LeibnizRule:
         return out
 
 
-def leibniz_extend(
-    presentation: MonomialAlgebraPresentation, diff: DifferentialSpec, m: Monomial
-) -> FormalSum:
+def build_differential(
+    presentation: MonomialAlgebraPresentation,
+    page: int,
+    images: Mapping[str, Iterable[Monomial]],
+) -> DifferentialSpec:
+    """The page-``page`` differential with these generator images; see ``DifferentialSpec``."""
+    return DifferentialSpec(presentation, page, images)
+
+
+def leibniz_extend(diff: DifferentialSpec, m: Monomial) -> FormalSum:
     """Differential of a monomial via the Leibniz rule, mod 2: ``d_sum`` of m alone."""
-    return d_sum(presentation, diff, (m,))
+    return d_sum(diff, (m,))
 
 
-def d_sum(
-    presentation: MonomialAlgebraPresentation, diff: DifferentialSpec, s: Iterable[Monomial]
-) -> FormalSum:
-    """Linear extension of the differential to a formal sum; checks each monomial."""
-    rule = _LeibnizRule(presentation, diff)
+def d_sum(diff: DifferentialSpec, s: Iterable[Monomial]) -> FormalSum:
+    """Linear extension of the differential to a formal sum.
+
+    Each monomial is checked against the differential's presentation; the
+    differential itself was checked when it was built.
+    """
     acc: set[tuple[int, ...]] = set()
     for m in s:
-        presentation.validate_monomial(m)
-        acc.symmetric_difference_update(rule.terms(m.exponents))
+        diff.presentation.validate_monomial(m)
+        acc.symmetric_difference_update(diff.terms(m.exponents))
     return frozenset(map(Monomial, acc))
 
 
@@ -259,18 +246,20 @@ def initial_page(presentation: MonomialAlgebraPresentation, window: Window) -> P
 def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
     """Homology at diff's page number, which must not precede the state's page.
 
-    The pages in between are zero. Per tridegree, new classes are the kernel
-    of the outgoing matrix modulo the image of the incoming one, with
-    reduced-echelon canonical representatives in the fixed monomial order.
-    The matrices act on the current page's classes, each sent to the sum of
-    its monomials' Leibniz images. Certification shrinks to tridegrees whose
-    differential interactions were fully visible inside the window.
+    The pages in between are zero. The differential must be built on the
+    state's presentation, which is the only check it gets here. Per
+    tridegree, new classes are the kernel of the outgoing matrix modulo the
+    image of the incoming one, with reduced-echelon canonical
+    representatives in the fixed monomial order. The matrices act on the
+    current page's classes, each sent to the sum of its monomials' Leibniz
+    images. Certification shrinks to tridegrees whose differential
+    interactions were fully visible inside the window.
     """
     if diff.page < state.page:
         raise ValueError(f"differential is for page {diff.page}, state is on page {state.page}")
+    if diff.presentation != state.presentation:
+        raise PresentationMismatchError("differential is built on a different presentation than the page")
     pres, basis, shift = state.presentation, state.basis, diff.shift
-    _image_shift(pres, diff.images, shift)  # the target-fibre lookups below rely on it
-    rule = _LeibnizRule(pres, diff)
     bounds = state.window.effective_bounds(pres)
     lows, highs = [lo for lo, _ in bounds], [hi for _, hi in bounds]
     valid = pres.is_valid_exponents
@@ -281,7 +270,7 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
         # underestimated. A candidate n - (u - e_g) with an even g exponent
         # reaches n with an even coefficient.
         for n in mons:
-            for i, offsets in rule.offsets:
+            for i, offsets in diff.offsets:
                 for off in offsets:
                     cand = tuple(map(sub, n, off))
                     if cand[i] % 2 and not (all(map(le, lows, cand)) and all(map(le, cand, highs))) and valid(cand):
@@ -307,7 +296,7 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
         images = []
         for e in mons:
             bits = 0
-            for p in rule.terms(e):
+            for p in diff.terms(e):
                 k = position.get(p)
                 if k is None:
                     forward = False

@@ -174,15 +174,15 @@ def check_leibniz() -> list[CheckResult]:
     window = Window.from_dict(presentation, dict(EINFTY_WINDOW))
     monomials = list(iter_window_monomials(presentation, window))
 
-    d = {m: leibniz_extend(presentation, d3, m) for m in monomials}
-    dd_failures = sum(1 for m in monomials if d_sum(presentation, d3, d[m]))
+    d = {m: leibniz_extend(d3, m) for m in monomials}
+    dd_failures = sum(1 for m in monomials if d_sum(d3, d[m]))
     rng = random.Random(SAMPLE_SEED)
     product_failures = 0
     for _ in range(LEIBNIZ_PAIR_SAMPLES):
         x = rng.choice(monomials)
         y = rng.choice(monomials)
         xy = presentation.multiply(x, y)
-        left = leibniz_extend(presentation, d3, xy) if xy is not None else frozenset()
+        left = leibniz_extend(d3, xy) if xy is not None else frozenset()
         right = sum_multiply(presentation, d[x], y) ^ sum_multiply(presentation, d[y], x)
         if left != right:
             product_failures += 1

@@ -59,7 +59,7 @@ def test_degree_of_frozen_monomial(presentation_and_d3):
     presentation, _ = presentation_and_d3
     m = presentation.monomial(tau=1, alpha1=-1, alpha4=1)
     assert presentation.degree(m) == Tridegree(6, 0, 2)
-    assert presentation.degree(presentation.unit()) == Tridegree(0, 0, 0)
+    assert presentation.degree(presentation.monomial()) == Tridegree(0, 0, 0)
 
 
 def test_multiply_kills_square_zero(presentation_and_d3):
@@ -84,7 +84,7 @@ def test_validate_monomial_errors(presentation_and_d3):
 
 def test_monomial_and_sum_strings(presentation_and_d3):
     presentation, _ = presentation_and_d3
-    assert presentation.monomial_str(presentation.unit()) == "1"
+    assert presentation.monomial_str(presentation.monomial()) == "1"
     m = presentation.monomial(tau=2, alpha1=-3, alpha3=1)
     assert presentation.monomial_str(m) == "tau^2*alpha1^-3*alpha3"
     terms = [presentation.monomial(alpha1=4), presentation.monomial(tau=1)]
@@ -106,7 +106,7 @@ def test_parse_rejects_malformed_lines():
     with pytest.raises(PresentationError, match="unknown flags"):
         MonomialAlgebraPresentation.parse("x 1 1 1 bogus\n")
     parsed = MonomialAlgebraPresentation.parse("# comment\n\nx 1 2 3 invertible  # trailing\n")
-    assert parsed.generator("x").invertible
+    assert parsed.generators[parsed.index_of("x")].invertible
 
 
 def test_window_requires_every_generator(presentation_and_d3):

@@ -46,13 +46,13 @@ def test_leibniz_on_generator_product(presentation_and_d3):
     presentation, d3 = presentation_and_d3
     m = presentation.monomial(tau=2, alpha1=-3, alpha3=1, alpha4=1)
     expected = presentation.monomial(tau=3, alpha1=1, alpha4=1)
-    assert leibniz_extend(presentation, d3, m) == frozenset((expected,))
+    assert leibniz_extend(d3, m) == frozenset((expected,))
     assert presentation.degree(expected) - presentation.degree(m) == d3.shift
 
 
 def test_leibniz_even_exponent_is_zero(presentation_and_d3):
     presentation, d3 = presentation_and_d3
-    assert leibniz_extend(presentation, d3, presentation.monomial(alpha3=2)) == frozenset()
+    assert leibniz_extend(d3, presentation.monomial(alpha3=2)) == frozenset()
 
 
 def test_leibniz_square_zero_kill(presentation_and_d3):
@@ -61,13 +61,13 @@ def test_leibniz_square_zero_kill(presentation_and_d3):
     d = build_differential(presentation, page=2, images={"alpha3": [presentation.monomial(alpha4=1)]})
     assert d.shift == Tridegree(2, 0, 1)
     m = presentation.monomial(alpha3=1, alpha4=1)
-    assert leibniz_extend(presentation, d, m) == frozenset()
+    assert leibniz_extend(d, m) == frozenset()
 
 
 def test_d_sum_cancellation(presentation_and_d3):
     presentation, d3 = presentation_and_d3
     m = presentation.monomial(alpha3=1)
-    assert d_sum(presentation, d3, [m, m]) == frozenset()
+    assert d_sum(d3, [m, m]) == frozenset()
 
 
 def test_sum_multiply_drops_square_zero(presentation_and_d3):
@@ -78,54 +78,59 @@ def test_sum_multiply_drops_square_zero(presentation_and_d3):
     )
 
 
+def _both_constructors_raise(presentation, page, images, error, message):
+    # a bad differential cannot be built, directly or through build_differential
+    with pytest.raises(error, match=message):
+        DifferentialSpec(presentation, page, images)
+    with pytest.raises(error, match=message):
+        build_differential(presentation, page, images)
+
+
 def test_build_differential_rejects_low_page(presentation_and_d3):
     presentation, _ = presentation_and_d3
-    with pytest.raises(DifferentialSpecError, match="page must be at least 2"):
-        build_differential(presentation, page=1, images={})
+    _both_constructors_raise(presentation, 1, {}, DifferentialSpecError, "page must be at least 2")
 
 
 def test_build_differential_rejects_mixed_shift(presentation_and_d3):
     presentation, _ = presentation_and_d3
-    with pytest.raises(DifferentialSpecError, match="shift"):
-        build_differential(
-            presentation,
-            page=3,
-            images={
-                "alpha3": [
-                    presentation.monomial(tau=1, alpha1=4),
-                    presentation.monomial(alpha4=1),
-                ]
-            },
-        )
-    with pytest.raises(DifferentialSpecError, match="expected"):
-        build_differential(
-            presentation,
-            page=3,
-            images={"alpha3": [presentation.monomial(tau=1, alpha1=4)]},
-            shift=Tridegree(0, 0, 0),
-        )
+    images = {"alpha3": [presentation.monomial(tau=1, alpha1=4), presentation.monomial(alpha4=1)]}
+    _both_constructors_raise(presentation, 3, images, DifferentialSpecError, "shift .* expected")
 
 
 @pytest.mark.parametrize(
-    "shift, images, error, message",
+    "images, error, message",
     [
-        (Tridegree(-1, 2, 0), None, DifferentialSpecError, "expected"),
-        (None, {"alpha3": [Monomial((1, 4))]}, PresentationMismatchError, "2 exponents"),
-        (None, {"alpha3": [Monomial((-1, 4, 0, 0))]}, PresentationError, "negative exponent"),
-        (None, {"ghost": [Monomial((1, 4, 0, 0))]}, PresentationMismatchError, "ghost"),
+        ({"alpha3": [Monomial((1, 4))]}, PresentationMismatchError, "2 exponents"),
+        ({"alpha3": [Monomial((-1, 4, 0, 0))]}, PresentationError, "negative exponent"),
+        ({"ghost": [Monomial((1, 4, 0, 0))]}, PresentationMismatchError, "ghost"),
     ],
-    ids=["wrong-shift", "short-term", "invalid-term", "unknown-generator"],
+    ids=["short-term", "invalid-term", "unknown-generator"],
 )
-def test_bad_differential_is_rejected_at_the_boundary(presentation_and_d3, shift, images, error, message):
-    # turn_page checks a hand-built spec with the rules of build_differential
-    # before any page work, so it neither crashes inside nor answers wrongly
+def test_bad_differential_is_rejected_at_the_boundary(presentation_and_d3, images, error, message):
+    presentation, _ = presentation_and_d3
+    _both_constructors_raise(presentation, 3, images, error, message)
+
+
+def test_differential_images_are_read_only(presentation_and_d3):
     presentation, d3 = presentation_and_d3
-    spec = DifferentialSpec(3, shift or d3.shift, images or d3.images)
-    window = Window.from_dict(presentation, {"tau": (0, 2), "alpha1": (-4, 4), "alpha3": (0, 2), "alpha4": (0, 1)})
-    with pytest.raises(error, match=message):
-        run_to_einfty(presentation, [spec], window)
-    with pytest.raises(error, match=message):
-        build_differential(presentation, page=3, images=spec.images, shift=shift)
+    with pytest.raises(TypeError):
+        d3.images["alpha3"] = frozenset()
+    assert d3.images["alpha3"] == frozenset((presentation.monomial(tau=1, alpha1=4),))
+
+
+def test_differential_on_another_presentation_is_rejected(presentation_and_d3, einfty_window):
+    # same generator names, alpha3 in another degree: the page turn refuses
+    # it rather than reading its shift against the wrong degrees
+    presentation, _ = presentation_and_d3
+    other = MonomialAlgebraPresentation(
+        GeneratorSpec(g.name, Tridegree(5, 1, 2) if g.name == "alpha3" else g.degree, g.invertible, g.square_zero)
+        for g in presentation.generators
+    )
+    d3 = build_differential(other, 3, {"alpha3": [other.monomial(tau=1, alpha1=4)]})
+    with pytest.raises(PresentationMismatchError, match="different presentation"):
+        run_to_einfty(presentation, [d3], einfty_window)
+    with pytest.raises(PresentationMismatchError, match="different presentation"):
+        turn_page(initial_page(presentation, einfty_window), d3)
 
 
 def test_initial_page_is_monomial_basis(presentation_and_d3, einfty_window):
@@ -210,7 +215,7 @@ def test_d3_squares_to_zero(exps):
     presentation, diffs = localized_motivic_anss()
     d3 = diffs[0]
     m = presentation.monomial(tau=exps[0], alpha1=exps[1], alpha3=exps[2], alpha4=exps[3])
-    assert d_sum(presentation, d3, leibniz_extend(presentation, d3, m)) == frozenset()
+    assert d_sum(d3, leibniz_extend(d3, m)) == frozenset()
 
 
 @given(exponents, exponents)
@@ -221,9 +226,9 @@ def test_d3_satisfies_leibniz(e1, e2):
     m1 = presentation.monomial(**dict(zip(names, e1)))
     m2 = presentation.monomial(**dict(zip(names, e2)))
     product = presentation.multiply(m1, m2)
-    lhs = leibniz_extend(presentation, d3, product) if product is not None else frozenset()
-    rhs = sum_multiply(presentation, leibniz_extend(presentation, d3, m1), m2) ^ sum_multiply(
-        presentation, leibniz_extend(presentation, d3, m2), m1
+    lhs = leibniz_extend(d3, product) if product is not None else frozenset()
+    rhs = sum_multiply(presentation, leibniz_extend(d3, m1), m2) ^ sum_multiply(
+        presentation, leibniz_extend(d3, m2), m1
     )
     assert lhs == rhs
 
@@ -276,7 +281,7 @@ def test_page_turn_matches_the_definition(case):
     state = run_to_einfty(presentation, [diff], window)
     assert list(state.classes) == list(state.basis) == list(state.status)
     basis = {t: [Monomial(e) for e in mons] for t, mons in state.basis.items()}
-    d = {m: leibniz_extend(presentation, diff, m) for mons in basis.values() for m in mons}
+    d = {m: leibniz_extend(diff, m) for mons in basis.values() for m in mons}
 
     def rows(source, target):
         position = {m: i for i, m in enumerate(target)}
@@ -302,7 +307,7 @@ def test_page_turn_matches_the_definition(case):
                     if not presentation.is_valid_exponents(cand):
                         continue
                     c = Monomial(cand)
-                    if n in leibniz_extend(presentation, diff, c) and not window.contains(presentation, c):
+                    if n in leibniz_extend(diff, c) and not window.contains(presentation, c):
                         return False
         return True
 
@@ -314,7 +319,7 @@ def test_page_turn_matches_the_definition(case):
         certified = forward(fibre) and forward(upstream) and backward(fibre)
         assert state.status[t] is (Certainty.VALID if certified else Certainty.INDETERMINATE)
         for c in state.classes[t]:
-            boundary = d_sum(presentation, diff, c)
+            boundary = d_sum(diff, c)
             assert not any(window.contains(presentation, p) for p in boundary)
             assert not boundary or not certified
 
@@ -366,8 +371,8 @@ def test_second_page_turn_acts_on_classes_not_monomials():
     # d3(a^3*u) = a^4 leaves the window, and d4(a^3*u) = a^3*b = d3(a^2*b*u).
     for t, fibre in basis.items():
         reps = e4.classes[t]
-        out_rows = [vector(t + d4.shift, d_sum(presentation, d4, c)) for c in reps]
-        in_rows = [vector(t, d_sum(presentation, d4, c)) for c in e4.classes.get(t - d4.shift, [])]
+        out_rows = [vector(t + d4.shift, d_sum(d4, c)) for c in reps]
+        in_rows = [vector(t, d_sum(d4, c)) for c in e4.classes.get(t - d4.shift, [])]
         graph = gf2.rref([o << len(fibre) | vector(t, c) for o, c in zip(out_rows, reps)] + in_rows)
         dim_im = gf2.rank(in_rows)
         new = e5.classes[t]
@@ -375,4 +380,4 @@ def test_second_page_turn_acts_on_classes_not_monomials():
         assert gf2.rank(in_rows + [vector(t, c) for c in new]) == dim_im + len(new)
         for c in new:
             assert gf2.in_span(graph, vector(t, c))
-            assert vector(t + d4.shift, d_sum(presentation, d4, c)) == 0
+            assert vector(t + d4.shift, d_sum(d4, c)) == 0
