@@ -34,17 +34,24 @@ class RegionLabel(enum.Enum):
         return self.value
 
 
+# bound once: looking a member up on the Enum class is slow on Python 3.10 and 3.11
+_ZERO = RegionLabel.ZERO
+_TAU_LOCAL = RegionLabel.TAU_LOCAL
+_ETA_LOCAL = RegionLabel.ETA_LOCAL
+_NOT_UNDERSTOOD = RegionLabel.NOT_UNDERSTOOD
+
+
 def classify(s: int, w: int) -> RegionLabel:
     """Region of the bidegree (s, w); total and single-valued by construction."""
     if s < 0 or w > s:
-        return RegionLabel.ZERO
+        return _ZERO
     if s == 0:
-        return RegionLabel.TAU_LOCAL  # the ray w <= 0
+        return _TAU_LOCAL  # the ray w <= 0
     if 2 * w <= s + 2:  # w <= s/2 + 1
-        return RegionLabel.TAU_LOCAL
+        return _TAU_LOCAL
     if 5 * w > 3 * s + 5:  # w > 3s/5 + 1
-        return RegionLabel.ETA_LOCAL
-    return RegionLabel.NOT_UNDERSTOOD
+        return _ETA_LOCAL
+    return _NOT_UNDERSTOOD
 
 
 def adams_weak_bound(s: int, w: int) -> bool:
@@ -141,14 +148,14 @@ def resolve_group(s: int, w: int, stems_table: StemsTable | None = None) -> Grou
     unknown.
     """
     label = classify(s, w)
-    if label is RegionLabel.ZERO:
+    if label is _ZERO:
         return _TRIVIAL_VALUE
-    if label is RegionLabel.TAU_LOCAL:
+    if label is _TAU_LOCAL:
         if s == 0:
             k = -w
             generator = "1" if k == 0 else ("tau" if k == 1 else f"tau^{k}")
             return GroupValue.known(Z2_ADIC, generator)
         return _tau_local_value(s, stems_table.get(s) if stems_table is not None else None)
-    if label is RegionLabel.ETA_LOCAL:
+    if label is _ETA_LOCAL:
         return eta_local_group(s, w)
     return _UNKNOWN_VALUE

@@ -3,13 +3,15 @@
 Every suite recomputes its expected answers inside this module, by a different
 route than the library code takes, and then compares. Closed forms are checked
 against brute-force enumeration, region predicates against a floor-division
-restatement, spectral sequence output against the hand-derived survivor basis,
-and renderings against committed golden bytes. The acceptance tests and the
-``verify`` CLI subcommand both run these suites.
+restatement made per stem as runs of labels over w, spectral sequence output
+against the hand-derived survivor basis, and renderings against committed
+golden bytes. The acceptance tests and the ``verify`` CLI subcommand both run
+these suites.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass
@@ -199,17 +201,24 @@ def check_leibniz() -> list[CheckResult]:
     ]
 
 
-def _region_oracle(s: int, w: int) -> RegionLabel:
-    # same partition, independently stated through floor division
-    if s < 0 or w > s:
-        return RegionLabel.ZERO
-    if s == 0:
-        return RegionLabel.TAU_LOCAL
-    if w <= (s + 2) // 2:
-        return RegionLabel.TAU_LOCAL
-    if w > (3 * s + 5) // 5:
-        return RegionLabel.ETA_LOCAL
-    return RegionLabel.NOT_UNDERSTOOD
+def _oracle_row(s: int, r: int) -> list[RegionLabel]:
+    # the same partition at w = -r..r for |s| <= r, independently stated through
+    # floor division: w takes the label of the first run reaching it, else Zero
+    if s < 0:
+        runs = ()
+    elif s == 0:
+        runs = ((RegionLabel.TAU_LOCAL, 0),)
+    else:
+        runs = (
+            (RegionLabel.TAU_LOCAL, (s + 2) // 2),
+            (RegionLabel.NOT_UNDERSTOOD, (3 * s + 5) // 5),
+            (RegionLabel.ETA_LOCAL, s),
+        )
+    row: list[RegionLabel] = []
+    for label, last_w in runs:
+        row += [label] * (last_w + r + 1 - len(row))
+    row += [RegionLabel.ZERO] * (2 * r + 1 - len(row))
+    return row
 
 
 def _region_oracle_fraction(s: int, w: int) -> RegionLabel:
@@ -237,12 +246,15 @@ def check_partition() -> list[CheckResult]:
     counts = {label: 0 for label in RegionLabel}
     mismatches = 0
     r = PARTITION_RADIUS
+    ws = range(-r, r + 1)
     for s in range(-r, r + 1):
-        for w in range(-r, r + 1):
-            label = classify(s, w)
-            counts[label] += 1
-            if label is not _region_oracle(s, w):
-                mismatches += 1
+        # one row at a time keeps memory flat; every bidegree goes through classify
+        row = list(map(classify, itertools.repeat(s), ws))
+        oracle = _oracle_row(s, r)
+        if row != oracle:
+            mismatches += sum(1 for got, want in zip(row, oracle) if got is not want)
+        for label in counts:
+            counts[label] += row.count(label)
     fr = FRACTION_RADIUS
     fraction_mismatches = sum(
         1
@@ -412,12 +424,13 @@ def check_etalocal() -> list[CheckResult]:
     tau_checked = 0
     for s in range(0, ETA_SCAN_MAX_STEM + 1):
         w_hi = 0 if s == 0 else (s + 2) // 2
+        below = resolve_group(s, w_hi - BAND_WIDTH, stems).group_str
         for w in range(w_hi - BAND_WIDTH + 1, w_hi + 1):
             tau_checked += 1
-            here = resolve_group(s, w, stems)
-            below = resolve_group(s, w - 1, stems)
-            if classify(s, w) is not RegionLabel.TAU_LOCAL or here.group_str != below.group_str:
+            here = resolve_group(s, w, stems).group_str
+            if classify(s, w) is not RegionLabel.TAU_LOCAL or here != below:
                 tau_failures += 1
+            below = here
     results.append(
         CheckResult(
             "etalocal",

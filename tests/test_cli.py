@@ -283,6 +283,16 @@ def test_verify_einfty_table_bytes_are_pinned(capsys, window, digest):
     assert hashlib.sha256(kept.encode()).hexdigest() == digest
 
 
+def test_verify_output_bytes_are_pinned(capsys):
+    # every suite's lines, without the measured time_budget line
+    code, out, _ = run(capsys, "verify")
+    assert code == 0
+    lines = out.splitlines(keepends=True)
+    kept = "".join(line for line in lines if not line.startswith("PASS einfty.time_budget"))
+    digest = "35f053e3ebe2975459da98dd8ec1d1f631f2edd3e61305d387c71223496e4c7b"
+    assert hashlib.sha256(kept.encode()).hexdigest() == digest
+
+
 def test_verify_bad_einfty_window(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "einfty", "--einfty-window", "xx"])

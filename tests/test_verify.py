@@ -1,0 +1,78 @@
+"""The verify suites catch a wrong answer at a single bidegree."""
+
+from __future__ import annotations
+
+import pytest
+
+from motivic_stems import regions, verify
+from motivic_stems.regions import GroupValue, RegionLabel
+
+# small stand-ins for the acceptance constants, so each suite runs in milliseconds
+RADIUS = 24
+MAX_STEM = 40
+BAND = 5
+TAU_STEM = 30  # its tau-local band lies above the stems table, so cells read pi_30
+
+
+@pytest.fixture
+def small_suites(monkeypatch):
+    monkeypatch.setattr(verify, "PARTITION_RADIUS", RADIUS)
+    monkeypatch.setattr(verify, "ETA_SCAN_MAX_STEM", MAX_STEM)
+    monkeypatch.setattr(verify, "BAND_WIDTH", BAND)
+
+
+def _results(checks):
+    return {c.name: c.passed for c in checks}
+
+
+def test_small_suites_pass_unmutated(small_suites):
+    assert all(_results(verify.check_partition()).values())
+    assert all(_results(verify.check_etalocal()).values())
+
+
+@pytest.mark.parametrize("cell", [(20, 14), (0, 0), (RADIUS, RADIUS)], ids=["boundary", "origin", "corner"])
+def test_wrong_label_at_one_cell_fails_partition(small_suites, monkeypatch, cell):
+    truth = regions.classify(*cell)
+    wrong = next(label for label in RegionLabel if label is not truth)
+
+    def mutated(s, w):
+        return wrong if (s, w) == cell else regions.classify(s, w)
+
+    monkeypatch.setattr(verify, "classify", mutated)
+    assert not _results(verify.check_partition())["exhaustive_floor_oracle"]
+
+
+@pytest.mark.parametrize(
+    "w",
+    [(TAU_STEM + 2) // 2 - BAND // 2, (TAU_STEM + 2) // 2 - BAND],
+    ids=["band_middle", "below_band_bottom"],
+)
+def test_wrong_group_at_one_band_cell_fails_tau_step(small_suites, monkeypatch, w):
+    cell = (TAU_STEM, w)
+    assert regions.resolve_group(*cell).group_str == f"pi_{TAU_STEM}"
+
+    def mutated(s, w, stems_table=None):
+        return GroupValue.unknown() if (s, w) == cell else regions.resolve_group(s, w, stems_table)
+
+    monkeypatch.setattr(verify, "resolve_group", mutated)
+    assert not _results(verify.check_etalocal())["tau_step_iso"]
+
+
+def _cell_oracle(s, w):
+    # the per-cell floor-division statement the row oracle restates as runs
+    if s < 0 or w > s:
+        return RegionLabel.ZERO
+    if s == 0:
+        return RegionLabel.TAU_LOCAL
+    if w <= (s + 2) // 2:
+        return RegionLabel.TAU_LOCAL
+    if w > (3 * s + 5) // 5:
+        return RegionLabel.ETA_LOCAL
+    return RegionLabel.NOT_UNDERSTOOD
+
+
+def test_oracle_row_matches_cell_oracle():
+    # small radii clip runs at both ends and leave some empty, including s = 0 and s = +-r
+    for r in range(13):
+        for s in range(-r, r + 1):
+            assert verify._oracle_row(s, r) == [_cell_oracle(s, w) for w in range(-r, r + 1)], (s, r)
