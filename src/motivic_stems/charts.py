@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .groups import GroupDescriptor
+from .groups import GroupDescriptor, is_power_of_two
 from .resources import SAMPLE_CHART_FILE, SAMPLE_STEMS_FILE, read_data_text
 
 
@@ -96,9 +96,13 @@ def _parse_order_token(token: str, lineno: int) -> int:
         n = int(token)
     except ValueError:
         raise ChartParseError(lineno, f"order token {token!r} is neither Z nor an integer") from None
-    if n < 2 or n & (n - 1):
+    if not is_power_of_two(n):
         raise ChartParseError(lineno, f"order {n} is not a power of 2 >= 2")
     return n
+
+
+def _order_token(n: int) -> str:
+    return "Z" if n == 0 else str(n)
 
 
 def parse_chart(text: str) -> ClassicalChart:
@@ -157,9 +161,8 @@ def serialize_chart(chart: ClassicalChart) -> str:
         lines.append(f"# provenance: {chart.provenance}")
     lines.append(f"# smax: {chart.s_max}")
     for c in chart.classes:
-        order = "Z" if c.order == 0 else str(c.order)
         tail = f" eta:{c.eta_edge}" if c.eta_edge else ""
-        lines.append(f"{c.s} {c.f} {c.name} {order}{tail}")
+        lines.append(f"{c.s} {c.f} {c.name} {_order_token(c.order)}{tail}")
     return "\n".join(lines) + "\n"
 
 
@@ -339,7 +342,7 @@ def serialize_stems(table: StemsTable) -> str:
         if g.is_trivial:
             lines.append(f"{s} 0")
         else:
-            lines.append(f"{s} " + ",".join("Z" if n == 0 else str(n) for n in g.summands))
+            lines.append(f"{s} " + ",".join(map(_order_token, g.summands)))
     return "\n".join(lines) + "\n"
 
 

@@ -195,8 +195,7 @@ def _cmd_group(args, parser: argparse.ArgumentParser) -> int:
     value = resolve_group(args.s, args.w, table)
     print(f"group={value.group_str} generator={value.generator_str}")
     if args.pretty:
-        label = classify(args.s, args.w)
-        print(f"region={label}; {REGION_PROSE[str(label)]}")
+        print(f"region={value.region}; {REGION_PROSE[str(value.region)]}")
     return 0
 
 
@@ -303,9 +302,7 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     names = args.suites or list(verify_mod.SUITES)
     unknown = [n for n in names if n not in verify_mod.SUITES]
     if unknown:
-        available = ", ".join(verify_mod.SUITES)
-        print(f"error: unknown suites: {', '.join(unknown)}; available: {available}", file=sys.stderr)
-        return 2
+        parser.error(f"unknown suites: {', '.join(unknown)}; available: {', '.join(verify_mod.SUITES)}")
     flag = "--table" if args.table else "--einfty-window" if args.einfty_window else None
     if flag and "einfty" not in names:
         parser.error(f"{flag} needs the einfty suite")

@@ -15,8 +15,14 @@ class GroupDescriptorError(ValueError):
     pass
 
 
-def _is_power_of_two(n: int) -> bool:
+def is_power_of_two(n: int) -> bool:
+    """The orders of the cyclic summands: powers of 2 that are at least 2."""
     return n >= 2 and (n & (n - 1)) == 0
+
+
+def summand_str(n: int) -> str:
+    """Z2 for the 2-adic summand (order 0), Z/n for a cyclic one."""
+    return "Z2" if n == 0 else f"Z/{n}"
 
 
 @dataclass(frozen=True)
@@ -27,7 +33,7 @@ class GroupDescriptor:
 
     def __post_init__(self) -> None:
         for n in self.summands:
-            if n != 0 and not _is_power_of_two(n):
+            if n != 0 and not is_power_of_two(n):
                 raise GroupDescriptorError(f"summand {n} is neither 0 (2-adics) nor a power of 2 >= 2")
         canon = tuple(sorted(self.summands, key=lambda n: (n != 0, -n)))
         object.__setattr__(self, "summands", canon)
@@ -55,7 +61,7 @@ class GroupDescriptor:
     def __str__(self) -> str:
         if not self.summands:
             return "0"
-        return "+".join("Z2" if n == 0 else f"Z/{n}" for n in self.summands)
+        return "+".join(map(summand_str, self.summands))
 
 
 TRIVIAL_GROUP = GroupDescriptor.trivial()

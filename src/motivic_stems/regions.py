@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .charts import StemsTable
 from .groups import TRIVIAL_GROUP, Z2_ADIC, Z_MOD_2, GroupDescriptor
@@ -64,32 +64,25 @@ def adams_weak_bound(s: int, w: int) -> bool:
     return 4 * w >= 3 * s + 4
 
 
-@dataclass(frozen=True)
-class GroupValue:
-    """Resolved value of pi_{s,w}: a known group, a classical reduction, or unknown."""
+class GroupValue(NamedTuple):
+    """Resolved value of pi_{s,w}, carrying the region that decided it.
 
-    kind: str  # "known" | "classical" | "unknown"
+    ``descriptor`` is the group where it is known: everywhere in the zero and
+    eta-local regions, and in the tau-local region on the 0-stem ray and where
+    the stems table lists the stem. A tau-local value without one holds the
+    classical ``stem`` it reduces to; a not-understood value holds neither.
+    """
+
+    region: RegionLabel
     descriptor: GroupDescriptor | None = None
     generator: str = ""
     stem: int | None = None
 
-    @classmethod
-    def known(cls, descriptor: GroupDescriptor, generator: str = "") -> GroupValue:
-        return cls(kind="known", descriptor=descriptor, generator=generator)
-
-    @classmethod
-    def reducible_to_classical(cls, stem: int) -> GroupValue:
-        return cls(kind="classical", stem=stem)
-
-    @classmethod
-    def unknown(cls) -> GroupValue:
-        return cls(kind="unknown")
-
     @property
     def group_str(self) -> str:
-        if self.kind == "known":
+        if self.descriptor is not None:
             return str(self.descriptor)
-        if self.kind == "classical":
+        if self.stem is not None:
             return f"pi_{self.stem}"
         return "?"
 
@@ -98,8 +91,9 @@ class GroupValue:
         return self.generator if self.generator else "-"
 
 
-_TRIVIAL_VALUE = GroupValue.known(TRIVIAL_GROUP)
-_UNKNOWN_VALUE = GroupValue.unknown()
+_TRIVIAL_VALUE = GroupValue(_ZERO, TRIVIAL_GROUP)
+_ETA_TRIVIAL_VALUE = GroupValue(_ETA_LOCAL, TRIVIAL_GROUP)
+_UNKNOWN_VALUE = GroupValue(_NOT_UNDERSTOOD)
 
 
 def _eta_generator(a: int, eps: int, b: int) -> str:
@@ -125,23 +119,24 @@ def eta_local_group(s: int, w: int) -> GroupValue:
     d = s - w
     if d >= 0 and d % 4 == 0:
         b = d // 4
-        return GroupValue.known(Z_MOD_2, _eta_generator(s - 9 * b, 0, b))
+        return GroupValue(_ETA_LOCAL, Z_MOD_2, _eta_generator(s - 9 * b, 0, b))
     if d >= 3 and d % 4 == 3:
         b = (d - 3) // 4
-        return GroupValue.known(Z_MOD_2, _eta_generator(s - 7 - 9 * b, 1, b))
-    return _TRIVIAL_VALUE
+        return GroupValue(_ETA_LOCAL, Z_MOD_2, _eta_generator(s - 7 - 9 * b, 1, b))
+    return _ETA_TRIVIAL_VALUE
 
 
 @functools.cache
 def _tau_local_value(s: int, entry: GroupDescriptor | None) -> GroupValue:
     # memoized on every input, so a stems table edited in place cannot serve a stale value
-    return GroupValue.known(entry) if entry is not None else GroupValue.reducible_to_classical(s)
+    return GroupValue(_TAU_LOCAL, entry) if entry is not None else GroupValue(_TAU_LOCAL, stem=s)
 
 
 def resolve_group(s: int, w: int, stems_table: StemsTable | None = None) -> GroupValue:
     """Resolve pi_{s,w} as far as the region structure determines it.
 
-    Zero region: the trivial group. The 0-stem ray: Z2 generated by the
+    The value carries its region, ``classify(s, w)``, so a caller that needs
+    both classifies once. Zero region: the trivial group. The 0-stem ray: Z2 generated by the
     matching power of tau. Tau-local: the classical 2-complete stem, looked up
     verbatim in the table when present, otherwise reported as reducible to the
     classical stem. Eta-local: read off the eta-inverted ring. NotUnderstood:
@@ -154,7 +149,7 @@ def resolve_group(s: int, w: int, stems_table: StemsTable | None = None) -> Grou
         if s == 0:
             k = -w
             generator = "1" if k == 0 else ("tau" if k == 1 else f"tau^{k}")
-            return GroupValue.known(Z2_ADIC, generator)
+            return GroupValue(_TAU_LOCAL, Z2_ADIC, generator)
         return _tau_local_value(s, stems_table.get(s) if stems_table is not None else None)
     if label is _ETA_LOCAL:
         return eta_local_group(s, w)

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby, repeat
 from typing import Iterable, Iterator
 
 from .charts import MotivicLift, StemsTable
 from .families import builtin_families
+from .groups import summand_str
 from .regions import RegionLabel, classify, resolve_group
 
 REGION_FILL = {
@@ -118,17 +120,14 @@ def _region_cells(canvas: _Canvas) -> list[str]:
     half = Fraction(1, 2)
     for w in range(style.w_max, style.w_min - 1, -1):
         s = style.s_min
-        while s <= style.s_max:
-            label = classify(s, w)
-            run_end = s
-            while run_end + 1 <= style.s_max and classify(run_end + 1, w) == label:
-                run_end += 1
+        for label, run in groupby(map(classify, range(style.s_min, style.s_max + 1), repeat(w))):
+            length = sum(1 for _ in run)
             out.append(
                 f'<rect x="{fmt3(canvas.x(s - half))}" y="{fmt3(canvas.y(w + half))}" '
-                f'width="{fmt3((run_end - s + 1) * style.scale)}" height="{fmt3(style.scale)}" '
+                f'width="{fmt3(length * style.scale)}" height="{fmt3(style.scale)}" '
                 f'fill="{REGION_FILL[label]}"/>'
             )
-            s = run_end + 1
+            s += length
     return out
 
 
@@ -228,16 +227,17 @@ def _dot_layer(canvas: _Canvas, stems_table: StemsTable | None) -> list[str]:
     out = []
     r = fmt3(Fraction(style.scale * 18, 100))
     rows = [(w, fmt3(canvas.y(w)), fmt3(canvas.y(w) + 3)) for w in range(style.w_min, style.w_max + 1)]
+    not_understood = RegionLabel.NOT_UNDERSTOOD
     for s in range(style.s_min, style.s_max + 1):
         cx = fmt3(canvas.x(s))
         for w, cy, text_y in rows:
             value = resolve_group(s, w, stems_table)
-            if value.kind == "unknown":
+            if value.region is not_understood:
                 out.append(
                     f'<text x="{cx}" y="{text_y}" font-size="10.000" '
                     f'text-anchor="middle" fill="#7a3fd1">?</text>'
                 )
-            elif value.kind == "classical":
+            elif value.descriptor is None:
                 out.append(
                     f'<circle cx="{cx}" cy="{cy}" r="{r}" '
                     f'fill="none" stroke="#222222" stroke-width="1.000"/>'
@@ -334,7 +334,7 @@ def groups_tsv(window: Iterable[tuple[int, int]], stems_table: StemsTable | None
     lines = ["# s\tw\tregion\tgroup\tgenerator"]
     for s, w in sorted(set(window)):
         value = resolve_group(s, w, stems_table)
-        lines.append(f"{s}\t{w}\t{classify(s, w).value}\t{value.group_str}\t{value.generator_str}")
+        lines.append(f"{s}\t{w}\t{value.region.value}\t{value.group_str}\t{value.generator_str}")
     return "\n".join(lines) + "\n"
 
 
@@ -386,10 +386,9 @@ def motivic_chart_svg(lift: MotivicLift, style: ChartStyle | None = None) -> str
         x, y = positions[c.name]
         top = lift.w_top[c.name]
         label = _escape(f"{c.name}: w <= {top}")
-        order = "Z2" if c.order == 0 else f"Z/{c.order}"
         parts.append(
             f'<circle cx="{x}" cy="{y}" r="{r}" fill="#1d3f8f">'
-            f"<title>{label} ({_escape(order)})</title></circle>"
+            f"<title>{label} ({_escape(summand_str(c.order))})</title></circle>"
         )
     parts.append("</g>")
     parts.append("</svg>")

@@ -210,8 +210,10 @@ class PageState:
     ``basis`` holds the fixed window monomial fibers as exponent tuples;
     ``vectors[t]`` holds the surviving classes at t as canonical
     reduced-echelon bitmasks over ``basis[t]`` (bit i is ``basis[t][i]``), and
-    ``classes`` reads them as formal sums; ``status`` records the
-    per-tridegree certification accumulated over all applied pages.
+    ``classes`` reads them as formal sums; ``boundaries[t]`` is the
+    reduced-echelon span of every earlier page's image at t, kept only where
+    t still has classes; ``status`` records the per-tridegree certification
+    accumulated over all applied pages.
     """
 
     presentation: MonomialAlgebraPresentation
@@ -220,6 +222,7 @@ class PageState:
     basis: dict[Tridegree, list[tuple[int, ...]]]
     vectors: dict[Tridegree, list[int]]
     status: dict[Tridegree, Certainty]
+    boundaries: dict[Tridegree, list[int]]
 
     @property
     def classes(self) -> Mapping[Tridegree, list[FormalSum]]:
@@ -240,6 +243,7 @@ def initial_page(presentation: MonomialAlgebraPresentation, window: Window) -> P
         basis=basis,
         vectors={t: [1 << i for i in range(len(mons))] for t, mons in basis.items()},
         status={t: Certainty.VALID for t in basis},
+        boundaries={},
     )
 
 
@@ -249,17 +253,20 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
     The pages in between are zero. The differential must be built on the
     state's presentation, which is the only check it gets here. Per
     tridegree, new classes are the kernel of the outgoing matrix modulo the
-    image of the incoming one, with reduced-echelon canonical
-    representatives in the fixed monomial order. The matrices act on the
-    current page's classes, each sent to the sum of its monomials' Leibniz
-    images. Certification shrinks to tridegrees whose differential
-    interactions were fully visible inside the window.
+    image of the incoming one and the earlier boundaries, with
+    reduced-echelon canonical representatives in the fixed monomial order.
+    The matrices act on the current page's classes, each sent to the sum of
+    its monomials' Leibniz images, read on the current page: modulo the
+    target's boundaries, and zero where the target has no classes.
+    Certification shrinks to tridegrees whose differential interactions were
+    fully visible inside the window.
     """
     if diff.page < state.page:
         raise ValueError(f"differential is for page {diff.page}, state is on page {state.page}")
     if diff.presentation != state.presentation:
         raise PresentationMismatchError("differential is built on a different presentation than the page")
     pres, basis, shift = state.presentation, state.basis, diff.shift
+    vectors, boundaries = state.vectors, state.boundaries
     bounds = state.window.effective_bounds(pres)
     lows, highs = [lo for lo, _ in bounds], [hi for _, hi in bounds]
     valid = pres.is_valid_exponents
@@ -284,8 +291,9 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
     pending: dict[Tridegree, tuple[list[int], bool]] = {}
     new_vectors: dict[Tridegree, list[int]] = dict.fromkeys(basis)
     new_status: dict[Tridegree, Certainty] = dict.fromkeys(basis)
+    new_boundaries: dict[Tridegree, list[int]] = {}
     for t in order:
-        mons, classes = basis[t], state.vectors[t]
+        mons, classes = basis[t], vectors[t]
         downstream = t + shift
         target = basis.get(downstream, ())
         # Leibniz terms are valid and sit in t + shift, so a term lies in the
@@ -303,17 +311,27 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
                 else:
                     bits ^= 1 << k
             images.append(bits)
-        columns = []
-        for v in classes:
-            col = 0
-            for i in _set_bits(v):
-                col ^= images[i]
-            columns.append(col)
+        # a class goes to its image on this page: zero where the target has
+        # no classes, else reduced modulo the target's boundaries
+        if target and vectors[downstream]:
+            old = boundaries.get(downstream)
+            columns = []
+            for v in classes:
+                col = 0
+                for i in _set_bits(v):
+                    col ^= images[i]
+                columns.append(gf2.reduce_mod(old, col) if old else col)
+        else:
+            columns = [0] * len(classes)
         kernel, image_echelon = gf2.kernel_and_image(columns, classes)
         if target:
             pending[downstream] = (image_echelon, forward)
         incoming, upstream_forward = pending.pop(t, ([], True))
-        new_vectors[t] = gf2.quotient_representatives(kernel, incoming)
+        old = boundaries.get(t)
+        bounded = gf2.rref(old + incoming) if old else incoming
+        reps = new_vectors[t] = gf2.quotient_representatives(kernel, bounded)
+        if reps and bounded:
+            new_boundaries[t] = bounded
         certified = (
             state.status[t] is Certainty.VALID
             and forward
@@ -328,6 +346,7 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
         basis=basis,
         vectors=new_vectors,
         status=new_status,
+        boundaries=new_boundaries,
     )
 
 

@@ -499,7 +499,7 @@ def check_vanishing() -> list[CheckResult]:
         value = resolve_group(s, w)
         if (
             classify(s, w) is not RegionLabel.ZERO
-            or value.kind != "known"
+            or value.descriptor is None
             or not value.descriptor.is_trivial
             or value.generator_str != "-"
         ):

@@ -2,9 +2,9 @@
 
 Each test prints `criterion N (name): PASS|FAIL` and then asserts. Where a
 criterion is a large scan, the test pins the scan parameters to the frozen
-module constants and runs the corresponding verification suite; where it is
-small, the expected answer is re-derived inline, independent of the library
-code under test.
+module constants and reads the corresponding suite's lines from the session's
+one `verify` run; where it is small, the expected answer is re-derived
+inline, independent of the library code under test.
 """
 
 from __future__ import annotations
@@ -40,8 +40,12 @@ def _gate(n: int, name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {n} ({name}) failed{': ' + detail if detail else ''}"
 
 
-def _suite(results) -> tuple[bool, str]:
-    return all(r.passed for r in results), "; ".join(r.line for r in results if not r.passed)
+def _suite(verify_output, name: str) -> tuple[bool, str]:
+    # the suite's PASS/FAIL lines from the session's one `verify` run
+    _, out = verify_output
+    lines = [line for line in out.splitlines() if line.startswith((f"PASS {name}.", f"FAIL {name}."))]
+    failed = [line for line in lines if line.startswith("FAIL ")]
+    return bool(lines) and not failed, "; ".join(failed)
 
 
 def test_criterion_01_einfty_reproduction():
@@ -66,47 +70,47 @@ def test_criterion_01_einfty_reproduction():
     )
 
 
-def test_criterion_02_dd_zero_and_leibniz():
+def test_criterion_02_dd_zero_and_leibniz(verify_output):
     assert verify.LEIBNIZ_PAIR_SAMPLES == 10_000
-    ok, detail = _suite(verify.check_leibniz())
+    ok, detail = _suite(verify_output, "leibniz")
     _gate(2, "d.d = 0 and Leibniz", ok, detail)
 
 
-def test_criterion_03_region_partition():
+def test_criterion_03_region_partition(verify_output):
     assert verify.PARTITION_RADIUS == 1000
     triple = (
         classify(20, 13) is RegionLabel.NOT_UNDERSTOOD
         and classify(20, 14) is RegionLabel.ETA_LOCAL
         and classify(10, 4) is RegionLabel.TAU_LOCAL
     )
-    ok, detail = _suite(verify.check_partition())
+    ok, detail = _suite(verify_output, "partition")
     _gate(3, "region partition", triple and ok, detail)
 
 
-def test_criterion_04_eta_local_groups():
+def test_criterion_04_eta_local_groups(verify_output):
     assert verify.ETA_SCAN_MAX_STEM == 10_000
-    ok, detail = _suite(verify.check_etalocal())
+    ok, detail = _suite(verify_output, "etalocal")
     _gate(4, "eta-local groups", ok, detail)
 
 
-def test_criterion_05_vanishing():
+def test_criterion_05_vanishing(verify_output):
     assert verify.MAY_MAX_STEM == 1000 and verify.ZERO_SAMPLE_COUNT == 10_000
     census_ok = all(0 <= g.weight <= g.stem for g in may_e1_generators(1000))
-    ok, detail = _suite(verify.check_vanishing())
+    ok, detail = _suite(verify_output, "vanishing")
     _gate(5, "vanishing region", census_ok and ok, detail)
 
 
-def test_criterion_06_ctau_vanishing_band():
+def test_criterion_06_ctau_vanishing_band(verify_output):
     chart = load_sample_chart()
     band_ok = str(ctau_homotopy(chart, 0, 0)) == "Z2"
     for s in range(1, chart.s_max + 1):
         for w in range(-5, s // 2 + 1):  # w <= s/2; below w = -5 the same f < 0 branch answers
             band_ok = band_ok and ctau_homotopy(chart, s, w).is_trivial
-    ok, detail = _suite(verify.check_ctau())
+    ok, detail = _suite(verify_output, "ctau")
     _gate(6, "Ctau vanishing band", band_ok and ok, detail)
 
 
-def test_criterion_07_localization_guarantee():
+def test_criterion_07_localization_guarantee(verify_output):
     chart = load_sample_chart()
     results = eta_localize_chart(chart)
     guaranteed = [c for c in chart.classes if c.s < 5 * c.f - 10]
@@ -114,11 +118,11 @@ def test_criterion_07_localization_guarantee():
     for cls in guaranteed:
         (res,) = [r for r in results[(cls.s, cls.f)] if r.cls is cls]
         stable_ok = stable_ok and res.status == "STABLE" and res.value is cls and res.steps == 0
-    ok, detail = _suite(verify.check_localization())
+    ok, detail = _suite(verify_output, "localization")
     _gate(7, "localization guarantee", stable_ok and ok, detail)
 
 
-def test_criterion_08_family_lines():
+def test_criterion_08_family_lines(verify_output):
     line_ok = family_line("Pk_h1_4") == (Fraction(1, 2), Fraction(2)) and family_line(
         "w1_family"
     ) == (Fraction(3, 5), Fraction(3, 5))
@@ -128,11 +132,11 @@ def test_criterion_08_family_lines():
         and all(s > Fraction(1, 2) for s in slopes)
         and wn_slope(2) == SPECULATIVE_W2_SLOPE == Fraction(7, 13)
     )
-    ok, detail = _suite(verify.check_families())
+    ok, detail = _suite(verify_output, "families")
     _gate(8, "family lines", line_ok and wn_ok and ok, detail)
 
 
-def test_criterion_09_data_roundtrip():
+def test_criterion_09_data_roundtrip(verify_output):
     chart_text = read_data_text("sample_chart.txt")
     stems_text = read_data_text("stems.txt")
     identity_ok = (
@@ -144,11 +148,11 @@ def test_criterion_09_data_roundtrip():
         with pytest.raises(ChartValidationError):
             parse_chart(read_data_text(f"fixtures/{name}.txt"))
         rejected += 1
-    ok, detail = _suite(verify.check_roundtrip())
+    ok, detail = _suite(verify_output, "roundtrip")
     _gate(9, "data round-trip", identity_ok and rejected == 3 and ok, detail)
 
 
-def test_criterion_10_deterministic_golden_output():
+def test_criterion_10_deterministic_golden_output(verify_output):
     stems = load_sample_stems()
     svg = region_chart_svg(verify.GOLDEN_REGIONS_STYLE, stems_table=stems)
     tsv = groups_tsv(bidegree_window(*verify.GOLDEN_GROUPS_WINDOW), stems_table=stems)
@@ -158,5 +162,5 @@ def test_criterion_10_deterministic_golden_output():
         and svg == read_data_text("golden/regions.svg")
         and tsv == read_data_text("golden/groups.tsv")
     )
-    ok, detail = _suite(verify.check_golden())
+    ok, detail = _suite(verify_output, "golden")
     _gate(10, "deterministic golden output", inline_ok and ok, detail)

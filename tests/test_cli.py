@@ -221,9 +221,12 @@ def test_verify_single_suite(capsys):
 
 
 def test_verify_unknown_suite(capsys):
-    code, _, err = run(capsys, "verify", "nope")
-    assert code == 2
-    assert "unknown suites: nope" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "nope"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: motivic-stems")
+    assert "error: unknown suites: nope; available: einfty, leibniz," in err
 
 
 def test_verify_einfty_table(capsys):
@@ -283,9 +286,9 @@ def test_verify_einfty_table_bytes_are_pinned(capsys, window, digest):
     assert hashlib.sha256(kept.encode()).hexdigest() == digest
 
 
-def test_verify_output_bytes_are_pinned(capsys):
+def test_verify_output_bytes_are_pinned(verify_output):
     # every suite's lines, without the measured time_budget line
-    code, out, _ = run(capsys, "verify")
+    code, out = verify_output
     assert code == 0
     lines = out.splitlines(keepends=True)
     kept = "".join(line for line in lines if not line.startswith("PASS einfty.time_budget"))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from motivic_stems.charts import StemsTable
+from motivic_stems.charts import StemsTable, load_sample_stems
 from motivic_stems.groups import TRIVIAL_GROUP, Z_MOD_2, GroupDescriptor
 from motivic_stems.regions import (
     GroupValue,
@@ -61,11 +61,11 @@ def test_zero_stem_ray_is_tau_powers():
 
 def test_tau_local_values(sample_stems):
     with_table = resolve_group(6, 3, sample_stems)
-    assert with_table.kind == "known" and with_table.group_str == "Z/2"
+    assert with_table.region is TAU and with_table.group_str == "Z/2"
     assert resolve_group(3, 1, sample_stems).group_str == "Z/8"
     assert resolve_group(8, 5, sample_stems).group_str == "Z/2+Z/2"
     bare = resolve_group(6, 3)
-    assert bare.kind == "classical" and bare.stem == 6
+    assert bare.region is TAU and bare.descriptor is None and bare.stem == 6
     assert bare.group_str == "pi_6" and bare.generator_str == "-"
 
 
@@ -102,13 +102,13 @@ def test_eta_local_values(s, w, group, generator):
 def test_resolve_routes_by_region(sample_stems):
     assert resolve_group(-5, 2).group_str == "0"
     assert resolve_group(20, 13).group_str == "?"
-    assert resolve_group(20, 13).kind == "unknown"
+    assert resolve_group(20, 13) == GroupValue(NU)
     assert resolve_group(16, 13).generator_str == "eta^9*sigma"
 
 
 def test_group_value_constructors():
-    assert GroupValue.unknown().group_str == "?"
-    assert GroupValue.reducible_to_classical(11).group_str == "pi_11"
+    assert GroupValue(NU).group_str == "?"
+    assert GroupValue(TAU, stem=11).group_str == "pi_11"
 
 
 bidegrees = st.tuples(
@@ -128,6 +128,19 @@ def test_zero_region_resolves_trivially(sw):
     s, w = sw
     if classify(s, w) is ZERO:
         assert resolve_group(s, w).descriptor.is_trivial
+
+
+@given(bidegrees, st.sampled_from([None, load_sample_stems()]))
+def test_resolved_value_carries_its_region(sw, table):
+    s, w = sw
+    assert resolve_group(s, w, table).region is classify(s, w)
+
+
+def test_resolved_region_pins(sample_stems):
+    for table in (None, sample_stems):
+        # eta-local with the trivial group: not the zero region's value
+        assert resolve_group(9, 8, table) == GroupValue(ETA, TRIVIAL_GROUP)
+        assert resolve_group(20, 13, table) == GroupValue(NU)
 
 
 @given(bidegrees)

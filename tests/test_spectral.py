@@ -364,15 +364,23 @@ def test_second_page_turn_acts_on_classes_not_monomials():
     assert e5.classes[Tridegree(1, 0, 0)] == [frozenset((v, x))]
     assert sum(len(c) > 1 for cls in e4.classes.values() for c in cls) > 1
     assert sum(len(c) > 1 for cls in e5.classes.values() for c in cls) > 1
-    # turn_page's definition on the E4 representatives r: the kernel K of d4
-    # on their span, modulo the image I of d4 from one shift upstream. The
-    # rows (d4 r, r) and (0, i) for i in I combine to (0, y) exactly for y in
-    # K + I. An image need not lie in span(r): a^3*u is on E4 only because
-    # d3(a^3*u) = a^4 leaves the window, and d4(a^3*u) = a^3*b = d3(a^2*b*u).
+    # turn_page's definition on the E4 representatives r, with every image
+    # read on E4, that is modulo the E4 boundaries B (the d3 images): the
+    # kernel K of d4 on their span, modulo B and the image I of d4 from one
+    # shift upstream. The rows (d4 r, r) and (0, i) for i in I + B combine to
+    # (0, y) exactly for y in K + I + B. An image need not lie in span(r):
+    # a^3*u is on E4 only because d3(a^3*u) = a^4 leaves the window, and
+    # d4(a^3*u) = a^3*b = d3(a^2*b*u) is zero on E4.
+    def boundaries(t):
+        return gf2.rref([vector(t, leibniz_extend(d3, m)) for m in basis.get(t - d3.shift, [])])
+
+    def on_e4(t, formal_sum):
+        return gf2.reduce_mod(boundaries(t), vector(t, formal_sum))
+
     for t, fibre in basis.items():
         reps = e4.classes[t]
-        out_rows = [vector(t + d4.shift, d_sum(d4, c)) for c in reps]
-        in_rows = [vector(t, d_sum(d4, c)) for c in e4.classes.get(t - d4.shift, [])]
+        out_rows = [on_e4(t + d4.shift, d_sum(d4, c)) for c in reps]
+        in_rows = [on_e4(t, d_sum(d4, c)) for c in e4.classes.get(t - d4.shift, [])] + boundaries(t)
         graph = gf2.rref([o << len(fibre) | vector(t, c) for o, c in zip(out_rows, reps)] + in_rows)
         dim_im = gf2.rank(in_rows)
         new = e5.classes[t]
@@ -380,4 +388,55 @@ def test_second_page_turn_acts_on_classes_not_monomials():
         assert gf2.rank(in_rows + [vector(t, c) for c in new]) == dim_im + len(new)
         for c in new:
             assert gf2.in_span(graph, vector(t, c))
-            assert vector(t + d4.shift, d_sum(d4, c)) == 0
+            assert on_e4(t + d4.shift, d_sum(d4, c)) == 0
+
+
+def test_a_later_page_quotients_by_earlier_boundaries():
+    # d3(u) = a and d4(y) = b + a*z. On E4, a*z = d3(u*z) is zero, so d4[y] =
+    # [b] and E5 at (0,4,0), spanned by b and a*z, is zero: a*z is a boundary
+    # on E4 already and b is hit by d4.
+    presentation = MonomialAlgebraPresentation(
+        [
+            GeneratorSpec("a", Tridegree(0, 3, 0)),
+            GeneratorSpec("b", Tridegree(0, 4, 0)),
+            GeneratorSpec("z", Tridegree(0, 1, 0), square_zero=True),
+            GeneratorSpec("u", Tridegree(1, 0, 0), square_zero=True),
+            GeneratorSpec("y", Tridegree(1, 0, 0), square_zero=True),
+        ]
+    )
+    a, b, z = (presentation.monomial(**{g: 1}) for g in "abz")
+    d3 = build_differential(presentation, page=3, images={"u": [a]})
+    d4 = build_differential(presentation, page=4, images={"y": [b, presentation.multiply(a, z)]})
+    window = Window.from_dict(presentation, {"a": (0, 2), "b": (0, 2), "z": (0, 1), "u": (0, 1), "y": (0, 1)})
+    e5 = run_to_einfty(presentation, [d3, d4], window)
+    assert e5.classes[Tridegree(0, 4, 0)] == []
+    assert e5.classes[Tridegree(1, 0, 0)] == []
+    assert e5.status[Tridegree(0, 4, 0)] is Certainty.VALID
+
+
+def test_boundaries_accumulate_over_pages():
+    # d3(u) = a, d4(y) = b and d5(x) = c + a*w + b*z. On E5, a*w = d3(u*w)
+    # and b*z = d4(y*z) are both boundaries, so d5[x] = [c] and E6 at (0,5,0)
+    # is zero.
+    presentation = MonomialAlgebraPresentation(
+        [
+            GeneratorSpec("a", Tridegree(0, 3, 0)),
+            GeneratorSpec("b", Tridegree(0, 4, 0)),
+            GeneratorSpec("c", Tridegree(0, 5, 0)),
+            *(GeneratorSpec(name, Tridegree(0, f, 0), square_zero=True) for name, f in (("z", 1), ("w", 2))),
+            *(GeneratorSpec(name, Tridegree(1, 0, 0), square_zero=True) for name in "uyx"),
+        ]
+    )
+    a, b, c, z, w = (presentation.monomial(**{g: 1}) for g in "abczw")
+    aw, bz = presentation.multiply(a, w), presentation.multiply(b, z)
+    diffs = [
+        build_differential(presentation, page=3, images={"u": [a]}),
+        build_differential(presentation, page=4, images={"y": [b]}),
+        build_differential(presentation, page=5, images={"x": [c, aw, bz]}),
+    ]
+    window = Window.from_dict(presentation, {g: (0, 1) for g in "abczwuyx"})
+    e5 = run_to_einfty(presentation, diffs[:2], window)
+    assert e5.classes[Tridegree(0, 5, 0)] == [frozenset((c,))]
+    e6 = turn_page(e5, diffs[2])
+    assert e6.classes[Tridegree(0, 5, 0)] == []
+    assert e6.classes[Tridegree(1, 0, 0)] == []

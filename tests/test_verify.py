@@ -52,7 +52,7 @@ def test_wrong_group_at_one_band_cell_fails_tau_step(small_suites, monkeypatch, 
     assert regions.resolve_group(*cell).group_str == f"pi_{TAU_STEM}"
 
     def mutated(s, w, stems_table=None):
-        return GroupValue.unknown() if (s, w) == cell else regions.resolve_group(s, w, stems_table)
+        return GroupValue(RegionLabel.NOT_UNDERSTOOD) if (s, w) == cell else regions.resolve_group(s, w, stems_table)
 
     monkeypatch.setattr(verify, "resolve_group", mutated)
     assert not _results(verify.check_etalocal())["tau_step_iso"]
