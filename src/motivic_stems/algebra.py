@@ -220,6 +220,13 @@ class Window:
 
     bounds: tuple[tuple[int, int], ...]
 
+    def __post_init__(self) -> None:
+        pairs = isinstance(self.bounds, tuple) and all(
+            isinstance(b, tuple) and len(b) == 2 and all(type(e) is int for e in b) for b in self.bounds
+        )
+        if not pairs:
+            raise PresentationError(f"window bounds must be a tuple of (int, int) pairs, got {self.bounds!r}")
+
     @classmethod
     def from_dict(cls, presentation: MonomialAlgebraPresentation, bounds: dict[str, tuple[int, int]]) -> Window:
         missing = [g.name for g in presentation.generators if g.name not in bounds]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .groups import GroupDescriptor, is_power_of_two
+from .groups import TRIVIAL_GROUP, GroupDescriptor, is_power_of_two
 from .resources import SAMPLE_CHART_FILE, SAMPLE_STEMS_FILE, read_data_text
 
 
@@ -86,7 +86,7 @@ class ClassicalChart:
         return self._by_bidegree.get((s, f), [])
 
     def group_at(self, s: int, f: int) -> GroupDescriptor:
-        return GroupDescriptor.from_orders(c.order for c in self.at(s, f))
+        return GroupDescriptor(tuple(c.order for c in self.at(s, f)))
 
 
 def _parse_order_token(token: str, lineno: int) -> int:
@@ -226,7 +226,7 @@ def ctau_homotopy(chart: ClassicalChart, s: int, w: int) -> GroupDescriptor:
         raise StemRangeError(f"stem {s} outside ingested range 0..{chart.s_max}")
     f = 2 * w - s
     if f < 0:
-        return GroupDescriptor.trivial()
+        return TRIVIAL_GROUP
     return chart.group_at(s, f)
 
 
@@ -327,9 +327,9 @@ def parse_stems(text: str) -> StemsTable:
             raise ChartParseError(lineno, f"stem {s} listed twice")
         order_tokens = tokens[1].split(",")
         if order_tokens == ["0"]:
-            groups[s] = GroupDescriptor.trivial()  # `0` is the trivial group
+            groups[s] = TRIVIAL_GROUP  # `0` is the trivial group
         else:
-            groups[s] = GroupDescriptor.from_orders(_parse_order_token(t, lineno) for t in order_tokens)
+            groups[s] = GroupDescriptor(tuple(_parse_order_token(t, lineno) for t in order_tokens))
     return StemsTable(groups=groups, provenance=provenance)
 
 

@@ -24,20 +24,12 @@ def rref(rows: list[int]) -> list[int]:
     return [b for _, b in echelon]
 
 
-def rank(rows: list[int]) -> int:
-    return len(rref(rows))
-
-
 def reduce_mod(echelon: list[int], v: int) -> int:
     """Reduce v against rows already in reduced echelon form."""
     for b in echelon:
         if (v >> low_bit(b)) & 1:
             v ^= b
     return v
-
-
-def in_span(echelon: list[int], v: int) -> bool:
-    return reduce_mod(echelon, v) == 0
 
 
 def kernel_and_image(columns: list[int], sources: list[int]) -> tuple[list[int], list[int]]:

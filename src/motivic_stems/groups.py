@@ -8,7 +8,6 @@ form lists 2-adic summands first, then cyclic orders in descending order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 
 class GroupDescriptorError(ValueError):
@@ -38,22 +37,6 @@ class GroupDescriptor:
         canon = tuple(sorted(self.summands, key=lambda n: (n != 0, -n)))
         object.__setattr__(self, "summands", canon)
 
-    @classmethod
-    def trivial(cls) -> GroupDescriptor:
-        return cls(())
-
-    @classmethod
-    def z2adic(cls) -> GroupDescriptor:
-        return cls((0,))
-
-    @classmethod
-    def cyclic(cls, order: int) -> GroupDescriptor:
-        return cls((order,))
-
-    @classmethod
-    def from_orders(cls, orders: Iterable[int]) -> GroupDescriptor:
-        return cls(tuple(orders))
-
     @property
     def is_trivial(self) -> bool:
         return not self.summands
@@ -64,6 +47,6 @@ class GroupDescriptor:
         return "+".join(map(summand_str, self.summands))
 
 
-TRIVIAL_GROUP = GroupDescriptor.trivial()
-Z2_ADIC = GroupDescriptor.z2adic()
-Z_MOD_2 = GroupDescriptor.cyclic(2)
+TRIVIAL_GROUP = GroupDescriptor(())
+Z2_ADIC = GroupDescriptor((0,))
+Z_MOD_2 = GroupDescriptor((2,))

@@ -281,6 +281,22 @@ def _family_layer(canvas: _Canvas) -> list[str]:
     return out
 
 
+def _document(canvas: _Canvas, title: str, layers: list[tuple[str, list[str]]]) -> str:
+    """The SVG element, its title and white background, then one group per (id, lines) layer."""
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{canvas.width}" height="{canvas.height}" '
+        f'viewBox="0 0 {canvas.width} {canvas.height}">',
+        f"<title>{title}</title>",
+        f'<rect x="0.000" y="0.000" width="{fmt3(canvas.width)}" height="{fmt3(canvas.height)}" fill="#ffffff"/>',
+    ]
+    for layer_id, lines in layers:
+        parts.append(f'<g id="{layer_id}">')
+        parts.extend(lines)
+        parts.append("</g>")
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
 def region_chart_svg(style: ChartStyle | None = None, stems_table: StemsTable | None = None) -> str:
     """Region chart of the (s, w) plane, drawn to scale.
 
@@ -290,38 +306,21 @@ def region_chart_svg(style: ChartStyle | None = None, stems_table: StemsTable | 
     """
     style = style or ChartStyle()
     canvas = _Canvas(style)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{canvas.width}" height="{canvas.height}" '
-        f'viewBox="0 0 {canvas.width} {canvas.height}">',
-        "<title>Region structure of the motivic stable stems over C</title>",
-        f'<rect x="0.000" y="0.000" width="{fmt3(canvas.width)}" height="{fmt3(canvas.height)}" fill="#ffffff"/>',
+    layers = [
+        ("regions", _region_cells(canvas)),
+        ("axes", _axes_layer(canvas)),
+        ("boundaries", _boundary_layer(canvas)),
     ]
-    parts.append('<g id="regions">')
-    parts.extend(_region_cells(canvas))
-    parts.append("</g>")
-    parts.append('<g id="axes">')
-    parts.extend(_axes_layer(canvas))
-    parts.append("</g>")
-    parts.append('<g id="boundaries">')
-    parts.extend(_boundary_layer(canvas))
-    parts.append("</g>")
     if style.group_dots:
-        parts.append('<g id="groups">')
-        parts.extend(_dot_layer(canvas, stems_table))
-        parts.append("</g>")
+        layers.append(("groups", _dot_layer(canvas, stems_table)))
     if style.family_overlays:
-        parts.append('<g id="families">')
-        parts.extend(_family_layer(canvas))
-        parts.append("</g>")
-    parts.append('<g id="legend">')
-    parts.extend(_legend_layer(canvas))
-    parts.append("</g>")
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        layers.append(("families", _family_layer(canvas)))
+    layers.append(("legend", _legend_layer(canvas)))
+    return _document(canvas, "Region structure of the motivic stable stems over C", layers)
 
 
 def bidegree_window(s_min: int, s_max: int, w_min: int, w_max: int) -> Iterator[tuple[int, int]]:
-    """Lattice rectangle, iterated in the TSV's (s, w) sort order."""
+    """Lattice rectangle, each cell once, in (s, w) order."""
     if s_min > s_max or w_min > w_max:
         raise RenderError(f"empty window: s in [{s_min},{s_max}], w in [{w_min},{w_max}]")
     for s in range(s_min, s_max + 1):
@@ -330,9 +329,9 @@ def bidegree_window(s_min: int, s_max: int, w_min: int, w_max: int) -> Iterator[
 
 
 def groups_tsv(window: Iterable[tuple[int, int]], stems_table: StemsTable | None = None) -> str:
-    """One row per (s, w): region, group, and generator, sorted by (s, w)."""
+    """One row per (s, w), in the window's order and unsorted: region, group, and generator."""
     lines = ["# s\tw\tregion\tgroup\tgenerator"]
-    for s, w in sorted(set(window)):
+    for s, w in window:
         value = resolve_group(s, w, stems_table)
         lines.append(f"{s}\t{w}\t{value.region.value}\t{value.group_str}\t{value.generator_str}")
     return "\n".join(lines) + "\n"
@@ -348,15 +347,6 @@ def motivic_chart_svg(lift: MotivicLift, style: ChartStyle | None = None) -> str
     """
     style = style or ChartStyle(s_min=0, s_max=max(lift.chart.s_max, 1), w_min=0, w_max=max(lift.chart.s_max, 1))
     canvas = _Canvas(style)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{canvas.width}" height="{canvas.height}" '
-        f'viewBox="0 0 {canvas.width} {canvas.height}">',
-        "<title>Motivic lift of a classical Adams-Novikov chart</title>",
-        f'<rect x="0.000" y="0.000" width="{fmt3(canvas.width)}" height="{fmt3(canvas.height)}" fill="#ffffff"/>',
-        '<g id="axes">',
-    ]
-    parts.extend(_axes_layer(canvas, vertical_label="f"))
-    parts.append("</g>")
     in_range = [
         c
         for c in lift.chart.classes
@@ -370,26 +360,24 @@ def motivic_chart_svg(lift: MotivicLift, style: ChartStyle | None = None) -> str
         for i, c in enumerate(siblings):
             offset = Fraction(22 * (2 * i - (len(siblings) - 1)), 100)
             positions[c.name] = (fmt3(canvas.x(s + offset)), y)
-    parts.append('<g id="eta-edges">')
+    edges = []
     for c in in_range:
         if c.eta_edge and c.eta_edge in positions:
             x1, y1 = positions[c.name]
             x2, y2 = positions[c.eta_edge]
-            parts.append(
+            edges.append(
                 f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
                 f'stroke="#999999" stroke-width="1.000"/>'
             )
-    parts.append("</g>")
-    parts.append('<g id="classes">')
+    dots = []
     r = fmt3(Fraction(style.scale * 16, 100))
     for c in in_range:
         x, y = positions[c.name]
         top = lift.w_top[c.name]
         label = _escape(f"{c.name}: w <= {top}")
-        parts.append(
+        dots.append(
             f'<circle cx="{x}" cy="{y}" r="{r}" fill="#1d3f8f">'
             f"<title>{label} ({_escape(summand_str(c.order))})</title></circle>"
         )
-    parts.append("</g>")
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    layers = [("axes", _axes_layer(canvas, vertical_label="f")), ("eta-edges", edges), ("classes", dots)]
+    return _document(canvas, "Motivic lift of a classical Adams-Novikov chart", layers)

@@ -17,17 +17,8 @@ SAMPLE_CHART_FILE = "sample_chart.txt"
 SAMPLE_STEMS_FILE = "stems.txt"
 
 
-def packaged_data_dir() -> Path:
-    return Path(str(resources.files("motivic_stems") / "data"))
-
-
-def data_dir() -> Path:
-    override = os.environ.get(DATA_ENV_VAR)
-    return Path(override) if override else packaged_data_dir()
-
-
 def data_path(name: str) -> Path:
-    path = data_dir() / name
+    path = Path(os.environ.get(DATA_ENV_VAR) or str(resources.files("motivic_stems") / "data")) / name
     if not path.is_file():
         raise FileNotFoundError(f"data file not found: {path}")
     return path

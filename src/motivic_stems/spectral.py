@@ -76,9 +76,10 @@ class DifferentialSpec:
     stored read-only, as formal sums. Building a spec checks it against the
     presentation: ``page`` is at least 2, every image is keyed by a known
     generator, and every term is a valid monomial sitting in
-    degree(generator) + ``shift`` for one common ``shift``. The shift is
-    derived from the terms, or (-1, r, 0) when there are none. Consumers
-    trust a built spec and do not check it again.
+    degree(generator) + ``shift`` for one common ``shift``, and d^2 is zero
+    on every generator. The shift is derived from the terms, or (-1, r, 0)
+    when there are none. Consumers trust a built spec and do not check it
+    again.
 
     ``offsets`` lists, per generator g with a nonzero image, its index and
     u - e_g for every image term u: the term (m / g) * u of a monomial m is
@@ -121,6 +122,14 @@ class DifferentialSpec:
         object.__setattr__(self, "shift", Tridegree(-1, self.page, 0) if shift is None else shift)
         object.__setattr__(self, "offsets", tuple(offsets))
         object.__setattr__(self, "square_zero", tuple(j for j, g in enumerate(pres.generators) if g.square_zero))
+        # over F2, d^2 is a derivation, so it vanishes once it does on generators
+        for name in images:
+            twice = _compose(self, self, name)
+            if twice:
+                raise DifferentialSpecError(
+                    f"d{self.page} squares to a nonzero map: d{self.page}(d{self.page}({name})) = "
+                    f"{pres.sum_str(map(Monomial, twice))}"
+                )
 
     def terms(self, exps: tuple[int, ...]) -> set[tuple[int, ...]]:
         """Nonzero Leibniz terms of the monomial with exponents ``exps``, mod 2.
@@ -137,6 +146,14 @@ class DifferentialSpec:
                     if not any(p[j] > 1 for j in self.square_zero):
                         out.symmetric_difference_update((p,))
         return out
+
+
+def _compose(outer: DifferentialSpec, inner: DifferentialSpec, name: str) -> set[tuple[int, ...]]:
+    """Exponent tuples of outer(inner(name)) for the generator ``name``, mod 2."""
+    out: set[tuple[int, ...]] = set()
+    for u in inner.images.get(name, ()):
+        out.symmetric_difference_update(outer.terms(u.exponents))
+    return out
 
 
 def build_differential(
@@ -259,7 +276,9 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
     its monomials' Leibniz images, read on the current page: modulo the
     target's boundaries, and zero where the target has no classes.
     Certification shrinks to tridegrees whose differential interactions were
-    fully visible inside the window.
+    fully visible inside the window. It trusts its caller that diff
+    anticommutes with every earlier page's differential, as ``run_to_einfty``
+    checks.
     """
     if diff.page < state.page:
         raise ValueError(f"differential is for page {diff.page}, state is on page {state.page}")
@@ -364,6 +383,20 @@ def run_to_einfty(
     pages = [d.page for d in diffspecs]
     if pages != sorted(pages) or len(set(pages)) != len(pages):
         raise DifferentialSpecError(f"differentials must be listed in strictly increasing page order, got {pages}")
+    # d_r d_s + d_s d_r is a derivation over F2, so checking generators is
+    # enough; turn_page rejects a spec on another presentation
+    for i, ds in enumerate(diffspecs):
+        for dr in diffspecs[:i]:
+            if dr.presentation != ds.presentation:
+                continue
+            for name in (g.name for g in ds.presentation.generators):
+                mixed = _compose(dr, ds, name) ^ _compose(ds, dr, name)
+                if mixed:
+                    raise DifferentialSpecError(
+                        f"d{dr.page} and d{ds.page} do not anticommute: "
+                        f"(d{dr.page}d{ds.page} + d{ds.page}d{dr.page})({name}) = "
+                        f"{dr.presentation.sum_str(map(Monomial, mixed))}"
+                    )
     state = initial_page(presentation, window)
     for d in diffspecs:
         state = turn_page(state, d)

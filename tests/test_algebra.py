@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from motivic_stems import verify
 from motivic_stems.algebra import (
     Bidegree,
     EmptyWindowWarning,
@@ -118,6 +119,16 @@ def test_window_requires_every_generator(presentation_and_d3):
             presentation,
             {"tau": (0, 1), "alpha1": (0, 1), "alpha3": (0, 1), "alpha4": (0, 1), "beta": (0, 1)},
         )
+
+
+def test_window_built_directly_checks_its_bounds():
+    # a dict, such as verify.EINFTY_WINDOW, or a str bound fails here with
+    # one message, not later inside effective_bounds
+    with pytest.raises(PresentationError, match=r"tuple of \(int, int\) pairs"):
+        Window(verify.EINFTY_WINDOW)
+    with pytest.raises(PresentationError, match=r"tuple of \(int, int\) pairs"):
+        Window(((0, 8), ("-12", 12)))
+    assert Window(((0, 8), (-12, 12))).bounds == ((0, 8), (-12, 12))
 
 
 def test_window_clamps_to_presentation(presentation_and_d3):

@@ -39,7 +39,7 @@ def test_parse_minimal_chart():
     assert chart.by_name("ghost") is None
     assert chart.at(2, 2) == [chart.by_name("x")]
     assert chart.at(7, 1) == []
-    assert chart.group_at(0, 0) == GroupDescriptor.z2adic()
+    assert chart.group_at(0, 0) == GroupDescriptor((0,))
 
 
 def test_parse_strips_blank_lines_and_trailing_comments():

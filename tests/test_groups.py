@@ -35,11 +35,6 @@ def test_invalid_summands_rejected(bad):
         GroupDescriptor((bad,))
 
 
-def test_from_orders_matches_constructor():
-    assert GroupDescriptor.from_orders([4, 0, 2]) == GroupDescriptor((0, 4, 2))
-    assert GroupDescriptor.cyclic(32) == GroupDescriptor((32,))
-
-
 summand = st.one_of(st.just(0), st.integers(min_value=1, max_value=10).map(lambda k: 2**k))
 
 

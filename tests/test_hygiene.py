@@ -8,6 +8,7 @@ from pathlib import Path
 import motivic_stems
 
 PACKAGE_DIR = Path(motivic_stems.__file__).parent
+REPO_DIR = Path(__file__).resolve().parent.parent
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -39,4 +40,48 @@ def test_no_unused_imports():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         used = _used_names(tree)
         unused += [f"{path.name}:{line} {name}" for name, line in _imported_names(tree).items() if name not in used]
+    assert unused == []
+
+
+def _public_definitions(tree: ast.Module) -> dict[str, int]:
+    """Public top-level functions and classes, and public methods -> line."""
+    defs: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            defs[node.name] = node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    defs[f"{node.name}.{item.name}"] = item.lineno
+    return defs
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Names read, attributes, imported names and string constants.
+
+    Strings count because the bench tracer looks functions up by name with
+    ``getattr``; they also cover the names listed in ``__all__``.
+    """
+    refs: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.add(node.value)
+    return refs
+
+
+def test_no_public_api_used_only_by_tests():
+    refs: set[str] = set()
+    for top in ("src", "scripts", "bench"):
+        for path in sorted((REPO_DIR / top).rglob("*.py")):
+            refs |= _referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+    unused = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        defs = _public_definitions(ast.parse(path.read_text(encoding="utf-8")))
+        unused += [f"{path.name}:{line} {name}" for name, line in defs.items() if name.rsplit(".", 1)[-1] not in refs]
     assert unused == []

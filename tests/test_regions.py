@@ -74,7 +74,7 @@ def test_tau_local_values_follow_the_table():
     assert resolve_group(5, 2, table).group_str == "0"
     table.groups[5] = Z_MOD_2
     assert resolve_group(5, 2, table).group_str == "Z/2"
-    other = StemsTable(groups={5: GroupDescriptor.cyclic(4)})
+    other = StemsTable(groups={5: GroupDescriptor((4,))})
     assert resolve_group(5, 2, other).group_str == "Z/4"
     assert resolve_group(5, 2, table).group_str == "Z/2"
     assert resolve_group(5, 2).group_str == "pi_5"

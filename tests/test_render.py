@@ -6,6 +6,8 @@ import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from motivic_stems.charts import lift_to_motivic, parse_chart
 from motivic_stems import render
@@ -90,6 +92,14 @@ def test_bidegree_window():
         list(bidegree_window(1, 0, 0, 0))
 
 
+@given(st.integers(-5, 5), st.integers(0, 6), st.integers(-5, 5), st.integers(0, 6))
+def test_bidegree_window_is_strictly_increasing(s_min, s_len, w_min, w_len):
+    # groups_tsv writes rows in the window's order and does not sort or dedupe
+    cells = list(bidegree_window(s_min, s_min + s_len, w_min, w_min + w_len))
+    assert all(a < b for a, b in zip(cells, cells[1:]))
+    assert len(cells) == (s_len + 1) * (w_len + 1)
+
+
 def test_groups_tsv_rows(sample_stems):
     out = groups_tsv(bidegree_window(-1, 7, -1, 5), stems_table=sample_stems)
     lines = out.splitlines()
@@ -104,7 +114,7 @@ def test_groups_tsv_rows(sample_stems):
     assert len(data) == 9 * 7
 
 
-def test_groups_tsv_dedupes_and_accepts_custom_resolver(sample_stems, monkeypatch):
+def test_groups_tsv_accepts_custom_resolver(sample_stems, monkeypatch):
     calls = []
 
     def counting(s, w, table):
@@ -112,9 +122,10 @@ def test_groups_tsv_dedupes_and_accepts_custom_resolver(sample_stems, monkeypatc
         return resolve_group(s, w, table)
 
     monkeypatch.setattr(render, "resolve_group", counting)  # the module global, as the bench tracer patches it
-    out = groups_tsv([(2, 1), (0, 0), (2, 1), (0, 0)], stems_table=sample_stems)
-    assert out.splitlines()[1:] == ["0\t0\tTauLocal\tZ2\t1", "2\t1\tTauLocal\tZ/2\t-"]
-    assert calls == [(0, 0), (2, 1)]
+    out = groups_tsv([(2, 1), (0, 0)], stems_table=sample_stems)
+    # one row per cell, in the order given
+    assert out.splitlines()[1:] == ["2\t1\tTauLocal\tZ/2\t-", "0\t0\tTauLocal\tZ2\t1"]
+    assert calls == [(2, 1), (0, 0)]
 
 
 def test_motivic_chart_tooltips(sample_chart):

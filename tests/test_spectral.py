@@ -313,8 +313,8 @@ def test_page_turn_matches_the_definition(case):
 
     for t, fibre in basis.items():
         upstream = basis.get(t - diff.shift, [])
-        dim_ker = len(fibre) - gf2.rank(rows(fibre, basis.get(t + diff.shift, [])))
-        dim_im = gf2.rank(rows(upstream, fibre))
+        dim_ker = len(fibre) - len(gf2.rref(rows(fibre, basis.get(t + diff.shift, []))))
+        dim_im = len(gf2.rref(rows(upstream, fibre)))
         assert len(state.classes[t]) == dim_ker - dim_im
         certified = forward(fibre) and forward(upstream) and backward(fibre)
         assert state.status[t] is (Certainty.VALID if certified else Certainty.INDETERMINATE)
@@ -382,12 +382,12 @@ def test_second_page_turn_acts_on_classes_not_monomials():
         out_rows = [on_e4(t + d4.shift, d_sum(d4, c)) for c in reps]
         in_rows = [on_e4(t, d_sum(d4, c)) for c in e4.classes.get(t - d4.shift, [])] + boundaries(t)
         graph = gf2.rref([o << len(fibre) | vector(t, c) for o, c in zip(out_rows, reps)] + in_rows)
-        dim_im = gf2.rank(in_rows)
+        dim_im = len(gf2.rref(in_rows))
         new = e5.classes[t]
-        assert len(new) == len(graph) - gf2.rank(out_rows) - dim_im
-        assert gf2.rank(in_rows + [vector(t, c) for c in new]) == dim_im + len(new)
+        assert len(new) == len(graph) - len(gf2.rref(out_rows)) - dim_im
+        assert len(gf2.rref(in_rows + [vector(t, c) for c in new])) == dim_im + len(new)
         for c in new:
-            assert gf2.in_span(graph, vector(t, c))
+            assert gf2.reduce_mod(graph, vector(t, c)) == 0
             assert on_e4(t + d4.shift, d_sum(d4, c)) == 0
 
 
@@ -440,3 +440,29 @@ def test_boundaries_accumulate_over_pages():
     e6 = turn_page(e5, diffs[2])
     assert e6.classes[Tridegree(0, 5, 0)] == []
     assert e6.classes[Tridegree(1, 0, 0)] == []
+
+
+def test_a_map_that_squares_to_nonzero_is_rejected():
+    # d3 with x -> y -> z: d3(d3(x)) = z, so d3 is not a differential
+    presentation = MonomialAlgebraPresentation(
+        GeneratorSpec(name, Tridegree(2 - k, 3 * k, 0)) for k, name in enumerate("xyz")
+    )
+    y, z = presentation.monomial(y=1), presentation.monomial(z=1)
+    with pytest.raises(DifferentialSpecError, match=r"d3\(d3\(x\)\) = z"):
+        build_differential(presentation, page=3, images={"x": [y], "y": [z]})
+
+
+def test_differentials_that_do_not_anticommute_are_rejected():
+    # d3(u) = a and d4(a) = b: d4 does not vanish on the d3-boundary a
+    presentation = MonomialAlgebraPresentation(
+        [
+            GeneratorSpec("u", Tridegree(1, 0, 0)),
+            GeneratorSpec("a", Tridegree(0, 3, 0)),
+            GeneratorSpec("b", Tridegree(-1, 7, 0)),
+        ]
+    )
+    d3 = build_differential(presentation, page=3, images={"u": [presentation.monomial(a=1)]})
+    d4 = build_differential(presentation, page=4, images={"a": [presentation.monomial(b=1)]})
+    window = Window.from_dict(presentation, {g: (0, 1) for g in "uab"})
+    with pytest.raises(DifferentialSpecError, match=r"\(d3d4 \+ d4d3\)\(u\) = b"):
+        run_to_einfty(presentation, [d3, d4], window)
