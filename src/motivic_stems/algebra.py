@@ -260,31 +260,34 @@ class Window:
         return all(lo <= e <= hi for e, (lo, hi) in zip(m.exponents, self.effective_bounds(presentation)))
 
 
-def iter_window_monomials(presentation: MonomialAlgebraPresentation, window: Window) -> Iterator[Monomial]:
-    """Window monomials in lexicographic order on exponent vectors."""
+def _window_exponents(presentation: MonomialAlgebraPresentation, window: Window) -> Iterator[tuple[int, ...]]:
+    """Window exponent tuples in lexicographic order; warns, and yields nothing, on inverted bounds."""
     eff = window.effective_bounds(presentation)
     if any(lo > hi for lo, hi in eff):
-        warnings.warn("window bounds are inverted; enumerating nothing", EmptyWindowWarning, stacklevel=2)
-        return
-    for exps in product(*(range(lo, hi + 1) for lo, hi in eff)):
-        yield Monomial(exps)
+        warnings.warn("window bounds are inverted; enumerating nothing", EmptyWindowWarning, stacklevel=3)
+        return iter(())
+    return product(*(range(lo, hi + 1) for lo, hi in eff))
+
+
+def iter_window_monomials(presentation: MonomialAlgebraPresentation, window: Window) -> Iterator[Monomial]:
+    """Window monomials in lexicographic order on exponent vectors."""
+    return map(Monomial, _window_exponents(presentation, window))
 
 
 def enumerate_basis(
     presentation: MonomialAlgebraPresentation, window: Window
-) -> dict[Tridegree, list[tuple[int, ...]]]:
+) -> dict[Tridegree, tuple[tuple[int, ...], ...]]:
     """Group the window's exponent tuples by tridegree.
 
-    Keys are sorted by (s, f, w); each fiber keeps the canonical lexicographic
-    monomial order, which downstream linear algebra relies on. Window monomials
-    are valid by construction, so degrees come straight from the generator
-    degrees without ``degree``'s validation.
+    Keys are sorted by (s, f, w); each fiber is a tuple in the canonical
+    lexicographic monomial order, which downstream linear algebra relies on.
+    Window monomials are valid by construction, so degrees come straight
+    from the generator degrees without ``degree``'s validation.
     """
     gens = presentation.generators
     ds, df, dw = [g.degree.s for g in gens], [g.degree.f for g in gens], [g.degree.w for g in gens]
     fibers: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
-    for m in iter_window_monomials(presentation, window):
-        e = m.exponents
+    for e in _window_exponents(presentation, window):
         key = (sum(map(mul, e, ds)), sum(map(mul, e, df)), sum(map(mul, e, dw)))
         fibers.setdefault(key, []).append(e)
-    return {Tridegree(*key): fibers[key] for key in sorted(fibers)}
+    return {Tridegree(*key): tuple(fibers[key]) for key in sorted(fibers)}

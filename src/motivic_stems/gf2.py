@@ -37,7 +37,9 @@ def kernel_and_image(columns: list[int], sources: list[int]) -> tuple[list[int],
 
     Each kernel vector is the sum of the sources whose columns sum to zero,
     produced deterministically in source order; the image comes back in
-    reduced echelon form.
+    reduced echelon form. The pivot images are kept fully reduced against
+    each other as they are found, each with the sum of sources it is the
+    image of, so the echelon needs no second pass.
     """
     pivots: list[tuple[int, int, int]] = []  # (pivot bit, image, tracker)
     kernel: list[int] = []
@@ -48,9 +50,12 @@ def kernel_and_image(columns: list[int], sources: list[int]) -> tuple[list[int],
                 trk ^= pt
         if img == 0:
             kernel.append(trk)
-        else:
-            pivots.append((low_bit(img), img, trk))
-    return kernel, rref([pi for _, pi, _ in pivots])
+            continue
+        p = low_bit(img)
+        pivots = [(q, pi ^ img, pt ^ trk) if (pi >> p) & 1 else (q, pi, pt) for q, pi, pt in pivots]
+        pivots.append((p, img, trk))
+    pivots.sort()
+    return kernel, [pi for _, pi, _ in pivots]
 
 
 def quotient_representatives(vectors: list[int], modulo: list[int]) -> list[int]:

@@ -10,7 +10,8 @@ every page-turn certifies each tridegree as VALID or INDETERMINATE. VALID
 means the window contained every differential interaction of that fiber's
 monomials: all nonzero Leibniz terms of its monomials stay inside the window,
 every valid exponent vector that could map onto one of them lies inside the
-window, and the same forward condition holds one shift upstream. When the
+window, the same forward condition holds one shift upstream, and a fiber
+at the other end of a nonzero term was VALID on the previous page. When the
 window's fiber equals the full fiber of the algebra (true for the built-in
 instance, where each tridegree carries at most one monomial), a VALID answer
 equals the answer in the infinite algebra.
@@ -224,20 +225,22 @@ class _ClassView(Mapping):
 class PageState:
     """One page of a windowed spectral sequence.
 
-    ``basis`` holds the fixed window monomial fibers as exponent tuples;
-    ``vectors[t]`` holds the surviving classes at t as canonical
-    reduced-echelon bitmasks over ``basis[t]`` (bit i is ``basis[t][i]``), and
-    ``classes`` reads them as formal sums; ``boundaries[t]`` is the
-    reduced-echelon span of every earlier page's image at t, kept only where
-    t still has classes; ``status`` records the per-tridegree certification
-    accumulated over all applied pages.
+    ``basis`` holds the fixed window monomial fibers as tuples of exponent
+    tuples; ``vectors[t]`` holds the surviving classes at t as a tuple of
+    canonical reduced-echelon bitmasks over ``basis[t]`` (bit i is
+    ``basis[t][i]``), and ``classes`` reads them as formal sums;
+    ``boundaries[t]`` is the reduced-echelon span of every earlier page's
+    image at t, kept only where t still has classes; ``status`` records the
+    per-tridegree certification accumulated over all applied pages.
+    ``basis``, ``vectors`` and ``status`` share one key order, sorted by
+    (s, f, w).
     """
 
     presentation: MonomialAlgebraPresentation
     window: Window
     page: int
-    basis: dict[Tridegree, list[tuple[int, ...]]]
-    vectors: dict[Tridegree, list[int]]
+    basis: dict[Tridegree, tuple[tuple[int, ...], ...]]
+    vectors: dict[Tridegree, tuple[int, ...]]
     status: dict[Tridegree, Certainty]
     boundaries: dict[Tridegree, list[int]]
 
@@ -253,13 +256,14 @@ class PageState:
 def initial_page(presentation: MonomialAlgebraPresentation, window: Window) -> PageState:
     """The E2 page: every window monomial is its own class, all VALID."""
     basis = enumerate_basis(presentation, window)
+    units = tuple(1 << i for i in range(max(map(len, basis.values()), default=0)))
     return PageState(
         presentation=presentation,
         window=window,
         page=2,
         basis=basis,
-        vectors={t: [1 << i for i in range(len(mons))] for t, mons in basis.items()},
-        status={t: Certainty.VALID for t in basis},
+        vectors={t: units[: len(mons)] for t, mons in basis.items()},
+        status=dict.fromkeys(basis, Certainty.VALID),
         boundaries={},
     )
 
@@ -276,44 +280,52 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
     its monomials' Leibniz images, read on the current page: modulo the
     target's boundaries, and zero where the target has no classes.
     Certification shrinks to tridegrees whose differential interactions were
-    fully visible inside the window. It trusts its caller that diff
-    anticommutes with every earlier page's differential, as ``run_to_einfty``
-    checks.
+    fully visible inside the window and, where d_r has a nonzero term into or
+    out of t, whose tridegree at the other end was certified on the previous
+    page too. It trusts its caller that diff anticommutes with every earlier
+    page's differential, as ``run_to_einfty`` checks.
+
+    Basis keys are sorted by (s, f, w), and ``vectors`` and ``status`` keep
+    that key order on every page. So walking them in that order, or in
+    reverse when the shift is negative, reaches t - shift before t, and its
+    image echelon and flags are ready, and can be dropped, when t is reached.
     """
     if diff.page < state.page:
         raise ValueError(f"differential is for page {diff.page}, state is on page {state.page}")
     if diff.presentation != state.presentation:
         raise PresentationMismatchError("differential is built on a different presentation than the page")
     pres, basis, shift = state.presentation, state.basis, diff.shift
-    vectors, boundaries = state.vectors, state.boundaries
+    vectors, status, boundaries = state.vectors, state.status, state.boundaries
     bounds = state.window.effective_bounds(pres)
     lows, highs = [lo for lo, _ in bounds], [hi for _, hi in bounds]
     valid = pres.is_valid_exponents
+    # n - off lies in the window exactly when n lies in the window shifted by off
+    boxes = [(i, off, [*map(add, lows, off)], [*map(add, highs, off)]) for i, offs in diff.offsets for off in offs]
 
-    def reached_only_from_window(mons: list[tuple[int, ...]]) -> bool:
+    def reached_only_from_window(mons: tuple[tuple[int, ...], ...]) -> bool:
         # Every valid exponent vector whose differential can hit a fiber
         # monomial must lie in-window, otherwise the incoming image is
         # underestimated. A candidate n - (u - e_g) with an even g exponent
         # reaches n with an even coefficient.
         for n in mons:
-            for i, offsets in diff.offsets:
-                for off in offsets:
-                    cand = tuple(map(sub, n, off))
-                    if cand[i] % 2 and not (all(map(le, lows, cand)) and all(map(le, cand, highs))) and valid(cand):
+            for i, off, lo, hi in boxes:
+                if (n[i] - off[i]) % 2 and not (all(map(le, lo, n)) and all(map(le, n, hi))):
+                    if valid(tuple(map(sub, n, off))):
                         return False
         return True
 
-    # Walk tridegrees by ascending t . shift, so t - shift comes before t and
-    # its image echelon and forward flag are ready, and can be dropped, when t
-    # is reached. The outputs keep the basis order.
-    order = sorted(basis, key=lambda t: t.s * shift.s + t.f * shift.f + t.w * shift.w)
-    pending: dict[Tridegree, tuple[list[int], bool]] = {}
-    new_vectors: dict[Tridegree, list[int]] = dict.fromkeys(basis)
+    ds, df, dw = shift
+    walk = zip(basis.items(), vectors.values(), status.values())
+    if shift < (0, 0, 0):
+        walk = zip(reversed(basis.items()), reversed(vectors.values()), reversed(status.values()))
+    pending: dict[tuple[int, int, int], tuple[list[int], bool]] = {}
+    new_vectors: dict[Tridegree, tuple[int, ...]] = dict.fromkeys(basis)
     new_status: dict[Tridegree, Certainty] = dict.fromkeys(basis)
     new_boundaries: dict[Tridegree, list[int]] = {}
-    for t in order:
-        mons, classes = basis[t], vectors[t]
-        downstream = t + shift
+    VALID, INDETERMINATE = Certainty.VALID, Certainty.INDETERMINATE
+    nothing = ([], True)
+    for (t, mons), classes, previous in walk:
+        downstream = (t[0] + ds, t[1] + df, t[2] + dw)
         target = basis.get(downstream, ())
         # Leibniz terms are valid and sit in t + shift, so a term lies in the
         # window exactly when it is in the target fiber. Terms outside are
@@ -330,34 +342,30 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
                 else:
                     bits ^= 1 << k
             images.append(bits)
+        hits = any(images)  # with every term in the window, d_r is nonzero out of t exactly when this holds
         # a class goes to its image on this page: zero where the target has
         # no classes, else reduced modulo the target's boundaries
-        if target and vectors[downstream]:
+        columns = []
+        if hits and vectors[downstream]:
             old = boundaries.get(downstream)
-            columns = []
             for v in classes:
                 col = 0
                 for i in _set_bits(v):
                     col ^= images[i]
                 columns.append(gf2.reduce_mod(old, col) if old else col)
-        else:
-            columns = [0] * len(classes)
-        kernel, image_echelon = gf2.kernel_and_image(columns, classes)
+        kernel, image_echelon = gf2.kernel_and_image(columns, classes) if any(columns) else (classes, [])
         if target:
-            pending[downstream] = (image_echelon, forward)
-        incoming, upstream_forward = pending.pop(t, ([], True))
+            pending[downstream] = (image_echelon, forward and (previous is VALID or not hits))
+        incoming, upstream_ok = pending.pop(t, nothing)
         old = boundaries.get(t)
         bounded = gf2.rref(old + incoming) if old else incoming
-        reps = new_vectors[t] = gf2.quotient_representatives(kernel, bounded)
+        # the classes are canonical already, so they stand when every column is zero and nothing is bounded
+        reps = classes if kernel is classes and not bounded else tuple(gf2.quotient_representatives(kernel, bounded))
+        new_vectors[t] = reps
         if reps and bounded:
             new_boundaries[t] = bounded
-        certified = (
-            state.status[t] is Certainty.VALID
-            and forward
-            and upstream_forward
-            and reached_only_from_window(mons)
-        )
-        new_status[t] = Certainty.VALID if certified else Certainty.INDETERMINATE
+        certified = previous is VALID and forward and upstream_ok and (not hits or status[downstream] is VALID)
+        new_status[t] = VALID if certified and reached_only_from_window(mons) else INDETERMINATE
     return PageState(
         presentation=pres,
         window=state.window,

@@ -316,6 +316,7 @@ def test_page_turn_matches_the_definition(case):
         dim_ker = len(fibre) - len(gf2.rref(rows(fibre, basis.get(t + diff.shift, []))))
         dim_im = len(gf2.rref(rows(upstream, fibre)))
         assert len(state.classes[t]) == dim_ker - dim_im
+        assert list(state.vectors[t]) == gf2.rref(list(state.vectors[t]))
         certified = forward(fibre) and forward(upstream) and backward(fibre)
         assert state.status[t] is (Certainty.VALID if certified else Certainty.INDETERMINATE)
         for c in state.classes[t]:
@@ -466,3 +467,128 @@ def test_differentials_that_do_not_anticommute_are_rejected():
     window = Window.from_dict(presentation, {g: (0, 1) for g in "uab"})
     with pytest.raises(DifferentialSpecError, match=r"\(d3d4 \+ d4d3\)\(u\) = b"):
         run_to_einfty(presentation, [d3, d4], window)
+
+
+def test_a_neighbour_left_uncertified_by_an_earlier_page_is_not_trusted():
+    # d2(g1) = g2; d3 sends g0 -> g0*g2, g1 -> g1*g2 and g2 -> g2^2. In the
+    # window 0:5, g0*g1^2 survives to E4 at (1,4,0): d3(g0*g1^2) = g0*g1^2*g2
+    # = d2(g0*g1^3) is zero on E3. In 0:2, g1^3 is outside the window, so E3
+    # keeps a spurious class g0*g1^2*g2 at (0,7,0), where d2 was not
+    # certified, and d3 kills the true class at (1,4,0) against it.
+    presentation = MonomialAlgebraPresentation(
+        [
+            GeneratorSpec("g0", Tridegree(1, 2, 0)),
+            GeneratorSpec("g1", Tridegree(0, 1, 0)),
+            GeneratorSpec("g2", Tridegree(-1, 3, 0)),
+        ]
+    )
+    names = ("g0", "g1", "g2")
+    g0, g1, g2 = (presentation.monomial(**{g: 1}) for g in names)
+    diffs = [
+        build_differential(presentation, page=2, images={"g1": [g2]}),
+        build_differential(
+            presentation, page=3, images={g: [presentation.multiply(m, g2)] for g, m in zip(names, (g0, g1, g2))}
+        ),
+    ]
+    t = Tridegree(1, 4, 0)
+    small, large = (Window.from_dict(presentation, {g: (0, r) for g in names}) for r in (2, 5))
+    inner = run_to_einfty(presentation, diffs, small)
+    outer = run_to_einfty(presentation, diffs, large)
+    assert inner.basis[t] == outer.basis[t]
+    assert outer.classes[t] == [frozenset((presentation.monomial(g0=1, g1=2),))]
+    assert outer.status[t] is Certainty.VALID
+    assert inner.classes[t] == []
+    assert inner.status[t] is Certainty.INDETERMINATE
+
+
+def test_classes_are_the_reduced_echelon_form_of_the_kernel():
+    # d3 sends each of u, v, x to a. The fibre at (1,0,0) is x, v, u in
+    # monomial order (bits 0, 1, 2), so elimination in source order finds
+    # the kernel x + v, x + u; the classes are its reduced echelon form,
+    # x + u and v + u, though nothing at (1,0,0) is a boundary.
+    presentation = MonomialAlgebraPresentation(
+        [
+            GeneratorSpec("a", Tridegree(0, 3, 0)),
+            *(GeneratorSpec(name, Tridegree(1, 0, 0), square_zero=True) for name in "uvx"),
+        ]
+    )
+    d3 = build_differential(presentation, page=3, images={name: [presentation.monomial(a=1)] for name in "uvx"})
+    window = Window.from_dict(presentation, {"a": (0, 1), "u": (0, 1), "v": (0, 1), "x": (0, 1)})
+    e4 = run_to_einfty(presentation, [d3], window)
+    t = Tridegree(1, 0, 0)
+    assert list(e4.basis[t]) == [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0)]
+    assert list(e4.vectors[t]) == [0b101, 0b110]
+
+
+# --- window independence with several differentials ------------------------
+
+_degrees = st.lists(
+    st.tuples(st.integers(-1, 1), st.integers(0, 3), st.integers(0, 1), _kinds), min_size=2, max_size=4
+)
+
+
+def _anticommute(dr, ds):
+    return all(
+        not d_sum(dr, ds.images.get(g.name, ())) ^ d_sum(ds, dr.images.get(g.name, ()))
+        for g in dr.presentation.generators
+    )
+
+
+@st.composite
+def presentations_with_differentials(draw):
+    """2-4 generators, 1-3 differentials, and windows W inside W'.
+
+    Each differential has the shift deg(u) - deg(g) of a drawn generator g
+    and monomial u from the small exponent box. Generator images are drawn
+    from that box in the right degree, nonempty for g, and one generator's
+    image is kept
+    only if d^2 stays zero and the differential still anticommutes with the
+    earlier ones, so the listed maps form a spectral sequence.
+    """
+    specs = draw(_degrees)
+    presentation = MonomialAlgebraPresentation(
+        GeneratorSpec(
+            f"g{i}", Tridegree(s, f, w), invertible=kind == "invertible", square_zero=kind == "square_zero"
+        )
+        for i, (s, f, w, kind) in enumerate(specs)
+    )
+    gens = presentation.generators
+    box = [Monomial(e) for e in product(*(_exponent_range(g, False) for g in gens))]
+    by_degree: dict[Tridegree, list[Monomial]] = {}
+    for m in box:
+        by_degree.setdefault(presentation.degree(m), []).append(m)
+    diffs = []
+    for page in sorted(draw(st.lists(st.integers(2, 5), min_size=1, max_size=3, unique=True))):
+        g = draw(st.sampled_from(gens))
+        shift = presentation.degree(draw(st.sampled_from(box))) - g.degree
+        images: dict[str, list[Monomial]] = {}
+        for h in gens:
+            candidates = by_degree.get(h.degree + shift)
+            if not candidates:
+                continue
+            image = draw(st.lists(st.sampled_from(candidates), min_size=int(h is g), max_size=2, unique=True))
+            if not image:
+                continue
+            try:
+                diff = build_differential(presentation, page, {**images, h.name: image})
+            except DifferentialSpecError:
+                continue
+            if all(_anticommute(earlier, diff) for earlier in diffs):
+                images[h.name] = image
+        diffs.append(build_differential(presentation, page, images))
+    inner = draw(st.lists(st.tuples(st.integers(-1, 0), st.integers(0, 2)), min_size=len(gens), max_size=len(gens)))
+    grow = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=len(gens), max_size=len(gens)))
+    outer = tuple((lo - a, hi + b) for (lo, hi), (a, b) in zip(inner, grow))
+    return presentation, diffs, Window(tuple(inner)), Window(outer)
+
+
+@given(presentations_with_differentials())
+def test_valid_classes_do_not_depend_on_the_window(case):
+    # a VALID tridegree of W whose fibre is the same in W' has the same
+    # classes there; a fibre that grows is the separate truncated-fibre gap
+    presentation, diffs, small, large = case
+    inner = run_to_einfty(presentation, diffs, small)
+    outer = run_to_einfty(presentation, diffs, large)
+    for t, status in inner.status.items():
+        if status is Certainty.VALID and inner.basis[t] == outer.basis[t]:
+            assert inner.vectors[t] == outer.vectors[t], t
