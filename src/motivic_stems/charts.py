@@ -37,7 +37,7 @@ class ChartParseError(ChartError):
 
 class ChartValidationError(ChartError):
     def __init__(self, violations: list[str]):
-        super().__init__("chart violates structural invariants:\n" + "\n".join(violations))
+        super().__init__("chart violates structural invariants: " + "; ".join(violations))
         self.violations = violations
 
 

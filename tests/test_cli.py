@@ -112,6 +112,17 @@ def test_ingest_corrupt_chart(capsys):
     assert err.startswith("error:") and "exactly one class of order 0" in err
 
 
+def test_invalid_charts_are_one_line_data_errors(capsys, tmp_path):
+    two = tmp_path / "two_violations.txt"
+    two.write_text("0 0 1 Z\n4 0 extra Z\n-1 1 neg 2\n", encoding="utf-8")
+    for path in [data_path(name) for name in verify.CORRUPT_FIXTURES] + [two]:
+        code, _, err = run(capsys, "ingest", str(path))
+        assert code == 1, path
+        assert err.startswith("error: chart violates structural invariants: "), (path, err)
+        assert err.count("\n") == 1, (path, err)
+    assert "negative stem; " in err and err.endswith("filtration 0 is only allowed at (0,0)\n")
+
+
 def test_ingest_missing_file(capsys):
     code, _, err = run(capsys, "ingest", "/no/such/file.txt")
     assert code == 1

@@ -251,12 +251,20 @@ def _exponent_range(g, even):
 def presentations_with_differential(draw):
     """2-4 generators with random flags, one differential and a small window.
 
-    Only one generator has a nonzero image, and every image term carries an
-    even exponent of it, so every image term is a cycle: d squares to zero,
-    also after truncation to any window. The image terms share a tridegree,
-    drawn from the small exponent box around the unit.
+    The sources are g0 and up to two twins, square-zero generators of its
+    tridegree with its image, so several sources can hit one target and a
+    kernel can hold more than one class. With twins, g0 is square-zero too.
+    Every image term carries an even exponent of each source, so a single
+    source's image terms are cycles; the cross terms of square-zero sources
+    lie in the window together or not at all, and cancel in pairs. So d
+    squares to zero, also after truncation to any window. The image terms
+    share a tridegree, drawn from the small exponent box around the unit.
     """
     specs = draw(_generators)
+    twins = draw(st.integers(0, 2))
+    if twins:
+        specs[0] = (*specs[0][:3], "square_zero")
+        specs += [specs[0]] * twins
     presentation = MonomialAlgebraPresentation(
         GeneratorSpec(
             f"g{i}", Tridegree(s, f, w), invertible=kind == "invertible", square_zero=kind == "square_zero"
@@ -264,13 +272,14 @@ def presentations_with_differential(draw):
         for i, (s, f, w, kind) in enumerate(specs)
     )
     gens = presentation.generators
-    source = draw(st.integers(0, len(gens) - 1))
+    sources = [0, *range(len(gens) - twins, len(gens))]
     by_degree: dict[Tridegree, list[Monomial]] = {}
-    for exps in product(*(_exponent_range(g, i == source) for i, g in enumerate(gens))):
+    for exps in product(*(_exponent_range(g, i in sources) for i, g in enumerate(gens))):
         by_degree.setdefault(presentation.degree(Monomial(exps)), []).append(Monomial(exps))
     terms = draw(st.sampled_from(sorted(by_degree.values(), key=len)))
     image = draw(st.lists(st.sampled_from(terms), min_size=1, max_size=3, unique=True))
-    diff = build_differential(presentation, page=draw(st.integers(2, 4)), images={gens[source].name: image})
+    images = {gens[i].name: image for i in sources}
+    diff = build_differential(presentation, page=draw(st.integers(2, 4)), images=images)
     bounds = draw(st.lists(st.tuples(st.integers(-2, 0), st.integers(0, 2)), min_size=len(gens), max_size=len(gens)))
     return presentation, diff, Window(tuple(bounds))
 

@@ -26,6 +26,9 @@ def _results(checks):
 
 
 def test_small_suites_pass_unmutated(small_suites):
+    # at s = 0 each tau-band cell is its own value, tau^k, with one group string
+    ray = [regions.resolve_group(0, w) for w in range(-BAND, 1)]
+    assert len({v.generator for v in ray}) == len(ray) and {v.group_str for v in ray} == {"Z2"}
     assert all(_results(verify.check_partition()).values())
     assert all(_results(verify.check_etalocal()).values())
 
@@ -39,7 +42,12 @@ def test_wrong_label_at_one_cell_fails_partition(small_suites, monkeypatch, cell
         return wrong if (s, w) == cell else regions.classify(s, w)
 
     monkeypatch.setattr(verify, "classify", mutated)
-    assert not _results(verify.check_partition())["exhaustive_floor_oracle"]
+    checks = {c.name: c for c in verify.check_partition()}
+    assert not checks["exhaustive_floor_oracle"].passed
+    # the counts are classify's, not the oracle's
+    grid = [mutated(s, w) for s in range(-RADIUS, RADIUS + 1) for w in range(-RADIUS, RADIUS + 1)]
+    counts = ", ".join(f"{label}={grid.count(label)}" for label in RegionLabel)
+    assert checks["all_regions_realized"].detail == counts
 
 
 @pytest.mark.parametrize(
@@ -56,6 +64,33 @@ def test_wrong_group_at_one_band_cell_fails_tau_step(small_suites, monkeypatch, 
 
     monkeypatch.setattr(verify, "resolve_group", mutated)
     assert not _results(verify.check_etalocal())["tau_step_iso"]
+
+
+def test_other_stem_at_one_band_cell_fails_tau_step(small_suites, monkeypatch):
+    # a different value in the same region: the group strings must still be compared
+    cell = (TAU_STEM, (TAU_STEM + 2) // 2 - BAND // 2)
+
+    def mutated(s, w, stems_table=None):
+        value = regions.resolve_group(s, w, stems_table)
+        return GroupValue(RegionLabel.TAU_LOCAL, stem=TAU_STEM + 1) if (s, w) == cell else value
+
+    monkeypatch.setattr(verify, "resolve_group", mutated)
+    assert not _results(verify.check_etalocal())["tau_step_iso"]
+
+
+def test_wrong_region_at_one_eta_band_cell_fails_band_values(small_suites, monkeypatch):
+    s = MAX_STEM - 10
+    cell = (s, (3 * s + 5) // 5 + 2)
+    assert regions.classify(*cell) is RegionLabel.ETA_LOCAL
+
+    def mutated(s, w, stems_table=None):
+        value = regions.resolve_group(s, w, stems_table)
+        return value._replace(region=RegionLabel.NOT_UNDERSTOOD) if (s, w) == cell else value
+
+    monkeypatch.setattr(verify, "resolve_group", mutated)
+    results = _results(verify.check_etalocal())
+    assert not results["boundary_band_values"]
+    assert results["eta_step_iso"]
 
 
 def _cell_oracle(s, w):
@@ -75,4 +110,6 @@ def test_oracle_row_matches_cell_oracle():
     # small radii clip runs at both ends and leave some empty, including s = 0 and s = +-r
     for r in range(13):
         for s in range(-r, r + 1):
-            assert verify._oracle_row(s, r) == [_cell_oracle(s, w) for w in range(-r, r + 1)], (s, r)
+            row, runs = verify._oracle_row(s, r)
+            assert row == [_cell_oracle(s, w) for w in range(-r, r + 1)], (s, r)
+            assert [label for label, n in runs for _ in range(n)] == row, (s, r)
