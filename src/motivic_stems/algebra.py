@@ -14,7 +14,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from itertools import product
-from operator import mul
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -283,11 +282,33 @@ def enumerate_basis(
     lexicographic monomial order, which downstream linear algebra relies on.
     Window monomials are valid by construction, so degrees come straight
     from the generator degrees without ``degree``'s validation.
+
+    Each window point's tridegree is packed into the one int (s*F + f)*W + w.
+    Over the window, f takes values in [f0, f0 + F) and w in [w0, w0 + W),
+    and s is at least s0. So the packed int less (s0*F + f0)*W + w0 is the
+    number with digits s - s0, f - f0 and w - w0, of radix F and W for the
+    last two: packed order is (s, f, w) order, and divmod unpacks it. The
+    packed int is linear in the exponents, so it is the sum of one term per
+    generator, read off a product of per-generator term lists that runs in
+    step with the window's exponent tuples.
     """
     gens = presentation.generators
-    ds, df, dw = [g.degree.s for g in gens], [g.degree.f for g in gens], [g.degree.w for g in gens]
-    fibers: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
-    for e in _window_exponents(presentation, window):
-        key = (sum(map(mul, e, ds)), sum(map(mul, e, df)), sum(map(mul, e, dw)))
+    bounds = window.effective_bounds(presentation)
+    lo, hi = [0, 0, 0], [0, 0, 0]
+    for g, (a, b) in zip(gens, bounds):
+        for c, d in enumerate(g.degree):
+            lo[c] += min(a * d, b * d)
+            hi[c] += max(a * d, b * d)
+    F, W = hi[1] - lo[1] + 1, hi[2] - lo[2] + 1
+    packed = [(s * F + f) * W + w for s, f, w in (g.degree for g in gens)]
+    terms = product(*([e * k for e in range(a, b + 1)] for k, (a, b) in zip(packed, bounds)))
+    fibers: dict[int, list[tuple[int, ...]]] = {}
+    for key, e in zip(map(sum, terms), _window_exponents(presentation, window)):
         fibers.setdefault(key, []).append(e)
-    return {Tridegree(*key): tuple(fibers[key]) for key in sorted(fibers)}
+    offset = (lo[0] * F + lo[1]) * W + lo[2]
+    basis = {}
+    for key in sorted(fibers):
+        sf, w = divmod(key - offset, W)
+        s, f = divmod(sf, F)
+        basis[Tridegree(s + lo[0], f + lo[1], w + lo[2])] = tuple(fibers[key])
+    return basis

@@ -1,33 +1,46 @@
-"""Linear algebra over GF(2) with vectors stored as int bitmasks."""
+"""Linear algebra over GF(2) with vectors stored as int bitmasks.
+
+Echelons pivot on lowest set bits and are kept fully reduced: no row has a
+set bit at another row's pivot. While one is built, it is a dict from each
+row's pivot bit, a power of two, to the row, with the OR of the pivot bits as
+a mask. Reducing v against it then XORs in exactly the rows whose pivot bits
+are set in ``v & mask``: each such XOR clears its own pivot bit in v and
+touches no other pivot bit. A new pivot is substituted back only into the
+rows that carry its bit, which keeps the echelon fully reduced.
+"""
 
 from __future__ import annotations
 
 
-def low_bit(x: int) -> int:
-    """Index of the lowest set bit; x must be nonzero."""
-    return (x & -x).bit_length() - 1
+def _reduce(pivots: dict[int, int], mask: int, v: int) -> int:
+    hit = v & mask
+    while hit:
+        low = hit & -hit
+        v ^= pivots[low]
+        hit ^= low
+    return v
 
 
 def rref(rows: list[int]) -> list[int]:
     """Reduced row echelon form, pivots on lowest set bits, sorted by pivot."""
-    echelon: list[tuple[int, int]] = []  # (pivot, row), rows fully reduced against each other
+    pivots: dict[int, int] = {}
+    mask = 0
     for r in rows:
-        for p, b in echelon:
-            if (r >> p) & 1:
-                r ^= b
-        if r == 0:
-            continue
-        p = low_bit(r)
-        echelon = [(q, b ^ r) if (b >> p) & 1 else (q, b) for q, b in echelon]
-        echelon.append((p, r))
-    echelon.sort()
-    return [b for _, b in echelon]
+        r = _reduce(pivots, mask, r)
+        if r:
+            low = r & -r
+            for q, b in pivots.items():
+                if b & low:
+                    pivots[q] = b ^ r
+            pivots[low] = r
+            mask |= low
+    return [pivots[q] for q in sorted(pivots)]
 
 
 def reduce_mod(echelon: list[int], v: int) -> int:
     """Reduce v against rows already in reduced echelon form."""
     for b in echelon:
-        if (v >> low_bit(b)) & 1:
+        if v & b & -b:
             v ^= b
     return v
 
@@ -41,21 +54,29 @@ def kernel_and_image(columns: list[int], sources: list[int]) -> tuple[list[int],
     each other as they are found, each with the sum of sources it is the
     image of, so the echelon needs no second pass.
     """
-    pivots: list[tuple[int, int, int]] = []  # (pivot bit, image, tracker)
+    images: dict[int, int] = {}  # pivot bit -> image
+    trackers: dict[int, int] = {}  # pivot bit -> the sum of sources it is the image of
+    mask = 0
     kernel: list[int] = []
     for img, trk in zip(columns, sources, strict=True):
-        for p, pi, pt in pivots:
-            if (img >> p) & 1:
-                img ^= pi
-                trk ^= pt
-        if img == 0:
+        hit = img & mask
+        while hit:
+            low = hit & -hit
+            img ^= images[low]
+            trk ^= trackers[low]
+            hit ^= low
+        if not img:
             kernel.append(trk)
             continue
-        p = low_bit(img)
-        pivots = [(q, pi ^ img, pt ^ trk) if (pi >> p) & 1 else (q, pi, pt) for q, pi, pt in pivots]
-        pivots.append((p, img, trk))
-    pivots.sort()
-    return kernel, [pi for _, pi, _ in pivots]
+        low = img & -img
+        for q, b in images.items():
+            if b & low:
+                images[q] = b ^ img
+                trackers[q] ^= trk
+        images[low] = img
+        trackers[low] = trk
+        mask |= low
+    return kernel, [images[q] for q in sorted(images)]
 
 
 def quotient_representatives(vectors: list[int], modulo: list[int]) -> list[int]:
@@ -66,11 +87,6 @@ def quotient_representatives(vectors: list[int], modulo: list[int]) -> list[int]
     takes reduced echelon form, so the output is independent of the order and
     presentation of the vectors.
     """
-    pivots = [(low_bit(b), b) for b in modulo]
-    reduced = []
-    for v in vectors:
-        for p, b in pivots:
-            if (v >> p) & 1:
-                v ^= b
-        reduced.append(v)
-    return rref(reduced)
+    pivots = {b & -b: b for b in modulo}
+    mask = sum(pivots)  # the pivot bits are distinct powers of two
+    return rref([_reduce(pivots, mask, v) for v in vectors])

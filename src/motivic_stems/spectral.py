@@ -84,15 +84,17 @@ class DifferentialSpec:
 
     ``offsets`` lists, per generator g with a nonzero image, its index and
     u - e_g for every image term u: the term (m / g) * u of a monomial m is
-    m + (u - e_g). ``square_zero`` lists the square-zero generator indices.
+    m + (u - e_g). Each offset comes with the square-zero slots it raises,
+    the only slots where a valid monomial's term can exceed exponent 1.
     """
 
     presentation: MonomialAlgebraPresentation
     page: int
     images: Mapping[str, FormalSum]
     shift: Tridegree = field(init=False)
-    offsets: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...] = field(init=False, repr=False, compare=False)
-    square_zero: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    offsets: tuple[tuple[int, tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         pres = self.presentation
@@ -101,6 +103,7 @@ class DifferentialSpec:
         images = MappingProxyType({name: frozenset(terms) for name, terms in self.images.items()})
         shift = None
         offsets = []
+        square_zero = [j for j, g in enumerate(pres.generators) if g.square_zero]
         for name, image in images.items():
             i = pres.index_of(name)
             gdeg = pres.generators[i].degree
@@ -116,13 +119,12 @@ class DifferentialSpec:
                     )
                 off = list(u.exponents)
                 off[i] -= 1
-                offs.append(tuple(off))
+                offs.append((tuple(off), tuple(j for j in square_zero if off[j] > 0)))
             if offs:
                 offsets.append((i, tuple(offs)))
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "shift", Tridegree(-1, self.page, 0) if shift is None else shift)
         object.__setattr__(self, "offsets", tuple(offsets))
-        object.__setattr__(self, "square_zero", tuple(j for j, g in enumerate(pres.generators) if g.square_zero))
         # over F2, d^2 is a derivation, so it vanishes once it does on generators
         for name in images:
             twice = _compose(self, self, name)
@@ -137,14 +139,15 @@ class DifferentialSpec:
 
         Each generator slot with an odd exponent contributes (m / g) * d(g);
         terms erased by a square-zero relation are genuinely zero, and terms
-        appearing twice cancel.
+        appearing twice cancel. ``exps`` must be valid, so only the slots an
+        offset raises can pass exponent 1.
         """
         out: set[tuple[int, ...]] = set()
         for i, offsets in self.offsets:
             if exps[i] % 2:
-                for off in offsets:
+                for off, raised in offsets:
                     p = tuple(map(add, exps, off))
-                    if not any(p[j] > 1 for j in self.square_zero):
+                    if not raised or not any(p[j] > 1 for j in raised):
                         out.symmetric_difference_update((p,))
         return out
 
@@ -300,7 +303,7 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
     lows, highs = [lo for lo, _ in bounds], [hi for _, hi in bounds]
     valid = pres.is_valid_exponents
     # n - off lies in the window exactly when n lies in the window shifted by off
-    boxes = [(i, off, [*map(add, lows, off)], [*map(add, highs, off)]) for i, offs in diff.offsets for off in offs]
+    boxes = [(i, off, [*map(add, lows, off)], [*map(add, highs, off)]) for i, offs in diff.offsets for off, _ in offs]
 
     def reached_only_from_window(mons: tuple[tuple[int, ...], ...]) -> bool:
         # Every valid exponent vector whose differential can hit a fiber
@@ -359,8 +362,12 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
         incoming, upstream_ok = pending.pop(t, nothing)
         old = boundaries.get(t)
         bounded = gf2.rref(old + incoming) if old else incoming
-        # the classes are canonical already, so they stand when every column is zero and nothing is bounded
-        reps = classes if kernel is classes and not bounded else tuple(gf2.quotient_representatives(kernel, bounded))
+        # the classes are canonical already, so they stand when every column is
+        # zero and nothing is bounded; an empty kernel leaves no classes
+        if kernel and (bounded or kernel is not classes):
+            reps = tuple(gf2.quotient_representatives(kernel, bounded))
+        else:
+            reps = tuple(kernel)
         new_vectors[t] = reps
         if reps and bounded:
             new_boundaries[t] = bounded

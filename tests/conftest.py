@@ -13,6 +13,9 @@ from motivic_stems.spectral import localized_motivic_anss
 from motivic_stems.verify import EINFTY_WINDOW
 
 settings.register_profile("suite", deadline=None, max_examples=100)
+# a longer search for CI, chosen with --hypothesis-profile deep, which
+# overrides the default loaded here
+settings.register_profile("deep", deadline=None, max_examples=2000)
 settings.load_profile("suite")
 
 

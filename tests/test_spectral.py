@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from motivic_stems import gf2
@@ -284,7 +285,20 @@ def presentations_with_differential(draw):
     return presentation, diff, Window(tuple(bounds))
 
 
+def _three_sources_on_one_target():
+    # d3 sends each of u, v, x to a: the kernel at (1,0,0) is spanned by
+    # u + v and u + x, which is not in reduced echelon form, so a page turn
+    # that keeps the raw kernel fails here whatever the random examples are
+    presentation = MonomialAlgebraPresentation(
+        [GeneratorSpec("a", Tridegree(0, 3, 0)), *(GeneratorSpec(g, Tridegree(1, 0, 0), square_zero=True) for g in "uvx")]
+    )
+    a = presentation.monomial(a=1)
+    d3 = build_differential(presentation, page=3, images={"u": [a], "v": [a], "x": [a]})
+    return presentation, d3, Window(((0, 2), (0, 1), (0, 1), (0, 1)))
+
+
 @given(presentations_with_differential())
+@example(_three_sources_on_one_target())
 def test_page_turn_matches_the_definition(case):
     presentation, diff, window = case
     state = run_to_einfty(presentation, [diff], window)
@@ -601,3 +615,20 @@ def test_valid_classes_do_not_depend_on_the_window(case):
     for t, status in inner.status.items():
         if status is Certainty.VALID and inner.basis[t] == outer.basis[t]:
             assert inner.vectors[t] == outer.vectors[t], t
+
+
+def test_fibres_of_many_monomials_are_pinned():
+    # The pinned verify and --table digests cover only the built-in
+    # presentation, whose fibres hold one monomial each. This is the
+    # einfty_wide benchmark's presentation in a smaller box: fibres of up to
+    # 85 monomials, 252 tridegrees with more than one class. The digest is
+    # over ints and strings only.
+    text = "t 0 1 0\n" + "".join(f"x{i} 1 1 1\n" for i in range(4)) + "u 2 0 1\n"
+    presentation = MonomialAlgebraPresentation.parse(text)
+    hit = [presentation.monomial(t=2, x0=1), presentation.monomial(t=2, x1=1)]
+    d3 = build_differential(presentation, 3, {"u": hit})
+    bounds = {"t": (0, 4), **{f"x{i}": (0, 4) for i in range(4)}, "u": (0, 3)}
+    state = run_to_einfty(presentation, [d3], Window.from_dict(presentation, bounds))
+    kept = repr([(tuple(t), mons, state.vectors[t], str(state.status[t])) for t, mons in state.basis.items()])
+    assert max(map(len, state.basis.values())) == 85
+    assert hashlib.sha256(kept.encode()).hexdigest() == "772f1193d57a2820efbc69f237ffbb4c8f64483eb2d0f0246ad7a725cfe8cf80"
