@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from motivic_stems.charts import lift_to_motivic, parse_chart
 from motivic_stems import render
-from motivic_stems.regions import resolve_group
+from motivic_stems.regions import RegionLabel, classify, resolve_group
 from motivic_stems.render import (
     REGION_FILL,
     ChartStyle,
@@ -38,6 +39,14 @@ from motivic_stems.render import (
 )
 def test_fmt3(value, text):
     assert fmt3(value) == text
+
+
+@given(st.fractions())
+def test_fmt3_is_the_nearest_thousandth(x):
+    # exact: the printed value is within half a thousandth, and a tie goes to the even count
+    n = Fraction(fmt3(x)) * 1000
+    assert n.denominator == 1
+    assert abs(n - 1000 * x) < Fraction(1, 2) or (abs(n - 1000 * x) == Fraction(1, 2) and n % 2 == 0)
 
 
 def test_chart_style_validation():
@@ -162,3 +171,140 @@ def test_motivic_chart_default_style(sample_chart):
     svg = motivic_chart_svg(lift_to_motivic(sample_chart))
     ET.fromstring(svg)
     assert "alpha1^9*alpha3" in svg
+
+
+SVG = "{http://www.w3.org/2000/svg}"
+
+
+def _layer(svg: str, layer_id: str) -> list:
+    (group,) = [g for g in ET.fromstring(svg).iter(f"{SVG}g") if g.get("id") == layer_id]
+    return list(group)
+
+
+@given(
+    st.integers(-30, 30),
+    st.integers(0, 12),
+    st.integers(-30, 30),
+    st.integers(0, 12),
+    st.integers(1, 41),
+)
+def test_region_chart_coordinates_match_an_exact_oracle(sample_stems, s_min, s_len, w_min, w_len, scale):
+    # every position restated from the chart's definition in Fractions:
+    # the lattice point (s, w) sits at x = 56 + (s - s_min + 1/2)*scale,
+    # y = 36 + (w_max + 1/2 - w)*scale, and its cell spans scale/2 either side
+    s_max, w_max = min(30, s_min + s_len), min(30, w_min + w_len)
+    style = ChartStyle(s_min=s_min, s_max=s_max, w_min=w_min, w_max=w_max, scale=scale, group_dots=True)
+    svg = region_chart_svg(style, stems_table=sample_stems)
+    half = Fraction(1, 2)
+
+    def x(s):
+        return 56 + (s - s_min + half) * scale
+
+    def y(w):
+        return 36 + (w_max + half - w) * scale
+
+    cells = []
+    for w in range(w_max, w_min - 1, -1):
+        s = s_min
+        while s <= s_max:
+            end = s
+            while end + 1 <= s_max and classify(end + 1, w) is classify(s, w):
+                end += 1
+            edges = {"x": fmt3(x(s) - half * scale), "y": fmt3(y(w) - half * scale)}
+            size = {"width": fmt3((end - s + 1) * scale), "height": fmt3(scale)}
+            cells.append(("rect", {**edges, **size, "fill": REGION_FILL[classify(s, w)]}))
+            s = end + 1
+    assert [(e.tag[len(SVG):], e.attrib) for e in _layer(svg, "regions")] == cells
+
+    # each boundary line w = m*s + b, s >= 0, from where it enters the plot to where it leaves it
+    s_lo, s_hi, w_lo, w_hi = s_min - half, s_max + half, w_min - half, w_max + half
+    lines = []
+    for m, b in [(1, 0), (Fraction(3, 5), 1), (Fraction(1, 2), 1)]:
+        lo, hi = max(s_lo, 0, (w_lo - b) / m), min(s_hi, (w_hi - b) / m)
+        if lo <= hi:
+            lines.append(tuple(map(fmt3, (x(lo), y(m * lo + b), x(hi), y(m * hi + b)))))
+    if s_lo <= 0 <= s_hi and w_lo <= 0:  # the 0-stem ray
+        lines.append(tuple(map(fmt3, (x(0), y(min(0, w_hi)), x(0), y(w_lo)))))
+    seen = [tuple(e.get(k) for k in ("x1", "y1", "x2", "y2")) for e in _layer(svg, "boundaries") if e.tag == f"{SVG}line"]
+    assert seen == lines
+
+    r = fmt3(Fraction(18, 100) * scale)
+    dots = []
+    for s in range(s_min, s_max + 1):
+        for w in range(w_min, w_max + 1):
+            value = resolve_group(s, w, sample_stems)
+            if value.region is RegionLabel.NOT_UNDERSTOOD:
+                dots.append(("text", fmt3(x(s)), fmt3(y(w) + 3), None))
+            elif value.descriptor is None or not value.descriptor.is_trivial:
+                dots.append(("circle", fmt3(x(s)), fmt3(y(w)), r))
+    seen = [
+        ("text", e.get("x"), e.get("y"), None)
+        if e.tag == f"{SVG}text"
+        else ("circle", e.get("cx"), e.get("cy"), e.get("r"))
+        for e in _layer(svg, "groups")
+    ]
+    assert seen == dots
+
+
+@given(
+    st.integers(1, 41),
+    st.integers(-2, 3),
+    st.integers(0, 6),
+    st.integers(-2, 3),
+    st.integers(0, 6),
+    st.lists(st.integers(0, 6), min_size=6, max_size=6),
+)
+def test_motivic_chart_offsets_match_an_exact_oracle(scale, s_min, s_len, f_min, f_len, counts):
+    # classes sharing (s, f) sit at s + 22*(2i - (n - 1))/100 in name order
+    bidegrees = [(1, 1), (2, 2), (3, 1), (3, 3), (4, 2), (5, 1)]
+    lines = ["# smax: 5", "0 0 1 Z"]
+    for (s, f), n in zip(bidegrees, counts):
+        lines += [f"{s} {f} c{s}_{f}_{i} 2" for i in range(n)]
+    lift = lift_to_motivic(parse_chart("\n".join(lines) + "\n"))
+    s_max, f_max = s_min + s_len, f_min + f_len
+    svg = motivic_chart_svg(lift, ChartStyle(s_min=s_min, s_max=s_max, w_min=f_min, w_max=f_max, scale=scale))
+
+    expected = {}
+    for (s, f), n in [((0, 0), 1), *zip(bidegrees, counts)]:
+        if not (s_min <= s <= s_max and f_min <= f <= f_max):
+            continue
+        names = sorted(c.name for c in lift.chart.classes if (c.s, c.f) == (s, f))
+        for i, name in enumerate(names):
+            offset = Fraction(22 * (2 * i - (n - 1)), 100)
+            x = 56 + (s - s_min + Fraction(1, 2) + offset) * scale
+            y = 36 + (f_max + Fraction(1, 2) - f) * scale
+            expected[name] = (fmt3(x), fmt3(y), fmt3(Fraction(16, 100) * scale))
+    seen = {
+        e.find(f"{SVG}title").text.split(":")[0]: (e.get("cx"), e.get("cy"), e.get("r"))
+        for e in _layer(svg, "classes")
+    }
+    assert seen == expected
+
+
+ALL_OVERLAYS = ("Pk_h1_4", "w1_family", "Pk_h1", "eta_powers", "tau_powers")
+
+
+# SHA-256 of renders beyond the golden files' two windows, recorded before the
+# renderer moved from Fractions to integer thousandths
+@pytest.mark.parametrize(
+    "scale, digest",
+    [
+        (3, "3c178f01b69b54c0e309fc1501c36b3a3b6bc07862b15ea584a69fa66ae70a71"),
+        (7, "7c286d517e6aaa4ccf908b8f4ce1dd4ae9c26b868cb48fa87dddb81caa251424"),
+        (13, "d6c443df2dd7d5fef481d0aec8d3888588d5cc0a3873b328e14af006c3d4c946"),
+    ],
+)
+def test_region_chart_bytes_are_pinned(sample_stems, scale, digest):
+    style = ChartStyle(s_min=-7, s_max=31, w_min=-9, w_max=30, scale=scale, group_dots=True, family_overlays=ALL_OVERLAYS)
+    assert hashlib.sha256(region_chart_svg(style, stems_table=sample_stems).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("scale, digest", [(3, "7eeb120127f45bdb3776cf020ca9ac4567f32b948a802e7106ff6e41f11d7c52"), (7, "2fe43797f0c32482e6844f04d2f68b069a6004f9c3c6ca957184755d857e7074")])
+def test_motivic_chart_bytes_are_pinned(sample_chart, scale, digest):
+    style = ChartStyle(s_min=0, s_max=15, w_min=0, w_max=15, scale=scale)
+    assert hashlib.sha256(motivic_chart_svg(lift_to_motivic(sample_chart), style).encode()).hexdigest() == digest
+
+
+def test_groups_tsv_bytes_are_pinned(sample_stems):
+    tsv = groups_tsv(bidegree_window(-4, 60, -30, 60), stems_table=sample_stems)
+    assert hashlib.sha256(tsv.encode()).hexdigest() == "9f73f6d4e78537434879f122006bfec6285b2da769c330ee17708954fa98df79"
