@@ -1,9 +1,11 @@
 """Deterministic SVG and TSV renderings of the region picture.
 
 Byte-identical output is a contract here: iteration orders are fixed, every
-coordinate goes through exact rational arithmetic and is printed with exactly
-three decimals, and the palette is hard coded. Regenerating a chart from the
-same inputs must reproduce the committed golden files bit for bit.
+coordinate is an exact count of thousandths of a pixel, an int on the lattice
+and a Fraction only at a boundary line's clip point, printed with exactly three
+decimals (exact rounding, half to even), and the palette is hard coded.
+Regenerating a chart from the same inputs must reproduce the committed golden
+files bit for bit.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ REGION_FILL = {
     RegionLabel.ETA_LOCAL: "#cfe3f7",
     RegionLabel.NOT_UNDERSTOOD: "#e3d1ee",
 }
+
+# read once: the Enum's .value descriptor is slow on Python 3.10 and 3.11
+_REGION_NAME = {label: label.value for label in RegionLabel}
 
 REGION_LEGEND = [
     (RegionLabel.TAU_LOCAL, "tau-local"),
@@ -52,12 +57,17 @@ class RenderError(ValueError):
     pass
 
 
-def fmt3(x: Fraction | int) -> str:
-    """Exactly three decimals, computed from the exact rational value."""
-    n = round(Fraction(x) * 1000)
+def _fmt_milli(n: Fraction | int) -> str:
+    # n counts thousandths; round() of an int is the int, of a Fraction exact and half to even
+    n = round(n)
     sign = "-" if n < 0 else ""
     n = abs(n)
     return f"{sign}{n // 1000}.{n % 1000:03d}"
+
+
+def fmt3(x: Fraction | int) -> str:
+    """Exactly three decimals, computed from the exact rational value."""
+    return _fmt_milli(x * 1000)
 
 
 def _escape(text: str) -> str:
@@ -90,7 +100,7 @@ class ChartStyle:
 
 
 class _Canvas:
-    """Pixel transforms for one style; all arithmetic stays in Fractions."""
+    """Pixel transforms for one style, in thousandths of a pixel: ints on the lattice, exact Fractions off it."""
 
     def __init__(self, style: ChartStyle):
         self.style = style
@@ -99,12 +109,12 @@ class _Canvas:
         self.width = MARGIN_LEFT + self.plot_w + MARGIN_RIGHT
         self.height = MARGIN_TOP + self.plot_h + MARGIN_BOTTOM + LEGEND_HEIGHT
 
-    def x(self, s: Fraction | int) -> Fraction:
+    def x(self, s: Fraction | int) -> Fraction | int:
         # lattice point s sits in the middle of its unit cell
-        return MARGIN_LEFT + (Fraction(s) - self.style.s_min + Fraction(1, 2)) * self.style.scale
+        return 1000 * MARGIN_LEFT + (1000 * (s - self.style.s_min) + 500) * self.style.scale
 
-    def y(self, w: Fraction | int) -> Fraction:
-        return MARGIN_TOP + (self.style.w_max + Fraction(1, 2) - Fraction(w)) * self.style.scale
+    def y(self, w: Fraction | int) -> Fraction | int:
+        return 1000 * MARGIN_TOP + (1000 * (self.style.w_max - w) + 500) * self.style.scale
 
     def s_edges(self) -> tuple[Fraction, Fraction]:
         return Fraction(2 * self.style.s_min - 1, 2), Fraction(2 * self.style.s_max + 1, 2)
@@ -117,17 +127,16 @@ def _region_cells(canvas: _Canvas) -> list[str]:
     # one rect per horizontal run of equal region, top row first
     style = canvas.style
     out = []
-    half = Fraction(1, 2)
+    unit, half, height = 1000 * style.scale, 500 * style.scale, fmt3(style.scale)
     for w in range(style.w_max, style.w_min - 1, -1):
-        s = style.s_min
+        x, y = canvas.x(style.s_min) - half, _fmt_milli(canvas.y(w) - half)  # the row's top left corner
         for label, run in groupby(map(classify, range(style.s_min, style.s_max + 1), repeat(w))):
-            length = sum(1 for _ in run)
+            width = len(list(run)) * unit
             out.append(
-                f'<rect x="{fmt3(canvas.x(s - half))}" y="{fmt3(canvas.y(w + half))}" '
-                f'width="{fmt3(length * style.scale)}" height="{fmt3(style.scale)}" '
+                f'<rect x="{_fmt_milli(x)}" y="{y}" width="{_fmt_milli(width)}" height="{height}" '
                 f'fill="{REGION_FILL[label]}"/>'
             )
-            s += length
+            x += width
     return out
 
 
@@ -153,20 +162,20 @@ def _boundary_layer(canvas: _Canvas) -> list[str]:
             continue
         (sa, wa), (sb, wb) = seg
         out.append(
-            f'<line x1="{fmt3(canvas.x(sa))}" y1="{fmt3(canvas.y(wa))}" '
-            f'x2="{fmt3(canvas.x(sb))}" y2="{fmt3(canvas.y(wb))}" '
+            f'<line x1="{_fmt_milli(canvas.x(sa))}" y1="{_fmt_milli(canvas.y(wa))}" '
+            f'x2="{_fmt_milli(canvas.x(sb))}" y2="{_fmt_milli(canvas.y(wb))}" '
             f'stroke="{stroke}" stroke-width="1.500"/>'
         )
         out.append(
-            f'<text x="{fmt3(canvas.x(sb) - 2)}" y="{fmt3(canvas.y(wb) - 6)}" '
+            f'<text x="{_fmt_milli(canvas.x(sb) - 2000)}" y="{_fmt_milli(canvas.y(wb) - 6000)}" '
             f'font-size="11.000" text-anchor="end" fill="{stroke}">{_escape(label)}</text>'
         )
     # the vanishing boundary continues down the 0-stem ray
     if s_lo <= 0 <= s_hi and w_lo <= 0:
         top = min(Fraction(0), w_hi)
         out.append(
-            f'<line x1="{fmt3(canvas.x(0))}" y1="{fmt3(canvas.y(top))}" '
-            f'x2="{fmt3(canvas.x(0))}" y2="{fmt3(canvas.y(w_lo))}" '
+            f'<line x1="{_fmt_milli(canvas.x(0))}" y1="{_fmt_milli(canvas.y(top))}" '
+            f'x2="{_fmt_milli(canvas.x(0))}" y2="{_fmt_milli(canvas.y(w_lo))}" '
             f'stroke="#444444" stroke-width="1.500"/>'
         )
     return out
@@ -184,13 +193,13 @@ def _axes_layer(canvas: _Canvas, vertical_label: str = "w") -> list[str]:
     for s in range(style.s_min, style.s_max + 1):
         if s % 5 == 0:
             out.append(
-                f'<text x="{fmt3(canvas.x(s))}" y="{fmt3(y1 + 16)}" font-size="10.000" '
+                f'<text x="{_fmt_milli(canvas.x(s))}" y="{fmt3(y1 + 16)}" font-size="10.000" '
                 f'text-anchor="middle" fill="#333333">{s}</text>'
             )
     for w in range(style.w_min, style.w_max + 1):
         if w % 5 == 0:
             out.append(
-                f'<text x="{fmt3(x0 - 8)}" y="{fmt3(canvas.y(w) + 3)}" font-size="10.000" '
+                f'<text x="{fmt3(x0 - 8)}" y="{_fmt_milli(canvas.y(w) + 3000)}" font-size="10.000" '
                 f'text-anchor="end" fill="#333333">{w}</text>'
             )
     out.append(
@@ -225,11 +234,11 @@ def _dot_layer(canvas: _Canvas, stems_table: StemsTable | None) -> list[str]:
     # x depends only on s and y only on w: format each once, not once per cell
     style = canvas.style
     out = []
-    r = fmt3(Fraction(style.scale * 18, 100))
-    rows = [(w, fmt3(canvas.y(w)), fmt3(canvas.y(w) + 3)) for w in range(style.w_min, style.w_max + 1)]
+    r = _fmt_milli(180 * style.scale)
+    rows = [(w, _fmt_milli(canvas.y(w)), _fmt_milli(canvas.y(w) + 3000)) for w in range(style.w_min, style.w_max + 1)]
     not_understood = RegionLabel.NOT_UNDERSTOOD
     for s in range(style.s_min, style.s_max + 1):
-        cx = fmt3(canvas.x(s))
+        cx = _fmt_milli(canvas.x(s))
         for w, cy, text_y in rows:
             value = resolve_group(s, w, stems_table)
             if value.region is not_understood:
@@ -251,7 +260,7 @@ def _family_layer(canvas: _Canvas) -> list[str]:
     style = canvas.style
     out = []
     families = {f.name: f for f in builtin_families()}
-    r = Fraction(style.scale * 3, 10)
+    r = _fmt_milli(300 * style.scale)
     for idx, name in enumerate(style.family_overlays):
         fam = families[name]
         color = FAMILY_PALETTE[idx % len(FAMILY_PALETTE)]
@@ -269,13 +278,13 @@ def _family_layer(canvas: _Canvas) -> list[str]:
             if first is None:
                 first = p
             out.append(
-                f'<circle cx="{fmt3(canvas.x(p.s))}" cy="{fmt3(canvas.y(p.w))}" r="{fmt3(r)}" '
+                f'<circle cx="{_fmt_milli(canvas.x(p.s))}" cy="{_fmt_milli(canvas.y(p.w))}" r="{r}" '
                 f'fill="none" stroke="{color}" stroke-width="1.500"/>'
             )
             k += 1
         if first is not None:
             out.append(
-                f'<text x="{fmt3(canvas.x(first.s) + 6)}" y="{fmt3(canvas.y(first.w) - 6)}" '
+                f'<text x="{_fmt_milli(canvas.x(first.s) + 6000)}" y="{_fmt_milli(canvas.y(first.w) - 6000)}" '
                 f'font-size="10.000" text-anchor="start" fill="{color}">{_escape(name)}</text>'
             )
     return out
@@ -331,9 +340,15 @@ def bidegree_window(s_min: int, s_max: int, w_min: int, w_max: int) -> Iterator[
 def groups_tsv(window: Iterable[tuple[int, int]], stems_table: StemsTable | None = None) -> str:
     """One row per (s, w), in the window's order and unsorted: region, group, and generator."""
     lines = ["# s\tw\tregion\tgroup\tgenerator"]
+    # runs of cells share one value object (the zero and not-understood
+    # constants, a stem's memoized tau-local value): format each run once
+    last = tail = None
     for s, w in window:
         value = resolve_group(s, w, stems_table)
-        lines.append(f"{s}\t{w}\t{value.region.value}\t{value.group_str}\t{value.generator_str}")
+        if value is not last:
+            last = value
+            tail = f"{_REGION_NAME[value.region]}\t{value.group_str}\t{value.generator_str}"
+        lines.append(f"{s}\t{w}\t{tail}")
     return "\n".join(lines) + "\n"
 
 
@@ -356,10 +371,9 @@ def motivic_chart_svg(lift: MotivicLift, style: ChartStyle | None = None) -> str
     positions: dict[str, tuple[str, str]] = {}
     for s, f in dict.fromkeys((c.s, c.f) for c in in_range):
         siblings = lift.chart.at(s, f)
-        y = fmt3(canvas.y(f))
+        y = _fmt_milli(canvas.y(f))
         for i, c in enumerate(siblings):
-            offset = Fraction(22 * (2 * i - (len(siblings) - 1)), 100)
-            positions[c.name] = (fmt3(canvas.x(s + offset)), y)
+            positions[c.name] = (_fmt_milli(canvas.x(s) + 220 * (2 * i - (len(siblings) - 1)) * style.scale), y)
     edges = []
     for c in in_range:
         if c.eta_edge and c.eta_edge in positions:
@@ -370,7 +384,7 @@ def motivic_chart_svg(lift: MotivicLift, style: ChartStyle | None = None) -> str
                 f'stroke="#999999" stroke-width="1.000"/>'
             )
     dots = []
-    r = fmt3(Fraction(style.scale * 16, 100))
+    r = _fmt_milli(160 * style.scale)
     for c in in_range:
         x, y = positions[c.name]
         top = lift.w_top[c.name]
