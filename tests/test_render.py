@@ -225,8 +225,8 @@ def test_region_chart_coordinates_match_an_exact_oracle(sample_stems, s_min, s_l
             lines.append(tuple(map(fmt3, (x(lo), y(m * lo + b), x(hi), y(m * hi + b)))))
     if s_lo <= 0 <= s_hi and w_lo <= 0:  # the 0-stem ray
         lines.append(tuple(map(fmt3, (x(0), y(min(0, w_hi)), x(0), y(w_lo)))))
-    seen = [tuple(e.get(k) for k in ("x1", "y1", "x2", "y2")) for e in _layer(svg, "boundaries") if e.tag == f"{SVG}line"]
-    assert seen == lines
+    ends = ("x1", "y1", "x2", "y2")
+    assert [tuple(map(e.get, ends)) for e in _layer(svg, "boundaries") if e.tag == f"{SVG}line"] == lines
 
     r = fmt3(Fraction(18, 100) * scale)
     dots = []
@@ -284,8 +284,8 @@ def test_motivic_chart_offsets_match_an_exact_oracle(scale, s_min, s_len, f_min,
 ALL_OVERLAYS = ("Pk_h1_4", "w1_family", "Pk_h1", "eta_powers", "tau_powers")
 
 
-# SHA-256 of renders beyond the golden files' two windows, recorded before the
-# renderer moved from Fractions to integer thousandths
+# SHA-256 of renders beyond the golden files' two windows and scales: small and
+# odd scales, every layer, a TSV window with every region
 @pytest.mark.parametrize(
     "scale, digest",
     [
@@ -296,13 +296,20 @@ ALL_OVERLAYS = ("Pk_h1_4", "w1_family", "Pk_h1", "eta_powers", "tau_powers")
 )
 def test_region_chart_bytes_are_pinned(sample_stems, scale, digest):
     style = ChartStyle(s_min=-7, s_max=31, w_min=-9, w_max=30, scale=scale, group_dots=True, family_overlays=ALL_OVERLAYS)
-    assert hashlib.sha256(region_chart_svg(style, stems_table=sample_stems).encode()).hexdigest() == digest
+    svg = region_chart_svg(style, stems_table=sample_stems)
+    assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("scale, digest", [(3, "7eeb120127f45bdb3776cf020ca9ac4567f32b948a802e7106ff6e41f11d7c52"), (7, "2fe43797f0c32482e6844f04d2f68b069a6004f9c3c6ca957184755d857e7074")])
+@pytest.mark.parametrize(
+    "scale, digest",
+    [
+        (3, "7eeb120127f45bdb3776cf020ca9ac4567f32b948a802e7106ff6e41f11d7c52"),
+        (7, "2fe43797f0c32482e6844f04d2f68b069a6004f9c3c6ca957184755d857e7074"),
+    ],
+)
 def test_motivic_chart_bytes_are_pinned(sample_chart, scale, digest):
-    style = ChartStyle(s_min=0, s_max=15, w_min=0, w_max=15, scale=scale)
-    assert hashlib.sha256(motivic_chart_svg(lift_to_motivic(sample_chart), style).encode()).hexdigest() == digest
+    svg = motivic_chart_svg(lift_to_motivic(sample_chart), ChartStyle(s_min=0, s_max=15, w_min=0, w_max=15, scale=scale))
+    assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
 
 def test_groups_tsv_bytes_are_pinned(sample_stems):
