@@ -11,7 +11,6 @@ while ``+``, ``-`` and integer ``*`` on degrees act coordinatewise.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple
@@ -23,10 +22,6 @@ class PresentationError(ValueError):
 
 class PresentationMismatchError(PresentationError):
     """Monomial or generator name does not belong to this presentation."""
-
-
-class EmptyWindowWarning(UserWarning):
-    """Issued when a window has inverted bounds and enumerates nothing."""
 
 
 class Tridegree(NamedTuple):
@@ -237,21 +232,19 @@ class Window:
         return cls(tuple(tuple(bounds[g.name]) for g in presentation.generators))
 
     def effective_bounds(self, presentation: MonomialAlgebraPresentation) -> list[tuple[int, int]]:
+        """The bounds cut to the presentation's floors and caps; an empty range raises."""
         if len(self.bounds) != len(presentation.generators):
             raise PresentationMismatchError(
                 f"window has {len(self.bounds)} bounds, presentation has {len(presentation.generators)} generators"
             )
         eff = []
         for g, (lo, hi) in zip(presentation.generators, self.bounds):
-            if not g.invertible:
-                lo = max(lo, 0)
-            if g.square_zero:
-                hi = min(hi, 1)
-            eff.append((lo, hi))
+            a = lo if g.invertible else max(lo, 0)
+            b = min(hi, 1) if g.square_zero else hi
+            if a > b:
+                raise PresentationError(f"window holds no monomials: no exponent of {g.name!r} lies in {lo}:{hi}")
+            eff.append((a, b))
         return eff
-
-    def is_inverted(self, presentation: MonomialAlgebraPresentation) -> bool:
-        return any(lo > hi for lo, hi in self.effective_bounds(presentation))
 
     def contains(self, presentation: MonomialAlgebraPresentation, m: Monomial) -> bool:
         if len(m.exponents) != len(self.bounds):
@@ -259,18 +252,9 @@ class Window:
         return all(lo <= e <= hi for e, (lo, hi) in zip(m.exponents, self.effective_bounds(presentation)))
 
 
-def _window_exponents(presentation: MonomialAlgebraPresentation, window: Window) -> Iterator[tuple[int, ...]]:
-    """Window exponent tuples in lexicographic order; warns, and yields nothing, on inverted bounds."""
-    eff = window.effective_bounds(presentation)
-    if any(lo > hi for lo, hi in eff):
-        warnings.warn("window bounds are inverted; enumerating nothing", EmptyWindowWarning, stacklevel=3)
-        return iter(())
-    return product(*(range(lo, hi + 1) for lo, hi in eff))
-
-
 def iter_window_monomials(presentation: MonomialAlgebraPresentation, window: Window) -> Iterator[Monomial]:
     """Window monomials in lexicographic order on exponent vectors."""
-    return map(Monomial, _window_exponents(presentation, window))
+    return map(Monomial, product(*(range(lo, hi + 1) for lo, hi in window.effective_bounds(presentation))))
 
 
 def enumerate_basis(
@@ -303,7 +287,7 @@ def enumerate_basis(
     packed = [(s * F + f) * W + w for s, f, w in (g.degree for g in gens)]
     terms = product(*([e * k for e in range(a, b + 1)] for k, (a, b) in zip(packed, bounds)))
     fibers: dict[int, list[tuple[int, ...]]] = {}
-    for key, e in zip(map(sum, terms), _window_exponents(presentation, window)):
+    for key, e in zip(map(sum, terms), product(*(range(a, b + 1) for a, b in bounds))):
         fibers.setdefault(key, []).append(e)
     offset = (lo[0] * F + lo[1]) * W + lo[2]
     basis = {}

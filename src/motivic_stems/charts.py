@@ -58,26 +58,29 @@ class ClassicalChartClass:
     eta_edge: str | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassicalChart:
     """Classes of a classical Adams-Novikov E2 chart through stem s_max.
 
-    ``classes`` is kept in canonical (s, f, name) order, so equality does not
-    depend on the order the classes were given in.
+    ``classes`` is kept as a tuple in canonical (s, f, name) order, so
+    equality does not depend on the order the classes were given in. The
+    chart is frozen, so its lookup indexes always match ``classes``.
     """
 
-    classes: list[ClassicalChartClass]
+    classes: tuple[ClassicalChartClass, ...]
     s_max: int
     provenance: str = ""
     _by_name: dict = field(default=None, repr=False, compare=False)
     _by_bidegree: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.classes = sorted(self.classes, key=lambda c: (c.s, c.f, c.name))
-        self._by_name = {c.name: c for c in self.classes}
-        self._by_bidegree = {}
-        for c in self.classes:
-            self._by_bidegree.setdefault((c.s, c.f), []).append(c)
+        classes = tuple(sorted(self.classes, key=lambda c: (c.s, c.f, c.name)))
+        by_bidegree: dict[tuple[int, int], list[ClassicalChartClass]] = {}
+        for c in classes:
+            by_bidegree.setdefault((c.s, c.f), []).append(c)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "_by_name", {c.name: c for c in classes})
+        object.__setattr__(self, "_by_bidegree", by_bidegree)
 
     def by_name(self, name: str) -> ClassicalChartClass | None:
         return self._by_name.get(name)

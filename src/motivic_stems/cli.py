@@ -83,11 +83,9 @@ def _parse_exponent_window(text: str, parser: argparse.ArgumentParser) -> dict[s
             parser.error(f"--einfty-window expects name=lo:hi[,...] with integer bounds, got {piece!r}")
     presentation = localized_motivic_anss()[0]
     try:
-        window = Window.from_dict(presentation, bounds)
+        Window.from_dict(presentation, bounds).effective_bounds(presentation)
     except PresentationError as exc:
         parser.error(f"--einfty-window: {exc}")
-    if window.is_inverted(presentation):
-        parser.error(f"--einfty-window holds no monomials: {text!r}")
     return bounds
 
 

@@ -133,7 +133,8 @@ def wn_bidegree(n: int, k: int) -> Bidegree:
 
 def wn_slope(n: int) -> Fraction:
     """Slope of the wn line: strictly decreasing in n, always above 1/2."""
-    return Fraction(2 ** (n + 1) - 1, 2 ** (n + 2) - 3)
+    step = wn_bidegree(n, 1)
+    return Fraction(step.w, step.s)
 
 
 @dataclass(frozen=True)

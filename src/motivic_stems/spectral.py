@@ -26,8 +26,9 @@ construction and are not checked again.
 
 A page keeps each tridegree's window monomials as exponent tuples and its
 classes as bitmasks over them; ``PageState.classes`` builds formal sums per
-lookup. A page starts at E2, and a page-r differential turns any page up to
-r, since the pages in between are zero.
+lookup. A formal sum is a frozenset of monomials, and the empty set is zero.
+A page starts at E2, and a page-r differential turns any page up to r, since
+the pages in between are zero.
 
 The built-in instance is the E2 page of the eta-localized motivic
 Adams-Novikov spectral sequence for the 2-complete sphere over C, with its
@@ -53,8 +54,6 @@ from .algebra import (
     Window,
     enumerate_basis,
 )
-
-FormalSum = frozenset  # of Monomial; empty set is zero
 
 
 class DifferentialSpecError(PresentationError):
@@ -90,7 +89,7 @@ class DifferentialSpec:
 
     presentation: MonomialAlgebraPresentation
     page: int
-    images: Mapping[str, FormalSum]
+    images: Mapping[str, frozenset[Monomial]]
     shift: Tridegree = field(init=False)
     offsets: tuple[tuple[int, tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]], ...] = field(
         init=False, repr=False, compare=False
@@ -169,12 +168,12 @@ def build_differential(
     return DifferentialSpec(presentation, page, images)
 
 
-def leibniz_extend(diff: DifferentialSpec, m: Monomial) -> FormalSum:
+def leibniz_extend(diff: DifferentialSpec, m: Monomial) -> frozenset[Monomial]:
     """Differential of a monomial via the Leibniz rule, mod 2: ``d_sum`` of m alone."""
     return d_sum(diff, (m,))
 
 
-def d_sum(diff: DifferentialSpec, s: Iterable[Monomial]) -> FormalSum:
+def d_sum(diff: DifferentialSpec, s: Iterable[Monomial]) -> frozenset[Monomial]:
     """Linear extension of the differential to a formal sum.
 
     Each monomial is checked against the differential's presentation; the
@@ -189,7 +188,7 @@ def d_sum(diff: DifferentialSpec, s: Iterable[Monomial]) -> FormalSum:
 
 def sum_multiply(
     presentation: MonomialAlgebraPresentation, s: Iterable[Monomial], m: Monomial
-) -> FormalSum:
+) -> frozenset[Monomial]:
     """Formal sum times a monomial, dropping square-zero kills."""
     acc: set[Monomial] = set()
     for term in s:
@@ -213,7 +212,7 @@ class _ClassView(Mapping):
     def __init__(self, page: PageState):
         self._page = page
 
-    def __getitem__(self, t: Tridegree) -> list[FormalSum]:
+    def __getitem__(self, t: Tridegree) -> list[frozenset[Monomial]]:
         mons = self._page.basis[t]
         return [frozenset(Monomial(mons[i]) for i in _set_bits(v)) for v in self._page.vectors[t]]
 
@@ -248,10 +247,10 @@ class PageState:
     boundaries: dict[Tridegree, list[int]]
 
     @property
-    def classes(self) -> Mapping[Tridegree, list[FormalSum]]:
+    def classes(self) -> Mapping[Tridegree, list[frozenset[Monomial]]]:
         return _ClassView(self)
 
-    def valid_classes(self) -> dict[Tridegree, list[FormalSum]]:
+    def valid_classes(self) -> dict[Tridegree, list[frozenset[Monomial]]]:
         classes = self.classes
         return {t: classes[t] for t, st in self.status.items() if st is Certainty.VALID}
 

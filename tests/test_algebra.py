@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from motivic_stems import verify
 from motivic_stems.algebra import (
     Bidegree,
-    EmptyWindowWarning,
     GeneratorSpec,
     Monomial,
     MonomialAlgebraPresentation,
@@ -142,14 +141,21 @@ def test_window_clamps_to_presentation(presentation_and_d3):
     assert eff[presentation.index_of("alpha4")] == (0, 1)
 
 
-def test_inverted_window_warns_and_is_empty(presentation_and_d3):
+def test_empty_window_raises(presentation_and_d3):
     presentation, _ = presentation_and_d3
-    window = Window.from_dict(
+    inverted = Window.from_dict(
         presentation, {"tau": (3, 1), "alpha1": (0, 0), "alpha3": (0, 0), "alpha4": (0, 0)}
     )
-    assert window.is_inverted(presentation)
-    with pytest.warns(EmptyWindowWarning):
-        assert list(iter_window_monomials(presentation, window)) == []
+    capped = Window.from_dict(  # square-zero caps alpha4 at 1
+        presentation, {"tau": (0, 1), "alpha1": (0, 0), "alpha3": (0, 0), "alpha4": (5, 9)}
+    )
+    for window, name in ((inverted, "'tau'"), (capped, "'alpha4'")):
+        with pytest.raises(PresentationError, match=f"window holds no monomials: .*{name}"):
+            window.effective_bounds(presentation)
+        with pytest.raises(PresentationError, match="holds no monomials"):
+            iter_window_monomials(presentation, window)
+        with pytest.raises(PresentationError, match="holds no monomials"):
+            enumerate_basis(presentation, window)
 
 
 def test_enumerate_basis_sorted_and_grouped(presentation_and_d3, einfty_window):

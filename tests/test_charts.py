@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from motivic_stems.charts import (
     ctau_homotopy,
     eta_localize_chart,
     lift_to_motivic,
+    load_sample_chart,
     localization_guaranteed,
     parse_chart,
     parse_stems,
@@ -113,6 +115,15 @@ def test_serialize_is_canonical_and_roundtrips(sample_chart):
     chart = ClassicalChart(classes=classes, s_max=sample_chart.s_max, provenance=sample_chart.provenance)
     assert chart == sample_chart
     assert parse_chart(serialize_chart(chart)) == chart
+
+
+def test_chart_lookups_cannot_go_stale():
+    # reassigned classes would leave by_name, at and ctau_homotopy reading
+    # the indexes built from the old ones
+    chart = load_sample_chart()
+    assert isinstance(chart.classes, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        chart.classes = [c for c in chart.classes if (c.s, c.f) != (3, 1)]
 
 
 def test_lift_rejects_odd_total_degree():

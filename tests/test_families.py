@@ -110,6 +110,9 @@ def test_wn_periodicity():
     assert slopes[-1] - Fraction(1, 2) < Fraction(1, 1000)
     with pytest.raises(FamilyError, match="n >= 0"):
         wn_bidegree(-1, 1)
+    for n in (-1, -2):
+        with pytest.raises(FamilyError, match="n >= 0"):
+            wn_slope(n)
 
 
 def test_exotic_element_stays_not_understood():

@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import motivic_stems
 
@@ -60,7 +65,7 @@ def _referenced_names(tree: ast.Module) -> set[str]:
     """Names read, attributes, imported names and string constants.
 
     Strings count because the bench tracer looks functions up by name with
-    ``getattr``; they also cover the names listed in ``__all__``.
+    ``getattr``.
     """
     refs: set[str] = set()
     for node in ast.walk(tree):
@@ -76,12 +81,24 @@ def _referenced_names(tree: ast.Module) -> set[str]:
 
 
 def test_no_public_api_used_only_by_tests():
+    # the package's own __init__.py is skipped: a name it re-exports is not
+    # thereby used
     refs: set[str] = set()
     for top in ("src", "scripts", "bench"):
         for path in sorted((REPO_DIR / top).rglob("*.py")):
-            refs |= _referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+            if path != PACKAGE_DIR / "__init__.py":
+                refs |= _referenced_names(ast.parse(path.read_text(encoding="utf-8")))
     unused = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         defs = _public_definitions(ast.parse(path.read_text(encoding="utf-8")))
         unused += [f"{path.name}:{line} {name}" for name, line in defs.items() if name.rsplit(".", 1)[-1] not in refs]
     assert unused == []
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__"))
+def test_module_imports_on_its_own(module):
+    # a fresh interpreter per module, so that an import cycle shows whichever
+    # module is imported first
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    run = subprocess.run([sys.executable, "-c", f"import motivic_stems.{module}"], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
