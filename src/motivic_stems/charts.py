@@ -20,6 +20,7 @@ suffices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from .groups import TRIVIAL_GROUP, GroupDescriptor, is_power_of_two
 from .resources import SAMPLE_CHART_FILE, SAMPLE_STEMS_FILE, read_data_text
@@ -64,7 +65,7 @@ class ClassicalChart:
 
     ``classes`` is kept as a tuple in canonical (s, f, name) order, so
     equality does not depend on the order the classes were given in. The
-    chart is frozen, so its lookup indexes always match ``classes``.
+    chart and its lookups are immutable, so they always match ``classes``.
     """
 
     classes: tuple[ClassicalChartClass, ...]
@@ -75,18 +76,15 @@ class ClassicalChart:
 
     def __post_init__(self) -> None:
         classes = tuple(sorted(self.classes, key=lambda c: (c.s, c.f, c.name)))
-        by_bidegree: dict[tuple[int, int], list[ClassicalChartClass]] = {}
-        for c in classes:
-            by_bidegree.setdefault((c.s, c.f), []).append(c)
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "_by_name", {c.name: c for c in classes})
-        object.__setattr__(self, "_by_bidegree", by_bidegree)
+        object.__setattr__(self, "_by_bidegree", {k: tuple(g) for k, g in groupby(classes, lambda c: (c.s, c.f))})
 
     def by_name(self, name: str) -> ClassicalChartClass | None:
         return self._by_name.get(name)
 
-    def at(self, s: int, f: int) -> list[ClassicalChartClass]:
-        return self._by_bidegree.get((s, f), [])
+    def at(self, s: int, f: int) -> tuple[ClassicalChartClass, ...]:
+        return self._by_bidegree.get((s, f), ())
 
     def group_at(self, s: int, f: int) -> GroupDescriptor:
         return GroupDescriptor(tuple(c.order for c in self.at(s, f)))

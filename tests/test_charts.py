@@ -39,8 +39,8 @@ def test_parse_minimal_chart():
     assert [c.name for c in chart.classes] == ["1", "x"]
     assert chart.by_name("x") == ClassicalChartClass("x", 2, 2, 2)
     assert chart.by_name("ghost") is None
-    assert chart.at(2, 2) == [chart.by_name("x")]
-    assert chart.at(7, 1) == []
+    assert chart.at(2, 2) == (chart.by_name("x"),)
+    assert chart.at(7, 1) == ()
     assert chart.group_at(0, 0) == GroupDescriptor((0,))
 
 
@@ -118,12 +118,14 @@ def test_serialize_is_canonical_and_roundtrips(sample_chart):
 
 
 def test_chart_lookups_cannot_go_stale():
-    # reassigned classes would leave by_name, at and ctau_homotopy reading
-    # the indexes built from the old ones
+    # reassigned classes, or a list handed out by at and then changed, would
+    # leave by_name, at and ctau_homotopy disagreeing with classes
     chart = load_sample_chart()
     assert isinstance(chart.classes, tuple)
     with pytest.raises(dataclasses.FrozenInstanceError):
         chart.classes = [c for c in chart.classes if (c.s, c.f) != (3, 1)]
+    assert isinstance(chart.at(3, 1), tuple)
+    assert str(ctau_homotopy(chart, 3, 2)) == "Z/4"
 
 
 def test_lift_rejects_odd_total_degree():
