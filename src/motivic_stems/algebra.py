@@ -155,10 +155,7 @@ class MonomialAlgebraPresentation:
         self.validate_monomial(m1)
         self.validate_monomial(m2)
         exps = tuple(a + b for a, b in zip(m1.exponents, m2.exponents))
-        for g, e in zip(self.generators, exps):
-            if g.square_zero and e > 1:
-                return None
-        return Monomial(exps)
+        return Monomial(exps) if self.is_valid_exponents(exps) else None
 
     def monomial_str(self, m: Monomial) -> str:
         parts = []

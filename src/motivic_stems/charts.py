@@ -19,6 +19,7 @@ suffices.
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass, field
 from itertools import groupby
 
@@ -66,6 +67,8 @@ class ClassicalChart:
     ``classes`` is kept as a tuple in canonical (s, f, name) order, so
     equality does not depend on the order the classes were given in. The
     chart and its lookups are immutable, so they always match ``classes``.
+    A chart that breaks a structural invariant is never built: the
+    constructor raises ChartValidationError listing every violation.
     """
 
     classes: tuple[ClassicalChartClass, ...]
@@ -79,6 +82,39 @@ class ClassicalChart:
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "_by_name", {c.name: c for c in classes})
         object.__setattr__(self, "_by_bidegree", {k: tuple(g) for k, g in groupby(classes, lambda c: (c.s, c.f))})
+        violations = self._violations()
+        if violations:
+            raise ChartValidationError(violations)
+
+    def _violations(self) -> list[str]:
+        """Structural invariants; returns human-readable violations, empty if clean."""
+        violations = []
+        if len(self._by_name) < len(self.classes):
+            repeated = sorted(name for name, n in collections.Counter(c.name for c in self.classes).items() if n > 1)
+            violations.append(f"class names used more than once: {repeated}")
+        unit_classes = [c for c in self.at(0, 0) if c.order == 0]
+        if len(unit_classes) != 1 or len(self.at(0, 0)) != 1:
+            violations.append("bidegree (0,0) must hold exactly one class of order 0 (the unit)")
+        for c in self.classes:
+            where = f"class {c.name!r} at ({c.s},{c.f})"
+            if c.s < 0:
+                violations.append(f"{where}: negative stem")
+            if c.f < 0:
+                violations.append(f"{where}: negative filtration")
+            if c.f == 0 and (c.s, c.f) != (0, 0):
+                violations.append(f"{where}: filtration 0 is only allowed at (0,0)")
+            if c.s > self.s_max:
+                violations.append(f"{where}: stem exceeds declared range s <= {self.s_max}")
+            if c.eta_edge is not None:
+                target = self.by_name(c.eta_edge)
+                if target is None:
+                    violations.append(f"{where}: eta-edge target {c.eta_edge!r} does not exist")
+                elif (target.s, target.f) != (c.s + 1, c.f + 1):
+                    violations.append(
+                        f"{where}: eta-edge target {c.eta_edge!r} sits at ({target.s},{target.f}), "
+                        f"expected ({c.s + 1},{c.f + 1})"
+                    )
+        return violations
 
     def by_name(self, name: str) -> ClassicalChartClass | None:
         return self._by_name.get(name)
@@ -148,11 +184,7 @@ def parse_chart(text: str) -> ClassicalChart:
         seen_names[name] = lineno
         classes.append(ClassicalChartClass(name=name, s=s, f=f, order=order, eta_edge=eta_edge))
     s_max = declared_smax if declared_smax is not None else max((c.s for c in classes), default=0)
-    chart = ClassicalChart(classes=classes, s_max=s_max, provenance=provenance)
-    violations = validate_chart(chart)
-    if violations:
-        raise ChartValidationError(violations)
-    return chart
+    return ClassicalChart(classes=classes, s_max=s_max, provenance=provenance)
 
 
 def serialize_chart(chart: ClassicalChart) -> str:
@@ -165,34 +197,6 @@ def serialize_chart(chart: ClassicalChart) -> str:
         tail = f" eta:{c.eta_edge}" if c.eta_edge else ""
         lines.append(f"{c.s} {c.f} {c.name} {_order_token(c.order)}{tail}")
     return "\n".join(lines) + "\n"
-
-
-def validate_chart(chart: ClassicalChart) -> list[str]:
-    """Structural invariants; returns human-readable violations, empty if clean."""
-    violations = []
-    unit_classes = [c for c in chart.at(0, 0) if c.order == 0]
-    if len(unit_classes) != 1 or len(chart.at(0, 0)) != 1:
-        violations.append("bidegree (0,0) must hold exactly one class of order 0 (the unit)")
-    for c in chart.classes:
-        where = f"class {c.name!r} at ({c.s},{c.f})"
-        if c.s < 0:
-            violations.append(f"{where}: negative stem")
-        if c.f < 0:
-            violations.append(f"{where}: negative filtration")
-        if c.f == 0 and (c.s, c.f) != (0, 0):
-            violations.append(f"{where}: filtration 0 is only allowed at (0,0)")
-        if c.s > chart.s_max:
-            violations.append(f"{where}: stem exceeds declared range s <= {chart.s_max}")
-        if c.eta_edge is not None:
-            target = chart.by_name(c.eta_edge)
-            if target is None:
-                violations.append(f"{where}: eta-edge target {c.eta_edge!r} does not exist")
-            elif (target.s, target.f) != (c.s + 1, c.f + 1):
-                violations.append(
-                    f"{where}: eta-edge target {c.eta_edge!r} sits at ({target.s},{target.f}), "
-                    f"expected ({c.s + 1},{c.f + 1})"
-                )
-    return violations
 
 
 @dataclass
@@ -248,10 +252,10 @@ class LocalizationResult:
     steps: int
 
 
-def eta_localize_chart(
-    chart: ClassicalChart, max_steps: int | None = None
-) -> dict[tuple[int, int], list[LocalizationResult]]:
-    """Follow eta-edge chains to compute the eta-localization of each entry.
+def eta_localize_chart(chart: ClassicalChart, max_steps: int | None = None) -> dict[str, LocalizationResult]:
+    """Follow eta-edge chains to compute the eta-localization of each class.
+
+    Results are keyed by class name, in the chart's (s, f, name) order.
 
     A chain is STABLE once it enters the guaranteed range s < 5f - 10 (the
     entry there is the localized value) or once it hits a class with no
@@ -261,7 +265,7 @@ def eta_localize_chart(
     """
     if max_steps is None:
         max_steps = chart.s_max + 1
-    results: dict[tuple[int, int], list[LocalizationResult]] = {}
+    results: dict[str, LocalizationResult] = {}
     for cls in chart.classes:
         cur = cls
         steps = 0
@@ -278,12 +282,9 @@ def eta_localize_chart(
             if steps >= max_steps:
                 res = LocalizationResult(cls, LOCALIZATION_UNRESOLVED, None, steps)
                 break
-            nxt = chart.by_name(cur.eta_edge)
-            if nxt is None:
-                raise ChartValidationError([f"eta-edge target {cur.eta_edge!r} of {cur.name!r} does not exist"])
-            cur = nxt
+            cur = chart.by_name(cur.eta_edge)
             steps += 1
-        results.setdefault((cls.s, cls.f), []).append(res)
+        results[cls.name] = res
     return results
 
 
@@ -297,9 +298,6 @@ class StemsTable:
     @property
     def s_max(self) -> int:
         return max(self.groups, default=-1)
-
-    def get(self, s: int) -> GroupDescriptor | None:
-        return self.groups.get(s)
 
 
 def parse_stems(text: str) -> StemsTable:

@@ -65,8 +65,6 @@ def _parse_window4(text: str, parser: argparse.ArgumentParser) -> tuple[int, int
         s_min, s_max, w_min, w_max = (int(p) for p in parts)
     except ValueError:
         parser.error(f"--window has a non-integer bound in {text!r}")
-    if s_min > s_max or w_min > w_max:
-        parser.error(f"--window bounds must satisfy smin <= smax and wmin <= wmax, got {text!r}")
     return s_min, s_max, w_min, w_max
 
 
@@ -208,13 +206,11 @@ def _cmd_localize(args, parser: argparse.ArgumentParser) -> int:
         parser.error(f"--max-steps must be >= 0, got {args.max_steps}")
     chart = _load_chart(args.chart)
     results = eta_localize_chart(chart, max_steps=args.max_steps)
-    flat = [r for lst in results.values() for r in lst]
-    if args.name:
-        flat = [r for r in flat if r.cls.name == args.name]
-        if not flat:
-            print(f"error: no class named {args.name!r} in the chart", file=sys.stderr)
-            return 1
-    for r in flat:  # chart classes, and so the results, are in (s, f, name) order
+    if args.name and args.name not in results:
+        print(f"error: no class named {args.name!r} in the chart", file=sys.stderr)
+        return 1
+    shown = [results[args.name]] if args.name else results.values()
+    for r in shown:  # chart classes, and so the results, are in (s, f, name) order
         target = r.value.name if r.value is not None else "0"
         print(f"{r.cls.name} ({r.cls.s},{r.cls.f}): {r.status} -> {target} steps={r.steps}")
     return 0
@@ -256,14 +252,8 @@ def _cmd_may_census(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_chart_regions(args, parser: argparse.ArgumentParser) -> int:
-    s_min, s_max, w_min, w_max = _parse_window4(args.window, parser)
-    if args.scale <= 0:
-        parser.error(f"--scale must be > 0, got {args.scale}")
     style = ChartStyle(
-        s_min=s_min,
-        s_max=s_max,
-        w_min=w_min,
-        w_max=w_max,
+        *_parse_window4(args.window, parser),
         scale=args.scale,
         group_dots=args.dots,
         family_overlays=tuple(args.overlay),
@@ -274,23 +264,18 @@ def _cmd_chart_regions(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_chart_groups(args, parser: argparse.ArgumentParser) -> int:
-    s_min, s_max, w_min, w_max = _parse_window4(args.window, parser)
+    window = bidegree_window(*_parse_window4(args.window, parser))
     table = _load_stems(args.stems)
-    _emit(groups_tsv(bidegree_window(s_min, s_max, w_min, w_max), stems_table=table), args.output)
+    _emit(groups_tsv(window, stems_table=table), args.output)
     return 0
 
 
 def _cmd_chart_motivic(args, parser: argparse.ArgumentParser) -> int:
-    if args.scale <= 0:
-        parser.error(f"--scale must be > 0, got {args.scale}")
+    style = None if args.window is None else ChartStyle(*_parse_window4(args.window, parser), scale=args.scale)
     lift = lift_to_motivic(_load_chart(args.chart))
-    if args.window is None:
-        style = ChartStyle(
-            s_min=0, s_max=lift.chart.s_max + 1, w_min=0, w_max=lift.chart.s_max + 1, scale=args.scale
-        )
-    else:
-        s_min, s_max, f_min, f_max = _parse_window4(args.window, parser)
-        style = ChartStyle(s_min=s_min, s_max=s_max, w_min=f_min, w_max=f_max, scale=args.scale)
+    if style is None:  # the default window comes from the chart, so this style and its --scale wait for it
+        n = lift.chart.s_max + 1
+        style = ChartStyle(s_min=0, s_max=n, w_min=0, w_max=n, scale=args.scale)
     _emit(motivic_chart_svg(lift, style), args.output)
     return 0
 
@@ -304,18 +289,20 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     flag = "--table" if args.table else "--einfty-window" if args.einfty_window else None
     if flag and "einfty" not in names:
         parser.error(f"{flag} needs the einfty suite")
-    results = []
+    results = []  # (suite key, check result)
     for name in names:
         if name == "einfty":
             table = [] if args.table else None
-            results.extend(verify_mod.check_einfty(window_bounds, table=table))
+            checks = verify_mod.check_einfty(window_bounds, table=table)
             for line in table or ():
                 print(line)
         else:
-            results.extend(verify_mod.SUITES[name]())
-    for r in results:
-        print(r.line)
-    passed = sum(1 for r in results if r.passed)
+            checks = verify_mod.SUITES[name]()
+        results.extend((name, r) for r in checks)
+    for suite, r in results:
+        tail = f": {r.detail}" if r.detail else ""
+        print(f"{'PASS' if r.passed else 'FAIL'} {suite}.{r.name}{tail}")
+    passed = sum(1 for _, r in results if r.passed)
     print(f"{passed}/{len(results)} checks passed")
     return 0 if passed == len(results) else 1
 
@@ -325,7 +312,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except (ChartError, FamilyError, RenderError, OSError, UnicodeDecodeError) as exc:
+    except RenderError as exc:  # every render argument comes from the command line
+        parser.error(str(exc))
+    except (ChartError, FamilyError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

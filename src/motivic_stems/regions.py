@@ -150,7 +150,7 @@ def resolve_group(s: int, w: int, stems_table: StemsTable | None = None) -> Grou
             k = -w
             generator = "1" if k == 0 else ("tau" if k == 1 else f"tau^{k}")
             return GroupValue(_TAU_LOCAL, Z2_ADIC, generator)
-        return _tau_local_value(s, stems_table.get(s) if stems_table is not None else None)
+        return _tau_local_value(s, stems_table.groups.get(s) if stems_table is not None else None)
     if label is _ETA_LOCAL:
         return eta_local_group(s, w)
     return _UNKNOWN_VALUE

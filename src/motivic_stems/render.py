@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby, repeat
+from itertools import groupby, product, repeat
 from typing import Iterable, Iterator
 
 from .charts import MotivicLift, StemsTable
@@ -332,9 +332,7 @@ def bidegree_window(s_min: int, s_max: int, w_min: int, w_max: int) -> Iterator[
     """Lattice rectangle, each cell once, in (s, w) order."""
     if s_min > s_max or w_min > w_max:
         raise RenderError(f"empty window: s in [{s_min},{s_max}], w in [{w_min},{w_max}]")
-    for s in range(s_min, s_max + 1):
-        for w in range(w_min, w_max + 1):
-            yield s, w
+    return product(range(s_min, s_max + 1), range(w_min, w_max + 1))
 
 
 def groups_tsv(window: Iterable[tuple[int, int]], stems_table: StemsTable | None = None) -> str:

@@ -96,15 +96,11 @@ CORRUPT_FIXTURES = (
 
 @dataclass(frozen=True)
 class CheckResult:
-    suite: str
+    """One check of a suite; the suite's ``SUITES`` key names it in the output."""
+
     name: str
     passed: bool
     detail: str = ""
-
-    @property
-    def line(self) -> str:
-        tail = f": {self.detail}" if self.detail else ""
-        return f"{'PASS' if self.passed else 'FAIL'} {self.suite}.{self.name}{tail}"
 
 
 def expected_einfty_classes(presentation, window) -> dict[Tridegree, list[frozenset]]:
@@ -159,19 +155,17 @@ def check_einfty(
     n_indet = sum(1 for st in state.status.values() if st is Certainty.INDETERMINATE)
     return [
         CheckResult(
-            "einfty",
             "survivors_match_closed_form",
             computed_pairs == expected_pairs,
             f"{len(computed_pairs)} computed vs {len(expected_pairs)} expected classes, "
             f"{n_indet} window-boundary tridegrees flagged",
         ),
         CheckResult(
-            "einfty",
             "certified_boundary_exists",
             0 < n_indet < len(state.status),
             f"{len(state.status) - n_indet} of {len(state.status)} tridegrees certified",
         ),
-        CheckResult("einfty", "time_budget", elapsed < EINFTY_TIME_BUDGET, f"{elapsed:.2f}s < {EINFTY_TIME_BUDGET:.0f}s"),
+        CheckResult("time_budget", elapsed < EINFTY_TIME_BUDGET, f"{elapsed:.2f}s < {EINFTY_TIME_BUDGET:.0f}s"),
     ]
 
 
@@ -195,10 +189,9 @@ def check_leibniz() -> list[CheckResult]:
             product_failures += 1
     return [
         CheckResult(
-            "leibniz", "d_squared_zero", dd_failures == 0, f"{len(monomials)} window monomials"
+            "d_squared_zero", dd_failures == 0, f"{len(monomials)} window monomials"
         ),
         CheckResult(
-            "leibniz",
             "product_rule",
             product_failures == 0,
             f"{LEIBNIZ_PAIR_SAMPLES} seeded pairs, {product_failures} failures",
@@ -282,25 +275,21 @@ def check_partition() -> list[CheckResult]:
     total = (2 * r + 1) ** 2
     return [
         CheckResult(
-            "partition",
             "exhaustive_floor_oracle",
             mismatches == 0 and sum(counts.values()) == total,
             f"{total} bidegrees, |s|,|w| <= {r}",
         ),
         CheckResult(
-            "partition",
             "fraction_oracle",
             fraction_mismatches == 0,
             f"|s|,|w| <= {fr} against exact rational comparisons",
         ),
         CheckResult(
-            "partition",
             "all_regions_realized",
             all(counts[label] > 0 for label in RegionLabel),
             ", ".join(f"{label}={counts[label]}" for label in RegionLabel),
         ),
         CheckResult(
-            "partition",
             "boundary_spots",
             spots_ok,
             "; ".join(f"({s},{w})={label}" for s, w, label in BOUNDARY_SPOTS),
@@ -364,7 +353,6 @@ def check_etalocal() -> list[CheckResult]:
     table, collisions = _eta_oracle_table(d_max)
     results.append(
         CheckResult(
-            "etalocal",
             "oracle_unique",
             not collisions,
             f"one monomial per s-w value, d <= {d_max}, {len(table)} realized",
@@ -388,7 +376,6 @@ def check_etalocal() -> list[CheckResult]:
                     closed_failures += 1
     results.append(
         CheckResult(
-            "etalocal",
             "closed_form_matches_oracle",
             closed_failures == 0,
             f"every d in [-8, {d_max}] at three stems each",
@@ -427,7 +414,6 @@ def check_etalocal() -> list[CheckResult]:
                     step_failures += 1
     results.append(
         CheckResult(
-            "etalocal",
             "boundary_band_values",
             band_failures == 0,
             f"{checked} bidegrees along the region boundary, s <= {ETA_SCAN_MAX_STEM}",
@@ -435,7 +421,6 @@ def check_etalocal() -> list[CheckResult]:
     )
     results.append(
         CheckResult(
-            "etalocal",
             "eta_step_iso",
             step_failures == 0,
             "multiplication by eta preserves each group along the band",
@@ -457,7 +442,6 @@ def check_etalocal() -> list[CheckResult]:
             below = here
     results.append(
         CheckResult(
-            "etalocal",
             "tau_step_iso",
             tau_failures == 0,
             f"{tau_checked} bidegrees in a band of width {BAND_WIDTH} below the tau-local boundary",
@@ -471,7 +455,6 @@ def check_etalocal() -> list[CheckResult]:
             spot_failures.append(f"({s},{w})")
     results.append(
         CheckResult(
-            "etalocal",
             "spot_values",
             not spot_failures,
             "; ".join(spot_failures) if spot_failures else f"{len(ETA_SPOTS)} frozen bidegrees",
@@ -498,13 +481,11 @@ def check_vanishing() -> list[CheckResult]:
     prefix = tuple((g.name, g.stem, g.weight) for g in gens if g.stem <= 7)
     results = [
         CheckResult(
-            "vanishing",
             "may_weights_below_stems",
             weight_ok and region_ok,
             f"{len(gens)} generators with stem <= {MAY_MAX_STEM}",
         ),
         CheckResult(
-            "vanishing",
             "may_census_prefix",
             prefix == MAY_CENSUS_THROUGH_STEM_7,
             ", ".join(f"{n}@({s},{w})" for n, s, w in prefix),
@@ -530,7 +511,6 @@ def check_vanishing() -> list[CheckResult]:
             sample_failures += 1
     results.append(
         CheckResult(
-            "vanishing",
             "zero_region_samples",
             sample_failures == 0,
             f"{ZERO_SAMPLE_COUNT} seeded bidegrees with s < 0 or w > s",
@@ -546,7 +526,6 @@ def check_vanishing() -> list[CheckResult]:
     )
     results.append(
         CheckResult(
-            "vanishing",
             "weak_bound_inside_region",
             weak_failures == 0,
             "4w >= 3s + 4 with w <= s lands eta-local for s in [1, 200]",
@@ -589,60 +568,48 @@ def check_ctau() -> list[CheckResult]:
             pass
     return [
         CheckResult(
-            "ctau",
             "vanishes_below_milnor_witt_line",
             below_failures == 0,
             f"{checked} bidegrees with 2w - s < 0",
         ),
-        CheckResult("ctau", "spot_values", not spot_failures, "; ".join(f"({s},{w})={g}" for s, w, g in CTAU_SPOTS)),
-        CheckResult("ctau", "out_of_range_is_an_error", range_ok, "lack of data is not a zero group"),
+        CheckResult("spot_values", not spot_failures, "; ".join(f"({s},{w})={g}" for s, w, g in CTAU_SPOTS)),
+        CheckResult("out_of_range_is_an_error", range_ok, "lack of data is not a zero group"),
     ]
 
 
 def check_localization() -> list[CheckResult]:
     chart = load_sample_chart()
-    results_by_bidegree = eta_localize_chart(chart)
+    results = eta_localize_chart(chart)
     guaranteed_failures = 0
     n_guaranteed = 0
     for cls in chart.classes:
         if not localization_guaranteed(cls.s, cls.f):
             continue
         n_guaranteed += 1
-        matches = [
-            r for r in results_by_bidegree.get((cls.s, cls.f), []) if r.cls == cls
-        ]
-        if len(matches) != 1:
+        r = results[cls.name]
+        if r.cls != cls or r.status != LOCALIZATION_STABLE or r.value != cls or r.steps != 0:
             guaranteed_failures += 1
-            continue
-        r = matches[0]
-        if r.status != LOCALIZATION_STABLE or r.value != cls or r.steps != 0:
-            guaranteed_failures += 1
-    unit = chart.by_name("1")
-    unit_result = next(r for r in results_by_bidegree[(0, 0)] if r.cls == unit)
+    unit_result = results["1"]
     unit_ok = (
         unit_result.status == LOCALIZATION_STABLE
         and unit_result.value is not None
         and unit_result.value.name == "alpha1^3"
         and unit_result.steps == 3
     )
-    dead = chart.by_name("alpha2/2")
-    dead_result = next(r for r in results_by_bidegree[(3, 1)] if r.cls == dead)
+    dead_result = results["alpha2/2"]
     dead_ok = dead_result.status == LOCALIZATION_STABLE and dead_result.value is None
     return [
         CheckResult(
-            "localization",
             "guaranteed_range_is_stable",
             guaranteed_failures == 0 and n_guaranteed > 0,
             f"{n_guaranteed} classes with s < 5f - 10 localize to themselves in 0 steps",
         ),
         CheckResult(
-            "localization",
             "unit_chain",
             unit_ok,
             "the unit stabilizes at alpha1^3 after three eta steps",
         ),
         CheckResult(
-            "localization",
             "torsion_dies",
             dead_ok,
             "alpha2/2 has no eta edge and localizes to zero",
@@ -673,7 +640,6 @@ def check_families() -> list[CheckResult]:
                 break
     results.append(
         CheckResult(
-            "families",
             "members_on_their_lines",
             not line_failures,
             f"{len(FAMILY_LINES)} families, 101 members each",
@@ -695,7 +661,6 @@ def check_families() -> list[CheckResult]:
             placement_ok = False
     results.append(
         CheckResult(
-            "families",
             "members_flank_their_boundaries",
             placement_ok,
             "tau- and eta-torsion families sit just outside the local regions they bound",
@@ -716,7 +681,6 @@ def check_families() -> list[CheckResult]:
     )
     results.append(
         CheckResult(
-            "families",
             "periodicity_slopes",
             vn_ok and wn_ok and wn_slope(2) == SPECULATIVE_W2_SLOPE == Fraction(7, 13),
             "vn slopes all 1/2; wn slopes strictly decrease from 1 toward 1/2; w2 slope 7/13",
@@ -733,7 +697,6 @@ def check_families() -> list[CheckResult]:
     )
     results.append(
         CheckResult(
-            "families",
             "exotic_element_outside_families",
             exotic.s == 32
             and exotic.w == 18
@@ -747,7 +710,6 @@ def check_families() -> list[CheckResult]:
     report = sharpness_report(load_sample_stems())
     results.append(
         CheckResult(
-            "families",
             "sharpness_report_covers_all",
             all(f.name in report for f in builtin_families()) and "exotic" in report,
             f"{len(report.splitlines())} lines",
@@ -763,7 +725,6 @@ def check_roundtrip() -> list[CheckResult]:
     canonical = serialize_chart(chart)
     results.append(
         CheckResult(
-            "roundtrip",
             "chart_canonical_form",
             canonical == chart_text and parse_chart(canonical) == chart,
             f"{len(chart.classes)} classes, s_max {chart.s_max}",
@@ -773,7 +734,6 @@ def check_roundtrip() -> list[CheckResult]:
     stems = parse_stems(stems_text)
     results.append(
         CheckResult(
-            "roundtrip",
             "stems_canonical_form",
             serialize_stems(stems) == stems_text and parse_stems(serialize_stems(stems)) == stems,
             f"stems 0..{stems.s_max}",
@@ -790,7 +750,6 @@ def check_roundtrip() -> list[CheckResult]:
             rejected.append(False)
     results.append(
         CheckResult(
-            "roundtrip",
             "corrupt_fixtures_rejected",
             all(rejected) and len(rejected) == len(CORRUPT_FIXTURES),
             ", ".join(CORRUPT_FIXTURES),
@@ -813,7 +772,6 @@ def check_golden() -> list[CheckResult]:
     artifacts = golden_artifacts()
     results = [
         CheckResult(
-            "golden",
             "deterministic_rerender",
             artifacts == golden_artifacts(),
             "two renders, identical bytes",
@@ -822,7 +780,6 @@ def check_golden() -> list[CheckResult]:
     for name, text in artifacts.items():
         results.append(
             CheckResult(
-                "golden",
                 f"{name.replace('.', '_')}_bytes",
                 text == read_data_text(f"golden/{name}"),
                 f"{len(text)} bytes",

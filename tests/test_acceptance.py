@@ -116,8 +116,8 @@ def test_criterion_07_localization_guarantee(verify_output):
     guaranteed = [c for c in chart.classes if c.s < 5 * c.f - 10]
     stable_ok = bool(guaranteed)
     for cls in guaranteed:
-        (res,) = [r for r in results[(cls.s, cls.f)] if r.cls is cls]
-        stable_ok = stable_ok and res.status == "STABLE" and res.value is cls and res.steps == 0
+        res = results[cls.name]
+        stable_ok = stable_ok and res.cls is cls and res.status == "STABLE" and res.value is cls and res.steps == 0
     ok, detail = _suite(verify_output, "localization")
     _gate(7, "localization guarantee", stable_ok and ok, detail)
 

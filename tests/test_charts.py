@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -163,18 +164,19 @@ def test_localization_guaranteed_boundary():
 
 def test_eta_localize_sample_chains(sample_chart):
     results = eta_localize_chart(sample_chart)
-    (unit_res,) = [r for r in results[(0, 0)] if r.cls.name == "1"]
+    assert list(results) == [c.name for c in sample_chart.classes]
+    unit_res = results["1"]
     assert unit_res.status == LOCALIZATION_STABLE
     assert unit_res.value.name == "alpha1^3" and unit_res.steps == 3
-    (a22,) = results[(3, 1)]
+    a22 = results["alpha2/2"]
     assert a22.status == LOCALIZATION_STABLE and a22.value is None and a22.steps == 0
-    (a3,) = results[(5, 1)]
+    a3 = results["alpha3"]
     assert a3.value.name == "alpha1^3*alpha3" and a3.steps == 3
 
 
 def test_eta_localize_max_steps_forces_unresolved(sample_chart):
     results = eta_localize_chart(sample_chart, max_steps=1)
-    (unit_res,) = [r for r in results[(0, 0)] if r.cls.name == "1"]
+    unit_res = results["1"]
     assert unit_res.status == LOCALIZATION_UNRESOLVED
     assert unit_res.value is None and unit_res.steps == 1
 
@@ -183,25 +185,34 @@ def test_eta_localize_chain_leaving_range_is_unresolved():
     # x sits at the edge of the ingested range outside the guaranteed region,
     # so its missing successor stem is lack of data, not a zero.
     results = eta_localize_chart(parse_chart(MINIMAL))
-    (x_res,) = results[(2, 2)]
+    x_res = results["x"]
     assert x_res.status == LOCALIZATION_UNRESOLVED and x_res.value is None
 
 
-def test_eta_localize_rejects_dangling_edge():
-    chart = ClassicalChart(
-        classes=[ClassicalChartClass("1", 0, 0, 0, eta_edge="ghost")], s_max=0
-    )
-    with pytest.raises(ChartValidationError, match="ghost"):
-        eta_localize_chart(chart)
+@pytest.mark.parametrize(
+    "classes, fragment",
+    [
+        pytest.param([ClassicalChartClass("1", 0, 0, 0, eta_edge="ghost")], "ghost", id="dangling-eta-edge"),
+        pytest.param(
+            [ClassicalChartClass("1", 0, 0, 0), ClassicalChartClass("x", 1, 1, 2), ClassicalChartClass("x", 3, 1, 4)],
+            re.escape("['x']"),
+            id="repeated-name",
+        ),
+    ],
+)
+def test_chart_constructor_rejects_invalid_data(classes, fragment):
+    # a chart built directly, not only a parsed one, holds its invariants
+    with pytest.raises(ChartValidationError, match=fragment):
+        ClassicalChart(classes=classes, s_max=3)
 
 
 def test_parse_stems_basic():
     table = parse_stems("# provenance: test\n0 Z\n2 2,2\n4 0\n")
     assert table.provenance == "test"
-    assert str(table.get(0)) == "Z2"
-    assert str(table.get(2)) == "Z/2+Z/2"
-    assert table.get(4).is_trivial
-    assert table.get(1) is None
+    assert str(table.groups.get(0)) == "Z2"
+    assert str(table.groups.get(2)) == "Z/2+Z/2"
+    assert table.groups.get(4).is_trivial
+    assert table.groups.get(1) is None
     assert table.s_max == 4
     assert parse_stems("").s_max == -1
 

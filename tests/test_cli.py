@@ -192,10 +192,28 @@ def test_chart_regions_stdout_with_options(capsys):
     "argv, message",
     [
         pytest.param(["chart", "regions", "--window", "1:2:3"], "--window expects", id="short-window"),
-        pytest.param(["chart", "regions", "--window=5:4:0:1"], "--window bounds must satisfy", id="regions-s-reversed"),
-        pytest.param(["chart", "groups", "--window=5:4:0:1"], "--window bounds must satisfy", id="groups-s-reversed"),
-        pytest.param(["chart", "regions", "--scale", "0"], "--scale must be > 0", id="zero-scale"),
+        pytest.param(
+            ["chart", "regions", "--window=5:4:0:1"], "error: empty chart range: s in [5,4]", id="regions-s-reversed"
+        ),
+        pytest.param(
+            ["chart", "groups", "--window=5:4:0:1"], "error: empty window: s in [5,4]", id="groups-s-reversed"
+        ),
+        pytest.param(["chart", "regions", "--scale", "0"], "error: scale must be positive, got 0", id="zero-scale"),
+        pytest.param(
+            ["chart", "motivic", "--scale", "0"], "error: scale must be positive, got 0", id="motivic-zero-scale"
+        ),
         pytest.param(["chart", "regions", "--overlay", "nope"], "invalid choice: 'nope'", id="unknown-overlay"),
+        # a usage error is reported before any file is read
+        pytest.param(
+            ["chart", "groups", "--window=5:4:0:1", "--stems", "/nonexistent/stems.txt"],
+            "error: empty window: s in [5,4]",
+            id="groups-reversed-before-stems-file",
+        ),
+        pytest.param(
+            ["chart", "motivic", "--window=5:4:0:1", "--chart", "/nonexistent/chart.txt"],
+            "error: empty chart range: s in [5,4]",
+            id="motivic-reversed-before-chart-file",
+        ),
     ],
 )
 def test_chart_regions_bad_window(capsys, argv, message):
@@ -203,6 +221,7 @@ def test_chart_regions_bad_window(capsys, argv, message):
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
+    assert err.startswith("usage: motivic-stems")
     assert message in err and "Traceback" not in err
 
 
