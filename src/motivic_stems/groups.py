@@ -7,7 +7,7 @@ form lists 2-adic summands first, then cyclic orders in descending order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class GroupDescriptorError(ValueError):
@@ -26,9 +26,14 @@ def summand_str(n: int) -> str:
 
 @dataclass(frozen=True)
 class GroupDescriptor:
-    """Multiset of summands in canonical order; empty means the trivial group."""
+    """Multiset of summands in canonical order; empty means the trivial group.
+
+    Its string, such as ``Z2+Z/8``, is built once with the descriptor and
+    takes no part in equality or hashing.
+    """
 
     summands: tuple[int, ...]
+    _str: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for n in self.summands:
@@ -36,15 +41,14 @@ class GroupDescriptor:
                 raise GroupDescriptorError(f"summand {n} is neither 0 (2-adics) nor a power of 2 >= 2")
         canon = tuple(sorted(self.summands, key=lambda n: (n != 0, -n)))
         object.__setattr__(self, "summands", canon)
+        object.__setattr__(self, "_str", "+".join(map(summand_str, canon)) if canon else "0")
 
     @property
     def is_trivial(self) -> bool:
         return not self.summands
 
     def __str__(self) -> str:
-        if not self.summands:
-            return "0"
-        return "+".join(map(summand_str, self.summands))
+        return self._str
 
 
 TRIVIAL_GROUP = GroupDescriptor(())

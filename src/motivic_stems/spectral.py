@@ -30,6 +30,13 @@ lookup. A formal sum is a frozenset of monomials, and the empty set is zero.
 A page starts at E2, and a page-r differential turns any page up to r, since
 the pages in between are zero.
 
+Two rank rules settle a fiber from dimensions alone, with no GF(2)
+elimination, for every presentation and window. Reduced-echelon boundaries
+with as many rows as the fiber has monomials span it, so no class survives.
+A map out of a single class with a nonzero column has an empty kernel, and
+that column is its own reduced echelon. On the built-in instance these two
+rules settle every fiber that d3 touches.
+
 The built-in instance is the E2 page of the eta-localized motivic
 Adams-Novikov spectral sequence for the 2-complete sphere over C, with its
 single nonzero differential on the third page.
@@ -287,6 +294,12 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
     page too. It trusts its caller that diff anticommutes with every earlier
     page's differential, as ``run_to_einfty`` checks.
 
+    Two cases are decided by rank before any elimination. When the
+    boundaries at t, reduced echelon and so independent, have as many rows
+    as t has monomials, they span the fiber and t keeps no class. When t has
+    one class and its column is nonzero, the kernel is empty and the image
+    echelon is that column.
+
     Basis keys are sorted by (s, f, w), and ``vectors`` and ``status`` keep
     that key order on every page. So walking them in that order, or in
     reverse when the shift is negative, reaches t - shift before t, and its
@@ -355,17 +368,24 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
                 for i in _set_bits(v):
                     col ^= images[i]
                 columns.append(gf2.reduce_mod(old, col) if old else col)
-        kernel, image_echelon = gf2.kernel_and_image(columns, classes) if any(columns) else (classes, [])
+        if len(columns) == 1 and columns[0]:
+            # one class with a nonzero column: the kernel is empty and the column is its own echelon
+            kernel, image_echelon = [], columns
+        else:
+            kernel, image_echelon = gf2.kernel_and_image(columns, classes) if any(columns) else (classes, [])
         if target:
             pending[downstream] = (image_echelon, forward and (previous is VALID or not hits))
         incoming, upstream_ok = pending.pop(t, nothing)
         old = boundaries.get(t)
         bounded = gf2.rref(old + incoming) if old else incoming
-        # the classes are canonical already, so they stand when every column is
-        # zero and nothing is bounded; an empty kernel leaves no classes
-        if kernel and (bounded or kernel is not classes):
+        if len(bounded) == len(mons):
+            # bounded is reduced echelon, so with a row per monomial it spans the fibre: no class survives
+            reps = ()
+        elif kernel and (bounded or kernel is not classes):
             reps = tuple(gf2.quotient_representatives(kernel, bounded))
         else:
+            # the classes are canonical already, so they stand when every column is
+            # zero and nothing is bounded; an empty kernel leaves no classes
             reps = tuple(kernel)
         new_vectors[t] = reps
         if reps and bounded:

@@ -19,6 +19,9 @@ def test_canonical_order_adics_first_then_descending():
     g = GroupDescriptor((2, 0, 8))
     assert g.summands == (0, 8, 2)
     assert str(g) == "Z2+Z/8+Z/2"
+    # the string is built once and kept out of repr, equality and hashing
+    assert repr(g) == "GroupDescriptor(summands=(0, 8, 2))"
+    assert hash(g) == hash((g.summands,))
 
 
 def test_singletons():

@@ -297,8 +297,26 @@ def _three_sources_on_one_target():
     return presentation, d3, Window(((0, 2), (0, 1), (0, 1), (0, 1)))
 
 
+def _two_sources_on_a_two_monomial_target(second):
+    # d3 sends u to a and v to ``second``. With second = b the image spans
+    # the target fibre {a, b} at (0,3,0), so no class is left there; with
+    # second = a it is one short of that, and b survives.
+    presentation = MonomialAlgebraPresentation(
+        [
+            GeneratorSpec("a", Tridegree(0, 3, 0)),
+            GeneratorSpec("b", Tridegree(0, 3, 0)),
+            *(GeneratorSpec(g, Tridegree(1, 0, 0), square_zero=True) for g in "uv"),
+        ]
+    )
+    images = {"u": [presentation.monomial(a=1)], "v": [presentation.monomial(**{second: 1})]}
+    d3 = build_differential(presentation, page=3, images=images)
+    return presentation, d3, Window(((0, 1), (0, 1), (0, 1), (0, 1)))
+
+
 @given(presentations_with_differential())
 @example(_three_sources_on_one_target())
+@example(_two_sources_on_a_two_monomial_target("b"))
+@example(_two_sources_on_a_two_monomial_target("a"))
 def test_page_turn_matches_the_definition(case):
     presentation, diff, window = case
     state = run_to_einfty(presentation, [diff], window)
@@ -375,6 +393,25 @@ def test_second_page_turn_acts_on_classes_not_monomials():
     d3 = build_differential(presentation, page=3, images={"u": [a], "v": [a], "x": [a]})
     d4 = build_differential(presentation, page=4, images={"u": [b]})
     window = Window.from_dict(presentation, {"a": (0, 3), "b": (0, 3), "u": (0, 1), "v": (0, 1), "x": (0, 1)})
+    e4, e5 = _second_page_by_the_definition(presentation, d3, d4, window)
+    v, x = presentation.monomial(v=1), presentation.monomial(x=1)
+    assert e5.classes[Tridegree(1, 0, 0)] == [frozenset((v, x))]
+    assert sum(len(c) > 1 for cls in e4.classes.values() for c in cls) > 1
+    assert sum(len(c) > 1 for cls in e5.classes.values() for c in cls) > 1
+
+
+def _second_page_by_the_definition(presentation, d3, d4, window):
+    """E4 and E5 of d3 then d4, with E5 checked against the definition.
+
+    turn_page's definition on the E4 representatives r, with every image
+    read on E4, that is modulo the E4 boundaries B (the d3 images): the
+    kernel K of d4 on their span, modulo B and the image I of d4 from one
+    shift upstream. The rows (d4 r, r) and (0, i) for i in I + B combine to
+    (0, y) exactly for y in K + I + B. An image need not lie in span(r): in
+    ``test_second_page_turn_acts_on_classes_not_monomials``, a^3*u is on E4
+    only because d3(a^3*u) = a^4 leaves the window, and d4(a^3*u) = a^3*b =
+    d3(a^2*b*u) is zero on E4.
+    """
     e4 = turn_page(initial_page(presentation, window), d3)
     e5 = turn_page(e4, d4)
     basis = {t: [Monomial(e) for e in mons] for t, mons in e4.basis.items()}
@@ -384,17 +421,6 @@ def test_second_page_turn_acts_on_classes_not_monomials():
         position = {m: i for i, m in enumerate(basis.get(t, []))}
         return sum(1 << position[m] for m in formal_sum if m in position)
 
-    v, x = presentation.monomial(v=1), presentation.monomial(x=1)
-    assert e5.classes[Tridegree(1, 0, 0)] == [frozenset((v, x))]
-    assert sum(len(c) > 1 for cls in e4.classes.values() for c in cls) > 1
-    assert sum(len(c) > 1 for cls in e5.classes.values() for c in cls) > 1
-    # turn_page's definition on the E4 representatives r, with every image
-    # read on E4, that is modulo the E4 boundaries B (the d3 images): the
-    # kernel K of d4 on their span, modulo B and the image I of d4 from one
-    # shift upstream. The rows (d4 r, r) and (0, i) for i in I + B combine to
-    # (0, y) exactly for y in K + I + B. An image need not lie in span(r):
-    # a^3*u is on E4 only because d3(a^3*u) = a^4 leaves the window, and
-    # d4(a^3*u) = a^3*b = d3(a^2*b*u) is zero on E4.
     def boundaries(t):
         return gf2.rref([vector(t, leibniz_extend(d3, m)) for m in basis.get(t - d3.shift, [])])
 
@@ -413,29 +439,44 @@ def test_second_page_turn_acts_on_classes_not_monomials():
         for c in new:
             assert gf2.reduce_mod(graph, vector(t, c)) == 0
             assert on_e4(t + d4.shift, d_sum(d4, c)) == 0
+    return e4, e5
 
 
-def test_a_later_page_quotients_by_earlier_boundaries():
-    # d3(u) = a and d4(y) = b + a*z. On E4, a*z = d3(u*z) is zero, so d4[y] =
-    # [b] and E5 at (0,4,0), spanned by b and a*z, is zero: a*z is a boundary
-    # on E4 already and b is hit by d4.
+@pytest.mark.parametrize(
+    "d4_image, with_c, at_0_4_0, at_1_0_0",
+    [
+        ([{"b": 1}, {"a": 1, "z": 1}], False, [], []),
+        ([{"b": 1}, {"a": 1, "z": 1}], True, ["c"], []),
+        ([{"a": 1, "z": 1}], False, ["b"], ["y"]),
+    ],
+    ids=["full-rank", "one-short", "zero-column"],
+)
+def test_a_later_page_quotients_by_earlier_boundaries(d4_image, with_c, at_0_4_0, at_1_0_0):
+    # d3(u) = a, so E4 at (1,0,0), spanned by u and y, is y alone, and a*z =
+    # d3(u*z) is a boundary at (0,4,0). The page turn decides both fibres by
+    # rank alone. full-rank: d4(y) = b + a*z, so d4[y] = [b], a nonzero
+    # column, and with a*z it spans {b, a*z}: E5 is zero at both. one-short:
+    # a third monomial c at (0,4,0), so the same boundaries are one short of
+    # spanning {b, c, a*z}, and c survives. zero-column: d4(y) = a*z is zero
+    # on E4, so y survives, and so does b.
     presentation = MonomialAlgebraPresentation(
         [
             GeneratorSpec("a", Tridegree(0, 3, 0)),
             GeneratorSpec("b", Tridegree(0, 4, 0)),
+            *([GeneratorSpec("c", Tridegree(0, 4, 0))] if with_c else []),
             GeneratorSpec("z", Tridegree(0, 1, 0), square_zero=True),
             GeneratorSpec("u", Tridegree(1, 0, 0), square_zero=True),
             GeneratorSpec("y", Tridegree(1, 0, 0), square_zero=True),
         ]
     )
-    a, b, z = (presentation.monomial(**{g: 1}) for g in "abz")
-    d3 = build_differential(presentation, page=3, images={"u": [a]})
-    d4 = build_differential(presentation, page=4, images={"y": [b, presentation.multiply(a, z)]})
-    window = Window.from_dict(presentation, {"a": (0, 2), "b": (0, 2), "z": (0, 1), "u": (0, 1), "y": (0, 1)})
-    e5 = run_to_einfty(presentation, [d3, d4], window)
-    assert e5.classes[Tridegree(0, 4, 0)] == []
-    assert e5.classes[Tridegree(1, 0, 0)] == []
-    assert e5.status[Tridegree(0, 4, 0)] is Certainty.VALID
+    d3 = build_differential(presentation, page=3, images={"u": [presentation.monomial(a=1)]})
+    d4 = build_differential(presentation, page=4, images={"y": [presentation.monomial(**e) for e in d4_image]})
+    bounds = {g.name: (0, 2 if g.name in "abc" else 1) for g in presentation.generators}
+    e4, e5 = _second_page_by_the_definition(presentation, d3, d4, Window.from_dict(presentation, bounds))
+    for t, names in ((Tridegree(0, 4, 0), at_0_4_0), (Tridegree(1, 0, 0), at_1_0_0)):
+        assert len(e4.basis[t]) >= 2
+        assert e5.classes[t] == [frozenset((presentation.monomial(**{g: 1}),)) for g in names]
+        assert e5.status[t] is Certainty.VALID
 
 
 def test_boundaries_accumulate_over_pages():
@@ -615,6 +656,23 @@ def test_valid_classes_do_not_depend_on_the_window(case):
     for t, status in inner.status.items():
         if status is Certainty.VALID and inner.basis[t] == outer.basis[t]:
             assert inner.vectors[t] == outer.vectors[t], t
+
+
+def test_the_builtin_run_needs_no_elimination(monkeypatch, presentation_and_d3, einfty_window):
+    # every fibre the built-in d3 touches holds one monomial, so the page
+    # turn decides it by rank and never calls the GF(2) elimination
+    calls = dict.fromkeys(("kernel_and_image", "quotient_representatives"), 0)
+    for name in calls:
+
+        def counted(*args, _name=name, _f=getattr(gf2, name)):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(gf2, name, counted)
+    presentation, d3 = presentation_and_d3
+    state = run_to_einfty(presentation, [d3], einfty_window)
+    assert any(not state.vectors[t] for t in state.basis)
+    assert calls == {"kernel_and_image": 0, "quotient_representatives": 0}
 
 
 def test_fibres_of_many_monomials_are_pinned():
