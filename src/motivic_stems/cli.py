@@ -33,6 +33,7 @@ from .families import (
 )
 from .regions import classify, resolve_group
 from .render import ChartStyle, RenderError, bidegree_window, groups_tsv, motivic_chart_svg, region_chart_svg
+from .render import MOTIVIC_SCALE, motivic_chart_style
 from .resources import DATA_ENV_VAR
 from .spectral import localized_motivic_anss
 from . import verify as verify_mod
@@ -165,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = chart_sub.add_parser("motivic", help="SVG of the motivic lift of a chart")
     pc.add_argument("--chart", default="sample")
     pc.add_argument("--window", default=None, help="smin:smax:fmin:fmax")
-    pc.add_argument("--scale", type=int, default=24)
+    pc.add_argument("--scale", type=int, default=MOTIVIC_SCALE)
     pc.add_argument("-o", "--output", default=None)
     pc.set_defaults(func=_cmd_chart_motivic)
 
@@ -207,8 +208,7 @@ def _cmd_localize(args, parser: argparse.ArgumentParser) -> int:
     chart = _load_chart(args.chart)
     results = eta_localize_chart(chart, max_steps=args.max_steps)
     if args.name and args.name not in results:
-        print(f"error: no class named {args.name!r} in the chart", file=sys.stderr)
-        return 1
+        raise ChartError(f"no class named {args.name!r} in the chart")
     shown = [results[args.name]] if args.name else results.values()
     for r in shown:  # chart classes, and so the results, are in (s, f, name) order
         target = r.value.name if r.value is not None else "0"
@@ -273,10 +273,7 @@ def _cmd_chart_groups(args, parser: argparse.ArgumentParser) -> int:
 def _cmd_chart_motivic(args, parser: argparse.ArgumentParser) -> int:
     style = None if args.window is None else ChartStyle(*_parse_window4(args.window, parser), scale=args.scale)
     lift = lift_to_motivic(_load_chart(args.chart))
-    if style is None:  # the default window comes from the chart, so this style and its --scale wait for it
-        n = lift.chart.s_max + 1
-        style = ChartStyle(s_min=0, s_max=n, w_min=0, w_max=n, scale=args.scale)
-    _emit(motivic_chart_svg(lift, style), args.output)
+    _emit(motivic_chart_svg(lift, style or motivic_chart_style(lift, args.scale)), args.output)
     return 0
 
 

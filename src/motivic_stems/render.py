@@ -51,6 +51,7 @@ MARGIN_TOP = 36
 MARGIN_RIGHT = 20
 MARGIN_BOTTOM = 44
 LEGEND_HEIGHT = 30
+MOTIVIC_SCALE = 24  # pixels per unit of a motivic chart unless a scale is given
 
 
 class RenderError(ValueError):
@@ -350,15 +351,22 @@ def groups_tsv(window: Iterable[tuple[int, int]], stems_table: StemsTable | None
     return "\n".join(lines) + "\n"
 
 
+def motivic_chart_style(lift: MotivicLift, scale: int = MOTIVIC_SCALE) -> ChartStyle:
+    """The default window of a motivic chart: s and f both in 0..s_max+1 of the lift's chart."""
+    n = lift.chart.s_max + 1
+    return ChartStyle(s_min=0, s_max=n, w_min=0, w_max=n, scale=scale)
+
+
 def motivic_chart_svg(lift: MotivicLift, style: ChartStyle | None = None) -> str:
     """Adams-style (s, f) chart of a motivic lift.
 
-    The vertical axis reuses the style's w range as the filtration range. Each
-    class is a dot whose tooltip (an SVG title element) records its weight
-    tower: the class exists in all weights w <= (s+f)/2. Eta edges are drawn
-    as diagonal segments.
+    The vertical axis reuses the style's w range as the filtration range, and
+    the style defaults to ``motivic_chart_style(lift)``. Each class is a dot
+    whose tooltip (an SVG title element) records its weight tower: the class
+    exists in all weights w <= (s+f)/2. Eta edges are drawn as diagonal
+    segments.
     """
-    style = style or ChartStyle(s_min=0, s_max=max(lift.chart.s_max, 1), w_min=0, w_max=max(lift.chart.s_max, 1))
+    style = style or motivic_chart_style(lift)
     canvas = _Canvas(style)
     in_range = [
         c

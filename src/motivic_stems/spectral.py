@@ -412,17 +412,19 @@ def run_to_einfty(
 
     With all later differentials zero the result is the E-infinity page; the
     certification accumulated in ``status`` bounds where that claim was fully
-    checked inside the window.
+    checked inside the window. Every input is checked before E2 is built: a
+    differential on another presentation raises ``PresentationMismatchError``,
+    pages out of order or differentials that do not anticommute raise
+    ``DifferentialSpecError``.
     """
     pages = [d.page for d in diffspecs]
     if pages != sorted(pages) or len(set(pages)) != len(pages):
         raise DifferentialSpecError(f"differentials must be listed in strictly increasing page order, got {pages}")
-    # d_r d_s + d_s d_r is a derivation over F2, so checking generators is
-    # enough; turn_page rejects a spec on another presentation
+    if any(d.presentation != presentation for d in diffspecs):
+        raise PresentationMismatchError("differential is built on a different presentation than the page")
+    # d_r d_s + d_s d_r is a derivation over F2, so checking generators is enough
     for i, ds in enumerate(diffspecs):
         for dr in diffspecs[:i]:
-            if dr.presentation != ds.presentation:
-                continue
             for name in (g.name for g in ds.presentation.generators):
                 mixed = _compose(dr, ds, name) ^ _compose(ds, dr, name)
                 if mixed:

@@ -49,7 +49,6 @@ from .families import (
     vn_bidegree,
     wn_slope,
 )
-from .groups import Z_MOD_2
 from .regions import RegionLabel, adams_weak_bound, classify, eta_local_group, resolve_group
 from .render import ChartStyle, bidegree_window, groups_tsv, motivic_chart_svg, region_chart_svg
 from .resources import read_data_text
@@ -343,8 +342,10 @@ ETA_SPOTS = (
 def check_etalocal() -> list[CheckResult]:
     """Every cell of the eta boundary band and the tau band is resolved once.
 
-    The eta step resolves each band cell's successor (s+1, w+1) besides. A
-    cell's region is the ``region`` of its ``resolve_group`` value, which is
+    The eta step resolves each band cell's successor (s+1, w+1) besides. The
+    closed form, the band and the step each compare a value's group and
+    generator strings with one oracle answer, ``expected(s, w)``. A cell's
+    region is the ``region`` of its ``resolve_group`` value, which is
     ``classify``'s. Tau-band neighbours compare group strings unless they are
     the same value.
     """
@@ -359,21 +360,21 @@ def check_etalocal() -> list[CheckResult]:
         )
     )
 
+    def expected(s: int, w: int) -> tuple[str, str]:
+        # the oracle's group and generator strings: eta^a sigma^eps mu9^b with a forced by s
+        hit = table.get(s - w)
+        if hit is None:
+            return "0", "-"
+        eps, b = hit
+        return "Z/2", _eta_monomial_str(s - 7 * eps - 9 * b, eps, b)
+
     # closed form against the table, exhaustively in d = s - w
     closed_failures = 0
     for d in range(-8, d_max + 1):
         for s in (max(d, 0) + 1, max(d, 0) + 50, d_max + 17):
-            w = s - d
-            value = eta_local_group(s, w)
-            hit = table.get(d)
-            if hit is None:
-                if value.descriptor is None or not value.descriptor.is_trivial:
-                    closed_failures += 1
-            else:
-                eps, b = hit
-                a = s - 7 * eps - 9 * b
-                if value.descriptor != Z_MOD_2 or value.generator != _eta_monomial_str(a, eps, b):
-                    closed_failures += 1
+            value = eta_local_group(s, s - d)
+            if (value.group_str, value.generator_str) != expected(s, s - d):
+                closed_failures += 1
     results.append(
         CheckResult(
             "closed_form_matches_oracle",
@@ -392,26 +393,11 @@ def check_etalocal() -> list[CheckResult]:
         for w in range(w_lo, min(w_lo + 3, s) + 1):
             checked += 1
             value = resolve_group(s, w, stems)
-            if value.region is not RegionLabel.ETA_LOCAL:
+            if value.region is not RegionLabel.ETA_LOCAL or (value.group_str, value.generator_str) != expected(s, w):
                 band_failures += 1
-                continue
-            d = s - w
-            hit = table.get(d)
-            if hit is None:
-                if value.group_str != "0":
-                    band_failures += 1
-            else:
-                eps, b = hit
-                expected = _eta_monomial_str(s - 7 * eps - 9 * b, eps, b)
-                if value.group_str != "Z/2" or value.generator_str != expected:
-                    band_failures += 1
             succ = resolve_group(s + 1, w + 1, stems)
-            if succ.group_str != value.group_str:
+            if (succ.group_str, succ.generator_str) != expected(s + 1, w + 1):
                 step_failures += 1
-            elif hit is not None:
-                eps, b = hit
-                if succ.generator_str != _eta_monomial_str(s + 1 - 7 * eps - 9 * b, eps, b):
-                    step_failures += 1
     results.append(
         CheckResult(
             "boundary_band_values",

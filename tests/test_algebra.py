@@ -118,6 +118,8 @@ def test_window_requires_every_generator(presentation_and_d3):
             presentation,
             {"tau": (0, 1), "alpha1": (0, 1), "alpha3": (0, 1), "alpha4": (0, 1), "beta": (0, 1)},
         )
+    with pytest.raises(PresentationMismatchError, match="window has 3 bounds, presentation has 4 generators"):
+        Window(((0, 1), (0, 1), (0, 1))).effective_bounds(presentation)
 
 
 def test_window_built_directly_checks_its_bounds():

@@ -8,8 +8,9 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from motivic_stems import verify
+from motivic_stems.charts import lift_to_motivic, load_sample_chart
 from motivic_stems.cli import main
-from motivic_stems.render import ChartStyle, region_chart_svg
+from motivic_stems.render import ChartStyle, motivic_chart_svg, region_chart_svg
 from motivic_stems.resources import DATA_ENV_VAR, data_path
 from motivic_stems.spectral import run_to_einfty
 
@@ -100,9 +101,10 @@ def test_ingest_canonical_matches_bundled_file(capsys):
 
 
 def test_ingest_stems(capsys):
-    code, out, _ = run(capsys, "ingest", "sample", "--kind", "stems")
+    code, out, _ = run(capsys, "ingest", "sample", "--kind", "stems", "--canonical")
     assert code == 0
     assert out.startswith("ok: stems 0..20, provenance=")
+    assert out.split("\n", 1)[1] == data_path("stems.txt").read_text(encoding="utf-8")
 
 
 def test_ingest_corrupt_chart(capsys):
@@ -192,6 +194,7 @@ def test_chart_regions_stdout_with_options(capsys):
     "argv, message",
     [
         pytest.param(["chart", "regions", "--window", "1:2:3"], "--window expects", id="short-window"),
+        pytest.param(["chart", "groups", "--window=0:x:0:1"], "--window has a non-integer bound", id="non-integer"),
         pytest.param(
             ["chart", "regions", "--window=5:4:0:1"], "error: empty chart range: s in [5,4]", id="regions-s-reversed"
         ),
@@ -231,6 +234,18 @@ def test_chart_groups_stdout(capsys):
     lines = out.splitlines()
     assert lines[0] == "# s\tw\tregion\tgroup\tgenerator"
     assert len(lines) == 1 + 16
+
+
+def test_chart_motivic_default_window(capsys):
+    # without --window the chart spans s and f in 0..s_max+1, which for the
+    # sample chart is the golden style's window, and the library draws the same
+    code, out, _ = run(capsys, "chart", "motivic")
+    assert code == 0
+    assert out == data_path("golden/motivic.svg").read_text(encoding="utf-8")
+    assert out == motivic_chart_svg(lift_to_motivic(load_sample_chart()))
+    code, out, _ = run(capsys, "chart", "motivic", "--scale", "7")
+    assert code == 0  # test_render pins this window at scale 7 with the same digest
+    assert hashlib.sha256(out.encode()).hexdigest() == "2fe43797f0c32482e6844f04d2f68b069a6004f9c3c6ca957184755d857e7074"
 
 
 def test_chart_motivic(capsys, tmp_path):
@@ -356,6 +371,11 @@ def test_data_dir_override(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv(DATA_ENV_VAR, str(tmp_path))
     code, out, _ = run(capsys, "group", "2", "1")
     assert (code, out) == (0, "group=Z/8 generator=-\n")
+    (tmp_path / "empty").mkdir()
+    monkeypatch.setenv(DATA_ENV_VAR, str(tmp_path / "empty"))
+    code, out, err = run(capsys, "group", "2", "1")
+    assert (code, out, err) == (1, "", f"error: data file not found: {tmp_path / 'empty' / 'stems.txt'}\n")
     monkeypatch.delenv(DATA_ENV_VAR)
     code, out, _ = run(capsys, "group", "2", "1")
     assert (code, out) == (0, "group=Z/2 generator=-\n")
+

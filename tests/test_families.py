@@ -110,6 +110,8 @@ def test_wn_periodicity():
     assert slopes[-1] - Fraction(1, 2) < Fraction(1, 1000)
     with pytest.raises(FamilyError, match="n >= 0"):
         wn_bidegree(-1, 1)
+    with pytest.raises(FamilyError, match="power must be >= 0, got -1"):
+        wn_bidegree(1, -1)
     for n in (-1, -2):
         with pytest.raises(FamilyError, match="n >= 0"):
             wn_slope(n)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from motivic_stems import gf2
+from motivic_stems import gf2, spectral
 from motivic_stems.algebra import (
     GeneratorSpec,
     Monomial,
@@ -119,17 +119,21 @@ def test_differential_images_are_read_only(presentation_and_d3):
     assert d3.images["alpha3"] == frozenset((presentation.monomial(tau=1, alpha1=4),))
 
 
-def test_differential_on_another_presentation_is_rejected(presentation_and_d3, einfty_window):
+def test_differential_on_another_presentation_is_rejected(presentation_and_d3, einfty_window, monkeypatch):
     # same generator names, alpha3 in another degree: the page turn refuses
-    # it rather than reading its shift against the wrong degrees
+    # it rather than reading its shift against the wrong degrees, and the
+    # run refuses it before it builds E2
     presentation, _ = presentation_and_d3
     other = MonomialAlgebraPresentation(
         GeneratorSpec(g.name, Tridegree(5, 1, 2) if g.name == "alpha3" else g.degree, g.invertible, g.square_zero)
         for g in presentation.generators
     )
     d3 = build_differential(other, 3, {"alpha3": [other.monomial(tau=1, alpha1=4)]})
+    built = []
+    monkeypatch.setattr(spectral, "initial_page", lambda *args: built.append(args) or initial_page(*args))
     with pytest.raises(PresentationMismatchError, match="different presentation"):
         run_to_einfty(presentation, [d3], einfty_window)
+    assert built == []
     with pytest.raises(PresentationMismatchError, match="different presentation"):
         turn_page(initial_page(presentation, einfty_window), d3)
 

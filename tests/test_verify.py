@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from motivic_stems import regions, verify
+from motivic_stems import charts, families, regions, resources, verify
+from motivic_stems.groups import TRIVIAL_GROUP
 from motivic_stems.regions import GroupValue, RegionLabel
 
 # small stand-ins for the acceptance constants, so each suite runs in milliseconds
@@ -91,6 +92,62 @@ def test_wrong_region_at_one_eta_band_cell_fails_band_values(small_suites, monke
     results = _results(verify.check_etalocal())
     assert not results["boundary_band_values"]
     assert results["eta_step_iso"]
+
+
+def test_named_trivial_eta_value_fails_the_oracle_checks(small_suites, monkeypatch):
+    # a zero group must come with no generator: the band and the closed form compare both strings
+    monkeypatch.setattr(regions, "_ETA_TRIVIAL_VALUE", GroupValue(RegionLabel.ETA_LOCAL, TRIVIAL_GROUP, "x"))
+    results = _results(verify.check_etalocal())
+    assert not results["boundary_band_values"]
+    assert not results["closed_form_matches_oracle"]
+
+
+def _mutate_one_input(monkeypatch, name, original, key, wrong):
+    # verify's binding of `name` answers `wrong` on the one input `key`, else as `original`
+    def mutated(*args):
+        return wrong if args == key else original(*args)
+
+    monkeypatch.setattr(verify, name, mutated)
+
+
+def test_wrong_leibniz_image_fails_d_squared_zero(monkeypatch):
+    presentation, (d3,) = verify.localized_motivic_anss()
+    alpha3 = presentation.monomial(alpha3=1)
+    monkeypatch.setattr(verify, "localized_motivic_anss", lambda: (presentation, [d3]))
+    # d(alpha3) = alpha3, whose own differential is nonzero
+    _mutate_one_input(monkeypatch, "leibniz_extend", verify.leibniz_extend, (d3, alpha3), frozenset((alpha3,)))
+    monkeypatch.setattr(verify, "LEIBNIZ_PAIR_SAMPLES", 10)
+    assert not _results(verify.check_leibniz())["d_squared_zero"]
+
+
+def test_zero_region_at_a_may_generator_fails_vanishing(monkeypatch):
+    _mutate_one_input(monkeypatch, "classify", regions.classify, (1, 1), RegionLabel.ZERO)
+    monkeypatch.setattr(verify, "ZERO_SAMPLE_COUNT", 10)
+    assert not _results(verify.check_vanishing())["may_weights_below_stems"]
+
+
+def test_wrong_ctau_group_at_one_spot_fails_ctau(monkeypatch):
+    chart = charts.load_sample_chart()
+    monkeypatch.setattr(verify, "load_sample_chart", lambda: chart)
+    _mutate_one_input(monkeypatch, "ctau_homotopy", charts.ctau_homotopy, (chart, 3, 2), TRIVIAL_GROUP)
+    assert not _results(verify.check_ctau())["spot_values"]
+
+
+def test_unit_in_the_guaranteed_range_fails_localization(monkeypatch):
+    # the unit needs three eta steps, so a range holding (0, 0) is not stable
+    _mutate_one_input(monkeypatch, "localization_guaranteed", charts.localization_guaranteed, (0, 0), True)
+    assert not _results(verify.check_localization())["guaranteed_range_is_stable"]
+
+
+def test_wrong_family_line_fails_families(monkeypatch):
+    _mutate_one_input(monkeypatch, "family_line", families.family_line, ("w1_family",), (1, 0))
+    assert not _results(verify.check_families())["members_on_their_lines"]
+
+
+def test_accepted_corrupt_fixture_fails_roundtrip(monkeypatch):
+    good = resources.read_data_text("sample_chart.txt")
+    _mutate_one_input(monkeypatch, "read_data_text", resources.read_data_text, ("fixtures/bad_eta_edge.txt",), good)
+    assert not _results(verify.check_roundtrip())["corrupt_fixtures_rejected"]
 
 
 def _cell_oracle(s, w):
