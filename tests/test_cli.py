@@ -378,4 +378,3 @@ def test_data_dir_override(capsys, monkeypatch, tmp_path):
     monkeypatch.delenv(DATA_ENV_VAR)
     code, out, _ = run(capsys, "group", "2", "1")
     assert (code, out) == (0, "group=Z/2 generator=-\n")
-
