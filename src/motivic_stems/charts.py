@@ -105,6 +105,8 @@ class ClassicalChart:
                 violations.append(f"{where}: filtration 0 is only allowed at (0,0)")
             if c.s > self.s_max:
                 violations.append(f"{where}: stem exceeds declared range s <= {self.s_max}")
+            if c.order != 0 and not is_power_of_two(c.order):
+                violations.append(f"{where}: order {c.order} is neither 0 (2-adics) nor a power of 2 >= 2")
             if c.eta_edge is not None:
                 target = self.by_name(c.eta_edge)
                 if target is None:

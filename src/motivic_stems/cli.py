@@ -148,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     chart_sub = p.add_subparsers(dest="chart_command", required=True)
 
     pc = chart_sub.add_parser("regions", help="SVG of the four-region picture")
-    pc.add_argument("--window", default="-4:24:-8:26", help="smin:smax:wmin:wmax")
-    pc.add_argument("--scale", type=int, default=20)
+    pc.add_argument("--window", default=None, help="smin:smax:wmin:wmax; ChartStyle's window when omitted")
+    pc.add_argument("--scale", type=int, default=ChartStyle.scale)
     pc.add_argument("--dots", action="store_true", help="mark each lattice point with its group")
     family_names = [f.name for f in builtin_families()]
     pc.add_argument("--overlay", action="append", default=[], choices=family_names, help="family name; repeatable")
@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(func=_cmd_chart_regions)
 
     pc = chart_sub.add_parser("groups", help="TSV of resolved groups over a window")
-    pc.add_argument("--window", default="-2:12:-6:12", help="smin:smax:wmin:wmax")
+    pc.add_argument("--window", default=None, help="smin:smax:wmin:wmax; the golden file's window when omitted")
     pc.add_argument("--stems", default="sample")
     pc.add_argument("-o", "--output", default=None)
     pc.set_defaults(func=_cmd_chart_groups)
@@ -253,7 +253,7 @@ def _cmd_may_census(args, parser: argparse.ArgumentParser) -> int:
 
 def _cmd_chart_regions(args, parser: argparse.ArgumentParser) -> int:
     style = ChartStyle(
-        *_parse_window4(args.window, parser),
+        *(() if args.window is None else _parse_window4(args.window, parser)),
         scale=args.scale,
         group_dots=args.dots,
         family_overlays=tuple(args.overlay),
@@ -264,7 +264,8 @@ def _cmd_chart_regions(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_chart_groups(args, parser: argparse.ArgumentParser) -> int:
-    window = bidegree_window(*_parse_window4(args.window, parser))
+    bounds = verify_mod.GOLDEN_GROUPS_WINDOW if args.window is None else _parse_window4(args.window, parser)
+    window = bidegree_window(*bounds)
     table = _load_stems(args.stems)
     _emit(groups_tsv(window, stems_table=table), args.output)
     return 0

@@ -165,8 +165,6 @@ def may_e1_generators(max_stem: int) -> list[MayGenerator]:
     Every generator satisfies weight <= stem, which is what forces the motivic
     stable stems to vanish above the line w = s.
     """
-    if max_stem < 0:
-        return []
     gens = []
     i = 1
     while 2 ** i - 2 <= max_stem:

@@ -45,9 +45,7 @@ def classify(s: int, w: int) -> RegionLabel:
     """Region of the bidegree (s, w); total and single-valued by construction."""
     if s < 0 or w > s:
         return _ZERO
-    if s == 0:
-        return _TAU_LOCAL  # the ray w <= 0
-    if 2 * w <= s + 2:  # w <= s/2 + 1
+    if 2 * w <= s + 2:  # w <= s/2 + 1; at s = 0 this is the whole ray w <= 0
         return _TAU_LOCAL
     if 5 * w > 3 * s + 5:  # w > 3s/5 + 1
         return _ETA_LOCAL

@@ -27,9 +27,6 @@ REGION_FILL = {
     RegionLabel.NOT_UNDERSTOOD: "#e3d1ee",
 }
 
-# read once: the Enum's .value descriptor is slow on Python 3.10 and 3.11
-_REGION_NAME = {label: label.value for label in RegionLabel}
-
 REGION_LEGEND = [
     (RegionLabel.TAU_LOCAL, "tau-local"),
     (RegionLabel.ETA_LOCAL, "eta-local"),
@@ -346,7 +343,7 @@ def groups_tsv(window: Iterable[tuple[int, int]], stems_table: StemsTable | None
         value = resolve_group(s, w, stems_table)
         if value is not last:
             last = value
-            tail = f"{_REGION_NAME[value.region]}\t{value.group_str}\t{value.generator_str}"
+            tail = f"{value.region.value}\t{value.group_str}\t{value.generator_str}"
         lines.append(f"{s}\t{w}\t{tail}")
     return "\n".join(lines) + "\n"
 

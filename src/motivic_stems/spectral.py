@@ -132,12 +132,12 @@ class DifferentialSpec:
         object.__setattr__(self, "shift", Tridegree(-1, self.page, 0) if shift is None else shift)
         object.__setattr__(self, "offsets", tuple(offsets))
         # over F2, d^2 is a derivation, so it vanishes once it does on generators
-        for name in images:
-            twice = _compose(self, self, name)
+        for name, image in images.items():
+            twice = d_sum(self, image)
             if twice:
                 raise DifferentialSpecError(
                     f"d{self.page} squares to a nonzero map: d{self.page}(d{self.page}({name})) = "
-                    f"{pres.sum_str(map(Monomial, twice))}"
+                    f"{pres.sum_str(twice)}"
                 )
 
     def terms(self, exps: tuple[int, ...]) -> set[tuple[int, ...]]:
@@ -156,14 +156,6 @@ class DifferentialSpec:
                     if not raised or not any(p[j] > 1 for j in raised):
                         out.symmetric_difference_update((p,))
         return out
-
-
-def _compose(outer: DifferentialSpec, inner: DifferentialSpec, name: str) -> set[tuple[int, ...]]:
-    """Exponent tuples of outer(inner(name)) for the generator ``name``, mod 2."""
-    out: set[tuple[int, ...]] = set()
-    for u in inner.images.get(name, ()):
-        out.symmetric_difference_update(outer.terms(u.exponents))
-    return out
 
 
 def build_differential(
@@ -426,12 +418,12 @@ def run_to_einfty(
     for i, ds in enumerate(diffspecs):
         for dr in diffspecs[:i]:
             for name in (g.name for g in ds.presentation.generators):
-                mixed = _compose(dr, ds, name) ^ _compose(ds, dr, name)
+                mixed = d_sum(dr, ds.images.get(name, ())) ^ d_sum(ds, dr.images.get(name, ()))
                 if mixed:
                     raise DifferentialSpecError(
                         f"d{dr.page} and d{ds.page} do not anticommute: "
                         f"(d{dr.page}d{ds.page} + d{ds.page}d{dr.page})({name}) = "
-                        f"{dr.presentation.sum_str(map(Monomial, mixed))}"
+                        f"{dr.presentation.sum_str(mixed)}"
                     )
     state = initial_page(presentation, window)
     for d in diffspecs:

@@ -50,7 +50,7 @@ from .families import (
     wn_slope,
 )
 from .regions import RegionLabel, adams_weak_bound, classify, eta_local_group, resolve_group
-from .render import ChartStyle, bidegree_window, groups_tsv, motivic_chart_svg, region_chart_svg
+from .render import MOTIVIC_SCALE, ChartStyle, bidegree_window, groups_tsv, motivic_chart_svg, region_chart_svg
 from .resources import read_data_text
 from .spectral import (
     Certainty,
@@ -74,17 +74,9 @@ MAY_MAX_STEM = 1000
 ZERO_SAMPLE_COUNT = 10_000
 SAMPLE_SEED = 0
 
-GOLDEN_REGIONS_STYLE = ChartStyle(
-    s_min=-4,
-    s_max=24,
-    w_min=-8,
-    w_max=26,
-    scale=20,
-    group_dots=True,
-    family_overlays=("Pk_h1_4", "w1_family"),
-)
+GOLDEN_REGIONS_STYLE = ChartStyle(group_dots=True, family_overlays=("Pk_h1_4", "w1_family"))
 GOLDEN_GROUPS_WINDOW = (-2, 12, -6, 12)
-GOLDEN_MOTIVIC_STYLE = ChartStyle(s_min=0, s_max=15, w_min=0, w_max=15, scale=24)
+GOLDEN_MOTIVIC_STYLE = ChartStyle(s_min=0, s_max=15, w_min=0, w_max=15, scale=MOTIVIC_SCALE)
 
 CORRUPT_FIXTURES = (
     "fixtures/missing_unit.txt",

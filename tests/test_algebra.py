@@ -132,6 +132,14 @@ def test_window_built_directly_checks_its_bounds():
     assert Window(((0, 8), (-12, 12))).bounds == ((0, 8), (-12, 12))
 
 
+def test_wrong_length_exponents_are_not_valid_or_in_a_window(presentation_and_d3, einfty_window):
+    presentation, _ = presentation_and_d3
+    for exps in ((0, 0, 0), (0, 0, 0, 0, 0)):
+        assert not presentation.is_valid_exponents(exps)
+        assert not einfty_window.contains(presentation, Monomial(exps))
+    assert presentation.is_valid_exponents((0, 0, 0, 0))
+
+
 def test_window_clamps_to_presentation(presentation_and_d3):
     presentation, _ = presentation_and_d3
     window = Window.from_dict(

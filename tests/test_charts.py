@@ -198,6 +198,11 @@ def test_eta_localize_chain_leaving_range_is_unresolved():
             re.escape("['x']"),
             id="repeated-name",
         ),
+        pytest.param(
+            [ClassicalChartClass("1", 0, 0, 0), ClassicalChartClass("x", 1, 1, 3), ClassicalChartClass("y", 3, 1, -4)],
+            r"'x' at \(1,1\): order 3 is neither 0 .*'y' at \(3,1\): order -4 is neither 0 \(2-adics\) nor a power of 2",
+            id="order-not-a-group-order",
+        ),
     ],
 )
 def test_chart_constructor_rejects_invalid_data(classes, fragment):
@@ -207,7 +212,7 @@ def test_chart_constructor_rejects_invalid_data(classes, fragment):
 
 
 def test_parse_stems_basic():
-    table = parse_stems("# provenance: test\n0 Z\n2 2,2\n4 0\n")
+    table = parse_stems("# provenance: test\n0 Z\n\n2 2,2\n4 0\n")
     assert table.provenance == "test"
     assert str(table.groups.get(0)) == "Z2"
     assert str(table.groups.get(2)) == "Z/2+Z/2"

@@ -174,11 +174,34 @@ def test_may_census(capsys):
 
 
 def test_chart_regions_file_matches_library(capsys, tmp_path):
+    # without --window and --scale the CLI draws ChartStyle's default chart
     target = tmp_path / "regions.svg"
     code, out, _ = run(capsys, "chart", "regions", "-o", str(target))
     assert code == 0 and out == ""
-    expected = region_chart_svg(ChartStyle(s_min=-4, s_max=24, w_min=-8, w_max=26, scale=20))
-    assert target.read_text(encoding="utf-8") == expected
+    svg = target.read_text(encoding="utf-8")
+    assert svg == region_chart_svg(ChartStyle())
+    assert hashlib.sha256(svg.encode()).hexdigest() == "8af71cff31d1225bf44646b63a7aaee855204a659b7d76c38bc141682fa52b67"
+
+
+@pytest.mark.parametrize(
+    "argv, name, digest",
+    [
+        pytest.param(
+            ["chart", "regions", "--dots", "--overlay", "Pk_h1_4", "--overlay", "w1_family"],
+            "regions.svg",
+            "008f3f01b894087e264473bce10b3d4c39f123f9f096102737ca4c209d45abd8",
+            id="regions",
+        ),
+        pytest.param(
+            ["chart", "groups"], "groups.tsv", "c05ca868068f67a98903728f29d72b82c56bafaf8019bde4f5bd33363095bcf5", id="groups"
+        ),
+    ],
+)
+def test_default_charts_are_the_golden_files(capsys, argv, name, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == data_path(f"golden/{name}").read_text(encoding="utf-8")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_chart_regions_stdout_with_options(capsys):

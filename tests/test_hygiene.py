@@ -95,6 +95,37 @@ def test_no_public_api_used_only_by_tests():
     assert unused == []
 
 
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Private top-level functions, classes and constants -> line."""
+    defs: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        defs.update((name, node.lineno) for name in names if name.startswith("_") and not name.startswith("__"))
+    return defs
+
+
+def test_no_private_definition_left_unread():
+    # a private name is for the package's own use: some module of it must load it
+    loaded: set[str] = set()
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+    unread = []
+    for path, tree in trees.items():
+        unread += [f"{path.name}:{line} {name}" for name, line in _private_definitions(tree).items() if name not in loaded]
+    assert unread == []
+
+
 @pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__"))
 def test_module_imports_on_its_own(module):
     # a fresh interpreter per module, so that an import cycle shows whichever

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from motivic_stems import charts, families, regions, resources, verify
-from motivic_stems.groups import TRIVIAL_GROUP
+from motivic_stems.algebra import Tridegree
+from motivic_stems.groups import TRIVIAL_GROUP, Z_MOD_2
 from motivic_stems.regions import GroupValue, RegionLabel
+from motivic_stems.spectral import sum_multiply
 
 # small stand-ins for the acceptance constants, so each suite runs in milliseconds
 RADIUS = 24
@@ -110,6 +114,19 @@ def _mutate_one_input(monkeypatch, name, original, key, wrong):
     monkeypatch.setattr(verify, name, mutated)
 
 
+def _wrong_product(presentation, terms, m):
+    # the right answer plus the multiplier itself, so d(xy) != d(x)y + xd(y) whenever x != y
+    return sum_multiply(presentation, terms, m) ^ {m}
+
+
+def test_wrong_product_fails_product_rule(monkeypatch):
+    monkeypatch.setattr(verify, "sum_multiply", _wrong_product)
+    monkeypatch.setattr(verify, "LEIBNIZ_PAIR_SAMPLES", 10)
+    results = _results(verify.check_leibniz())
+    assert not results["product_rule"]
+    assert results["d_squared_zero"]
+
+
 def test_wrong_leibniz_image_fails_d_squared_zero(monkeypatch):
     presentation, (d3,) = verify.localized_motivic_anss()
     alpha3 = presentation.monomial(alpha3=1)
@@ -124,6 +141,41 @@ def test_zero_region_at_a_may_generator_fails_vanishing(monkeypatch):
     _mutate_one_input(monkeypatch, "classify", regions.classify, (1, 1), RegionLabel.ZERO)
     monkeypatch.setattr(verify, "ZERO_SAMPLE_COUNT", 10)
     assert not _results(verify.check_vanishing())["may_weights_below_stems"]
+
+
+def test_named_zero_at_one_sampled_cell_fails_vanishing(monkeypatch):
+    monkeypatch.setattr(verify, "ZERO_SAMPLE_COUNT", 10)
+    sampled = []
+
+    def recording(s, w):
+        sampled.append((s, w))
+        return regions.resolve_group(s, w)
+
+    monkeypatch.setattr(verify, "resolve_group", recording)
+    assert _results(verify.check_vanishing())["zero_region_samples"]
+    named = GroupValue(RegionLabel.ZERO, TRIVIAL_GROUP, "x")
+    _mutate_one_input(monkeypatch, "resolve_group", regions.resolve_group, sampled[0], named)
+    assert not _results(verify.check_vanishing())["zero_region_samples"]
+
+
+def test_nonzero_ctau_group_below_the_line_fails_ctau(monkeypatch):
+    chart = charts.load_sample_chart()
+    monkeypatch.setattr(verify, "load_sample_chart", lambda: chart)
+    # (3, 1) has 2w - s = -1
+    _mutate_one_input(monkeypatch, "ctau_homotopy", charts.ctau_homotopy, (chart, 3, 1), Z_MOD_2)
+    results = _results(verify.check_ctau())
+    assert not results["vanishes_below_milnor_witt_line"]
+    assert results["spot_values"]
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_zero_group_out_of_range_fails_ctau(monkeypatch, side):
+    # lack of data answered as the zero group in place of StemRangeError
+    chart = charts.load_sample_chart()
+    monkeypatch.setattr(verify, "load_sample_chart", lambda: chart)
+    stem = -1 if side == "below" else chart.s_max + 1
+    _mutate_one_input(monkeypatch, "ctau_homotopy", charts.ctau_homotopy, (chart, stem, 0), TRIVIAL_GROUP)
+    assert not _results(verify.check_ctau())["out_of_range_is_an_error"]
 
 
 def test_wrong_ctau_group_at_one_spot_fails_ctau(monkeypatch):
@@ -142,6 +194,34 @@ def test_unit_in_the_guaranteed_range_fails_localization(monkeypatch):
 def test_wrong_family_line_fails_families(monkeypatch):
     _mutate_one_input(monkeypatch, "family_line", families.family_line, ("w1_family",), (1, 0))
     assert not _results(verify.check_families())["members_on_their_lines"]
+
+
+def test_family_off_its_line_fails_families(monkeypatch):
+    # the line itself stays right; the family's members leave it
+    def moved():
+        return [
+            dataclasses.replace(f, base=f.base + Tridegree(0, 0, 1)) if f.name == "w1_family" else f
+            for f in families.builtin_families()
+        ]
+
+    monkeypatch.setattr(verify, "builtin_families", moved)
+    assert not _results(verify.check_families())["members_on_their_lines"]
+
+
+@pytest.mark.parametrize("name", [f.name for f in families.builtin_families()])
+def test_zero_region_at_one_member_fails_placement(monkeypatch, name):
+    family = next(f for f in families.builtin_families() if f.name == name)
+    # no family lies in the zero region, and the check reads k = 5 of every family (eta_powers from k = 2)
+    _mutate_one_input(monkeypatch, "classify", regions.classify, tuple(family.bidegree(5)), RegionLabel.ZERO)
+    results = _results(verify.check_families())
+    assert not results["members_flank_their_boundaries"]
+    assert results["members_on_their_lines"]
+
+
+def test_corrupt_fixture_failing_to_parse_fails_roundtrip(monkeypatch):
+    # a parse error is not the validation error a corrupt fixture must raise
+    _mutate_one_input(monkeypatch, "read_data_text", resources.read_data_text, ("fixtures/missing_unit.txt",), "x\n")
+    assert not _results(verify.check_roundtrip())["corrupt_fixtures_rejected"]
 
 
 def test_accepted_corrupt_fixture_fails_roundtrip(monkeypatch):
