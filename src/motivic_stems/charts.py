@@ -263,10 +263,9 @@ def eta_localize_chart(chart: ClassicalChart, max_steps: int | None = None) -> d
     entry there is the localized value) or once it hits a class with no
     outgoing edge whose successor bidegree is still inside the chart range
     (the localization is zero). A chain that leaves the ingested range or
-    exceeds max_steps first is UNRESOLVED.
+    exceeds max_steps first is UNRESOLVED. None means no cap: each eta edge
+    raises the stem by one, so a chain ends within s_max - s steps.
     """
-    if max_steps is None:
-        max_steps = chart.s_max + 1
     results: dict[str, LocalizationResult] = {}
     for cls in chart.classes:
         cur = cls
@@ -281,7 +280,7 @@ def eta_localize_chart(chart: ClassicalChart, max_steps: int | None = None) -> d
                 else:
                     res = LocalizationResult(cls, LOCALIZATION_STABLE, None, steps)
                 break
-            if steps >= max_steps:
+            if max_steps is not None and steps >= max_steps:
                 res = LocalizationResult(cls, LOCALIZATION_UNRESOLVED, None, steps)
                 break
             cur = chart.by_name(cur.eta_edge)

@@ -7,6 +7,8 @@ a mask. Reducing v against it then XORs in exactly the rows whose pivot bits
 are set in ``v & mask``: each such XOR clears its own pivot bit in v and
 touches no other pivot bit. A new pivot is substituted back only into the
 rows that carry its bit, which keeps the echelon fully reduced.
+``kernel_and_image`` holds the one insertion loop; ``rref`` is its image
+echelon, with a zero source for every row.
 """
 
 from __future__ import annotations
@@ -23,26 +25,7 @@ def _reduce(pivots: dict[int, int], mask: int, v: int) -> int:
 
 def rref(rows: list[int]) -> list[int]:
     """Reduced row echelon form, pivots on lowest set bits, sorted by pivot."""
-    pivots: dict[int, int] = {}
-    mask = 0
-    for r in rows:
-        r = _reduce(pivots, mask, r)
-        if r:
-            low = r & -r
-            for q, b in pivots.items():
-                if b & low:
-                    pivots[q] = b ^ r
-            pivots[low] = r
-            mask |= low
-    return [pivots[q] for q in sorted(pivots)]
-
-
-def reduce_mod(echelon: list[int], v: int) -> int:
-    """Reduce v against rows already in reduced echelon form."""
-    for b in echelon:
-        if v & b & -b:
-            v ^= b
-    return v
+    return kernel_and_image(rows, [0] * len(rows))[1]
 
 
 def kernel_and_image(columns: list[int], sources: list[int]) -> tuple[list[int], list[int]]:

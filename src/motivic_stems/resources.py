@@ -8,7 +8,6 @@ variable. Missing files always fail with the offending path spelled out.
 from __future__ import annotations
 
 import os
-from importlib import resources
 from pathlib import Path
 
 DATA_ENV_VAR = "MOTIVIC_STEMS_DATA"
@@ -18,7 +17,7 @@ SAMPLE_STEMS_FILE = "stems.txt"
 
 
 def data_path(name: str) -> Path:
-    path = Path(os.environ.get(DATA_ENV_VAR) or str(resources.files("motivic_stems") / "data")) / name
+    path = Path(os.environ.get(DATA_ENV_VAR) or Path(__file__).parent / "data") / name
     if not path.is_file():
         raise FileNotFoundError(f"data file not found: {path}")
     return path

@@ -30,12 +30,17 @@ lookup. A formal sum is a frozenset of monomials, and the empty set is zero.
 A page starts at E2, and a page-r differential turns any page up to r, since
 the pages in between are zero.
 
+A target fiber's boundaries from earlier pages enter the one GF(2)
+elimination ahead of the class columns, so the image echelon that comes
+back is the target's new boundaries.
+
 Two rank rules settle a fiber from dimensions alone, with no GF(2)
 elimination, for every presentation and window. Reduced-echelon boundaries
 with as many rows as the fiber has monomials span it, so no class survives.
-A map out of a single class with a nonzero column has an empty kernel, and
-that column is its own reduced echelon. On the built-in instance these two
-rules settle every fiber that d3 touches.
+A map out of a single class with a nonzero column, into a target with no
+earlier boundaries, has an empty kernel, and that column is its own reduced
+echelon. On the built-in instance these two rules settle every fiber that
+d3 touches.
 
 The built-in instance is the E2 page of the eta-localized motivic
 Adams-Novikov spectral sequence for the 2-complete sphere over C, with its
@@ -278,8 +283,9 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
     image of the incoming one and the earlier boundaries, with
     reduced-echelon canonical representatives in the fixed monomial order.
     The matrices act on the current page's classes, each sent to the sum of
-    its monomials' Leibniz images, read on the current page: modulo the
-    target's boundaries, and zero where the target has no classes.
+    its monomials' Leibniz images over the target fiber, zero where the
+    target has no classes. The target's boundaries enter the elimination
+    first, so each column is read modulo them.
     Certification shrinks to tridegrees whose differential interactions were
     fully visible inside the window and, where d_r has a nonzero term into or
     out of t, whose tridegree at the other end was certified on the previous
@@ -289,8 +295,8 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
     Two cases are decided by rank before any elimination. When the
     boundaries at t, reduced echelon and so independent, have as many rows
     as t has monomials, they span the fiber and t keeps no class. When t has
-    one class and its column is nonzero, the kernel is empty and the image
-    echelon is that column.
+    one class, its column is nonzero and the target has no earlier
+    boundaries, the kernel is empty and the image echelon is that column.
 
     Basis keys are sorted by (s, f, w), and ``vectors`` and ``status`` keep
     that key order on every page. So walking them in that order, or in
@@ -350,26 +356,29 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
                     bits ^= 1 << k
             images.append(bits)
         hits = any(images)  # with every term in the window, d_r is nonzero out of t exactly when this holds
-        # a class goes to its image on this page: zero where the target has
-        # no classes, else reduced modulo the target's boundaries
+        # a class goes to its image over the target fibre, zero where the target has no classes
         columns = []
+        old = ()
         if hits and vectors[downstream]:
-            old = boundaries.get(downstream)
+            old = boundaries.get(downstream, ())
             for v in classes:
                 col = 0
                 for i in _set_bits(v):
                     col ^= images[i]
-                columns.append(gf2.reduce_mod(old, col) if old else col)
-        if len(columns) == 1 and columns[0]:
-            # one class with a nonzero column: the kernel is empty and the column is its own echelon
+                columns.append(col)
+        if len(columns) == 1 and columns[0] and not old:
+            # one class, a nonzero column, no earlier boundaries: the kernel is empty and the column is its own echelon
             kernel, image_echelon = [], columns
+        elif any(columns):
+            # independent boundaries first: none enters the kernel, and the echelon is the target's new boundaries
+            kernel, image_echelon = gf2.kernel_and_image([*old, *columns], (0,) * len(old) + classes)
         else:
-            kernel, image_echelon = gf2.kernel_and_image(columns, classes) if any(columns) else (classes, [])
+            kernel, image_echelon = classes, []
         if target:
             pending[downstream] = (image_echelon, forward and (previous is VALID or not hits))
         incoming, upstream_ok = pending.pop(t, nothing)
-        old = boundaries.get(t)
-        bounded = gf2.rref(old + incoming) if old else incoming
+        # an incoming echelon already holds the earlier boundaries
+        bounded = incoming or boundaries.get(t, incoming)
         if len(bounded) == len(mons):
             # bounded is reduced echelon, so with a row per monomial it spans the fibre: no class survives
             reps = ()

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -179,6 +181,25 @@ def test_eta_localize_max_steps_forces_unresolved(sample_chart):
     unit_res = results["1"]
     assert unit_res.status == LOCALIZATION_UNRESOLVED
     assert unit_res.value is None and unit_res.steps == 1
+
+
+def _atlas_chart(seed: int) -> ClassicalChart:
+    # the seeded 2,601-class chart of the atlas benchmark workload
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return parse_chart(workloads.setup_atlas(seed)["text"])
+
+
+def test_eta_localize_default_has_no_cap(sample_chart):
+    # every eta edge raises the stem by one and no class lies past s_max, so
+    # no chain runs long enough for a cap to matter
+    for chart, classes, unresolved in ((sample_chart, 26, 0), (_atlas_chart(29), 2601, 22)):
+        results = eta_localize_chart(chart)
+        assert results == eta_localize_chart(chart, max_steps=10**9)
+        assert len(results) == classes
+        assert sum(r.status == LOCALIZATION_UNRESOLVED for r in results.values()) == unresolved
 
 
 def test_eta_localize_chain_leaving_range_is_unresolved():

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from motivic_stems import verify
 from motivic_stems.charts import lift_to_motivic, load_sample_chart
 from motivic_stems.cli import main
 from motivic_stems.render import ChartStyle, motivic_chart_svg, region_chart_svg
-from motivic_stems.resources import DATA_ENV_VAR, data_path
+from motivic_stems.resources import DATA_ENV_VAR, SAMPLE_CHART_FILE, SAMPLE_STEMS_FILE, data_path, read_data_text
 from motivic_stems.spectral import run_to_einfty
 
 
@@ -401,3 +405,92 @@ def test_data_dir_override(capsys, monkeypatch, tmp_path):
     monkeypatch.delenv(DATA_ENV_VAR)
     code, out, _ = run(capsys, "group", "2", "1")
     assert (code, out) == (0, "group=Z/2 generator=-\n")
+
+
+# --- robustness: mutated data files and drawn arguments --------------------
+# Every input either succeeds or fails with exit 1 or 2 and one error: line.
+
+
+@st.composite
+def mutated(draw, text: str) -> str:
+    """The text with a few tokens or lines swapped, dropped, duplicated or made huge or negative."""
+    lines = [line.split() for line in text.splitlines()]
+    for _ in range(draw(st.integers(1, 4))):
+        if not lines:
+            break
+        op = draw(st.sampled_from(("swap lines", "drop line", "duplicate line", "swap tokens", "drop token", "integer")))
+        i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+        if op == "swap lines":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "drop line":
+            del lines[i]
+        elif op == "duplicate line":
+            lines.insert(j, list(lines[i]))
+        elif lines[i] and lines[j]:
+            k, m = draw(st.integers(0, len(lines[i]) - 1)), draw(st.integers(0, len(lines[j]) - 1))
+            if op == "swap tokens":
+                lines[i][k], lines[j][m] = lines[j][m], lines[i][k]
+            elif op == "drop token":
+                del lines[i][k]
+            else:
+                lines[i][k] = str(draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=2**31))))
+    return "".join(" ".join(tokens) + "\n" for tokens in lines)
+
+
+small = st.integers(-40, 40)
+windows = st.builds("--window={}:{}:{}:{}".format, small, small, small, small)
+
+
+@st.composite
+def einfty_windows(draw) -> str:
+    """Bounds inside the default einfty window, not necessarily ordered."""
+    bounds = []
+    for name, (lo, hi) in verify.EINFTY_WINDOW.items():
+        bounds.append(f"{name}={draw(st.integers(lo, hi))}:{draw(st.integers(lo, hi))}")
+    return ",".join(bounds)
+
+
+@st.composite
+def cli_arguments(draw, chart: str, stems: str) -> list[str]:
+    bidegree = [str(draw(st.integers(-30, 30))), str(draw(st.integers(-30, 30)))]
+    # chart motivic always gets a window: its default spans the chart's
+    # declared s_max, which a mutated file can make as large as it likes
+    return draw(
+        st.sampled_from(
+            [
+                ["classify", *bidegree],
+                ["group", *bidegree, "--stems", stems],
+                ["ctau", *bidegree, "--chart", chart],
+                ["localize", "--chart", chart],
+                ["ingest", chart, "--canonical"],
+                ["ingest", stems, "--kind", "stems", "--canonical"],
+                ["chart", "regions", draw(windows), "--dots", "--stems", stems],
+                ["chart", "groups", draw(windows), "--stems", stems],
+                ["chart", "groups", "--stems", stems],
+                ["chart", "motivic", draw(windows), "--chart", chart],
+                ["verify", "einfty", "--einfty-window", draw(einfty_windows())],
+            ]
+        )
+    )
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated")
+
+
+@given(data=st.data())
+def test_cli_exits_cleanly_on_mutated_inputs(mutation_dir, data):
+    chart, stems = mutation_dir / "chart.txt", mutation_dir / "stems.txt"
+    chart.write_text(data.draw(mutated(read_data_text(SAMPLE_CHART_FILE))), encoding="utf-8")
+    stems.write_text(data.draw(mutated(read_data_text(SAMPLE_STEMS_FILE))), encoding="utf-8")
+    argv = data.draw(cli_arguments(str(chart), str(stems)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    assert not lines or ("error:" in lines[-1] and sum("error:" in line for line in lines) == 1)

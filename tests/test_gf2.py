@@ -8,13 +8,21 @@ from motivic_stems import gf2
 matrices = st.lists(st.integers(min_value=0, max_value=2**12 - 1), max_size=14)
 
 
+def _reduce_mod(echelon: list[int], v: int) -> int:
+    """Reduce v against rows already in reduced echelon form."""
+    for b in echelon:
+        if v & b & -b:
+            v ^= b
+    return v
+
+
 def test_rref_small_example():
     # rows 110, 011, 101 over GF(2): the third is the sum of the first two
     rows = [0b110, 0b011, 0b101]
     echelon = gf2.rref(rows)
     assert len(gf2.rref(rows)) == 2
     assert len(echelon) == 2
-    assert all(gf2.reduce_mod(echelon, r) == 0 for r in rows)
+    assert all(_reduce_mod(echelon, r) == 0 for r in rows)
 
 
 @given(matrices)
@@ -22,7 +30,7 @@ def test_rref_is_canonical_and_spans(rows):
     echelon = gf2.rref(rows)
     assert gf2.rref(echelon) == echelon
     assert len(echelon) == len(gf2.rref(rows))
-    assert all(gf2.reduce_mod(echelon, r) == 0 for r in rows)
+    assert all(_reduce_mod(echelon, r) == 0 for r in rows)
     pivots = [e & -e for e in echelon]  # lowest set bits
     assert pivots == sorted(pivots)
     assert len(set(pivots)) == len(pivots)
@@ -37,12 +45,12 @@ def test_kernel_image_rank_nullity(pairs):
     columns, sources = [c for c, _ in pairs], [s for _, s in pairs]
     kernel, image = gf2.kernel_and_image(columns, sources)
     assert len(kernel) + len(gf2.rref(list(image))) == len(columns)
-    assert image == gf2.rref(columns)
+    assert image == _oracle_rref(columns, 12)
     # each kernel vector is the sum of the sources over some set of indices
     # whose columns sum to 0: (column, source) pairs summing to (0, vector)
     graph = gf2.rref([c << 12 | s for c, s in pairs])
     for vector in kernel:
-        assert gf2.reduce_mod(graph, vector) == 0
+        assert _reduce_mod(graph, vector) == 0
     if len(gf2.rref(sources)) == len(sources):
         assert len(gf2.rref(kernel)) == len(kernel)
         assert 0 not in kernel
@@ -58,8 +66,8 @@ def test_quotient_representatives(vectors, modulo):
     assert reps == gf2.quotient_representatives(vectors[::-1], gf2.kernel_and_image(modulo[::-1], [0] * len(modulo))[1])
     for rep in reps:
         assert rep != 0
-        assert gf2.reduce_mod(mod_echelon, rep) == rep
-        assert gf2.reduce_mod(gf2.rref(vectors + modulo), rep) == 0
+        assert _reduce_mod(mod_echelon, rep) == rep
+        assert _reduce_mod(gf2.rref(vectors + modulo), rep) == 0
 
 
 # --- an independent oracle -------------------------------------------------

@@ -34,6 +34,14 @@ from motivic_stems.spectral import (
 )
 
 
+def _reduce_mod(echelon: list[int], v: int) -> int:
+    """Reduce v against rows already in reduced echelon form."""
+    for b in echelon:
+        if v & b & -b:
+            v ^= b
+    return v
+
+
 def test_builtin_differential_shape(presentation_and_d3):
     presentation, d3 = presentation_and_d3
     assert d3.page == 3
@@ -429,7 +437,7 @@ def _second_page_by_the_definition(presentation, d3, d4, window):
         return gf2.rref([vector(t, leibniz_extend(d3, m)) for m in basis.get(t - d3.shift, [])])
 
     def on_e4(t, formal_sum):
-        return gf2.reduce_mod(boundaries(t), vector(t, formal_sum))
+        return _reduce_mod(boundaries(t), vector(t, formal_sum))
 
     for t, fibre in basis.items():
         reps = e4.classes[t]
@@ -441,7 +449,7 @@ def _second_page_by_the_definition(presentation, d3, d4, window):
         assert len(new) == len(graph) - len(gf2.rref(out_rows)) - dim_im
         assert len(gf2.rref(in_rows + [vector(t, c) for c in new])) == dim_im + len(new)
         for c in new:
-            assert gf2.reduce_mod(graph, vector(t, c)) == 0
+            assert _reduce_mod(graph, vector(t, c)) == 0
             assert on_e4(t + d4.shift, d_sum(d4, c)) == 0
     return e4, e5
 
