@@ -11,9 +11,10 @@ while ``+``, ``-`` and integer ``*`` on degrees act coordinatewise.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Iterator, NamedTuple
+from typing import Any, NamedTuple
 
 
 class PresentationError(ValueError):
@@ -254,9 +255,43 @@ def iter_window_monomials(presentation: MonomialAlgebraPresentation, window: Win
     return map(Monomial, product(*(range(lo, hi + 1) for lo, hi in window.effective_bounds(presentation))))
 
 
-def enumerate_basis(
-    presentation: MonomialAlgebraPresentation, window: Window
-) -> dict[Tridegree, tuple[tuple[int, ...], ...]]:
+class TridegreeView(Mapping):
+    """A read-only mapping keyed by ``Tridegree`` over a dict keyed by ``enumerate_basis``'s packed ints.
+
+    A lookup packs its tridegree (``KeyError`` where an f or w digit leaves the padded radix, so packing is not
+    one to one), and iteration builds each ``Tridegree`` as it is read. ``read`` turns a key into its value.
+    """
+
+    def __init__(self, data: dict[int, Any], origin: Tridegree, spans: tuple[int, int], read=None):
+        self.data, self.origin, self.spans, self.read = data, origin, spans, read or data.__getitem__
+        self.radices = (2 * spans[0] - 1, 2 * spans[1] - 1)
+
+    def pack(self, t: Tridegree) -> int:
+        return (t[0] * self.radices[0] + t[1]) * self.radices[1] + t[2]
+
+    def over(self, data: dict[int, Any], read=None) -> TridegreeView:
+        return TridegreeView(data, self.origin, self.spans, read)
+
+    def __getitem__(self, t: Tridegree) -> Any:
+        (_, f0, w0), (rf, rw), key = self.origin, self.radices, self.pack(t)
+        if not (0 <= t[1] - f0 < rf and 0 <= t[2] - w0 < rw and key in self.data):
+            raise KeyError(t)
+        return self.read(key)
+
+    def __iter__(self) -> Iterator[Tridegree]:
+        (_, f0, w0), (rf, rw) = self.origin, self.radices
+        for key in self.data:
+            sf, w = divmod(key - f0 * rw - w0, rw)
+            yield Tridegree(sf // rf, f0 + sf % rf, w0 + w)
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+    def values(self) -> Iterator[Any]:  # in key order, building no Tridegree
+        return map(self.read, self.data)
+
+
+def enumerate_basis(presentation: MonomialAlgebraPresentation, window: Window) -> TridegreeView:
     """Group the window's exponent tuples by tridegree.
 
     Keys are sorted by (s, f, w); each fiber is a tuple in the canonical
@@ -264,32 +299,21 @@ def enumerate_basis(
     Window monomials are valid by construction, so degrees come straight
     from the generator degrees without ``degree``'s validation.
 
-    Each window point's tridegree is packed into the one int (s*F + f)*W + w.
-    Over the window, f takes values in [f0, f0 + F) and w in [w0, w0 + W),
-    and s is at least s0. So the packed int less (s0*F + f0)*W + w0 is the
-    number with digits s - s0, f - f0 and w - w0, of radix F and W for the
-    last two: packed order is (s, f, w) order, and divmod unpacks it. The
-    packed int is linear in the exponents, so it is the sum of one term per
-    generator, read off a product of per-generator term lists that runs in
-    step with the window's exponent tuples.
+    Over the window f lies in [f0, f0 + F) and w in [w0, w0 + W), and the
+    result is keyed by the int (s*(2F-1) + f)*(2W-1) + w. With radices padded
+    to 2F-1 and 2W-1, key + pack(shift) is the key of t + shift for |df| < F
+    and |dw| < W, and of no window tridegree when t + shift leaves the window;
+    a shift with |df| >= F or |dw| >= W has no target fibre in the window. The
+    packed int is linear: a sum of per-generator terms, read off a product of
+    term lists in step with the window's exponent tuples.
     """
     gens = presentation.generators
     bounds = window.effective_bounds(presentation)
-    lo, hi = [0, 0, 0], [0, 0, 0]
-    for g, (a, b) in zip(gens, bounds):
-        for c, d in enumerate(g.degree):
-            lo[c] += min(a * d, b * d)
-            hi[c] += max(a * d, b * d)
-    F, W = hi[1] - lo[1] + 1, hi[2] - lo[2] + 1
-    packed = [(s * F + f) * W + w for s, f, w in (g.degree for g in gens)]
-    terms = product(*([e * k for e in range(a, b + 1)] for k, (a, b) in zip(packed, bounds)))
+    lo = [sum(min(a * g.degree[c], b * g.degree[c]) for g, (a, b) in zip(gens, bounds)) for c in range(3)]
+    hi = [sum(max(a * g.degree[c], b * g.degree[c]) for g, (a, b) in zip(gens, bounds)) for c in range(3)]
+    grid = TridegreeView({}, Tridegree(*lo), (hi[1] - lo[1] + 1, hi[2] - lo[2] + 1))
+    terms = product(*([e * grid.pack(g.degree) for e in range(a, b + 1)] for g, (a, b) in zip(gens, bounds)))
     fibers: dict[int, list[tuple[int, ...]]] = {}
     for key, e in zip(map(sum, terms), product(*(range(a, b + 1) for a, b in bounds))):
         fibers.setdefault(key, []).append(e)
-    offset = (lo[0] * F + lo[1]) * W + lo[2]
-    basis = {}
-    for key in sorted(fibers):
-        sf, w = divmod(key - offset, W)
-        s, f = divmod(sf, F)
-        basis[Tridegree(s + lo[0], f + lo[1], w + lo[2])] = tuple(fibers[key])
-    return basis
+    return grid.over({key: tuple(fibers[key]) for key in sorted(fibers)})

@@ -8,6 +8,7 @@ validation or a verification check fails, 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -38,6 +39,9 @@ from .resources import DATA_ENV_VAR
 from .spectral import localized_motivic_anss
 from . import verify as verify_mod
 
+MAX_EINFTY_MONOMIALS = 2_000_000  # above the 1,229,410 of the engine at k=8
+MAX_CHART_CELLS = 1_000_000  # the CLI refuses a larger window before it builds anything; the library takes any
+
 REGION_PROSE = {
     "Zero": "the group vanishes (negative stem or weight above the stem)",
     "TauLocal": "multiplication by tau is invertible; the group is the classical 2-complete stem",
@@ -66,6 +70,8 @@ def _parse_window4(text: str, parser: argparse.ArgumentParser) -> tuple[int, int
         s_min, s_max, w_min, w_max = (int(p) for p in parts)
     except ValueError:
         parser.error(f"--window has a non-integer bound in {text!r}")
+    if (cells := max(0, s_max - s_min + 1) * max(0, w_max - w_min + 1)) > MAX_CHART_CELLS:
+        parser.error(f"--window holds {cells:,} cells, more than the limit of {MAX_CHART_CELLS:,}")
     return s_min, s_max, w_min, w_max
 
 
@@ -82,9 +88,11 @@ def _parse_exponent_window(text: str, parser: argparse.ArgumentParser) -> dict[s
             parser.error(f"--einfty-window expects name=lo:hi[,...] with integer bounds, got {piece!r}")
     presentation = localized_motivic_anss()[0]
     try:
-        Window.from_dict(presentation, bounds).effective_bounds(presentation)
+        effective = Window.from_dict(presentation, bounds).effective_bounds(presentation)
     except PresentationError as exc:
         parser.error(f"--einfty-window: {exc}")
+    if (n := math.prod(hi - lo + 1 for lo, hi in effective)) > MAX_EINFTY_MONOMIALS:
+        parser.error(f"--einfty-window holds {n:,} monomials, more than the limit of {MAX_EINFTY_MONOMIALS:,}")
     return bounds
 
 
@@ -273,7 +281,10 @@ def _cmd_chart_groups(args, parser: argparse.ArgumentParser) -> int:
 
 def _cmd_chart_motivic(args, parser: argparse.ArgumentParser) -> int:
     style = None if args.window is None else ChartStyle(*_parse_window4(args.window, parser), scale=args.scale)
-    lift = lift_to_motivic(_load_chart(args.chart))
+    chart = _load_chart(args.chart)
+    if style is None and (n := max(0, chart.s_max + 2)) ** 2 > MAX_CHART_CELLS:  # s and f in 0..s_max+1
+        parser.error(f"default window 0..{n - 1} holds {n * n:,} cells, more than the limit of {MAX_CHART_CELLS:,}")
+    lift = lift_to_motivic(chart)
     _emit(motivic_chart_svg(lift, style or motivic_chart_style(lift, args.scale)), args.output)
     return 0
 

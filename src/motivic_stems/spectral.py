@@ -27,6 +27,9 @@ construction and are not checked again.
 A page keeps each tridegree's window monomials as exponent tuples and its
 classes as bitmasks over them; ``PageState.classes`` builds formal sums per
 lookup. A formal sum is a frozenset of monomials, and the empty set is zero.
+Page dicts are keyed by ``enumerate_basis``'s packed ints, with f and w
+radices padded to 2F-1 and 2W-1 for window spans F and W: t + shift is key +
+pack(shift) when |df| < F and |dw| < W, and otherwise has no target fibre.
 A page starts at E2, and a page-r differential turns any page up to r, since
 the pages in between are zero.
 
@@ -63,6 +66,7 @@ from .algebra import (
     PresentationError,
     PresentationMismatchError,
     Tridegree,
+    TridegreeView,
     Window,
     enumerate_basis,
 )
@@ -210,23 +214,6 @@ def _set_bits(v: int) -> Iterator[int]:
         v ^= low
 
 
-class _ClassView(Mapping):
-    """A page's classes as formal sums, built per lookup from its bitmasks."""
-
-    def __init__(self, page: PageState):
-        self._page = page
-
-    def __getitem__(self, t: Tridegree) -> list[frozenset[Monomial]]:
-        mons = self._page.basis[t]
-        return [frozenset(Monomial(mons[i]) for i in _set_bits(v)) for v in self._page.vectors[t]]
-
-    def __iter__(self) -> Iterator[Tridegree]:
-        return iter(self._page.vectors)
-
-    def __len__(self) -> int:
-        return len(self._page.vectors)
-
-
 @dataclass
 class PageState:
     """One page of a windowed spectral sequence.
@@ -234,42 +221,45 @@ class PageState:
     ``basis`` holds the fixed window monomial fibers as tuples of exponent
     tuples; ``vectors[t]`` holds the surviving classes at t as a tuple of
     canonical reduced-echelon bitmasks over ``basis[t]`` (bit i is
-    ``basis[t][i]``), and ``classes`` reads them as formal sums;
-    ``boundaries[t]`` is the reduced-echelon span of every earlier page's
-    image at t, kept only where t still has classes; ``status`` records the
-    per-tridegree certification accumulated over all applied pages.
-    ``basis``, ``vectors`` and ``status`` share one key order, sorted by
-    (s, f, w).
+    ``basis[t][i]``), and ``classes`` reads them as formal sums; ``status``
+    records the per-tridegree certification accumulated over all applied
+    pages. All four are ``TridegreeView``s in one (s, f, w) key order over
+    dicts keyed by ``enumerate_basis``'s packed ints, whose f and w radices
+    are padded to 2F-1 and 2W-1: t + shift is key + pack(shift) when |df| < F
+    and |dw| < W, and has no target otherwise. ``boundaries[key]`` is the
+    reduced-echelon span of every earlier page's image at t, kept only where
+    t still has classes.
     """
 
     presentation: MonomialAlgebraPresentation
     window: Window
     page: int
-    basis: dict[Tridegree, tuple[tuple[int, ...], ...]]
-    vectors: dict[Tridegree, tuple[int, ...]]
-    status: dict[Tridegree, Certainty]
-    boundaries: dict[Tridegree, list[int]]
+    basis: TridegreeView  # of tuple[tuple[int, ...], ...]
+    vectors: TridegreeView  # of tuple[int, ...]
+    status: TridegreeView  # of Certainty
+    boundaries: dict[int, list[int]]
 
     @property
     def classes(self) -> Mapping[Tridegree, list[frozenset[Monomial]]]:
-        return _ClassView(self)
+        fibres, vs = self.basis.data, self.vectors.data
+        return self.vectors.over(vs, lambda k: [frozenset(Monomial(fibres[k][i]) for i in _set_bits(v)) for v in vs[k]])
 
     def valid_classes(self) -> dict[Tridegree, list[frozenset[Monomial]]]:
-        classes = self.classes
-        return {t: classes[t] for t, st in self.status.items() if st is Certainty.VALID}
+        classes, status = self.classes.read, self.status
+        return {t: classes(key) for t, (key, st) in zip(status, status.data.items()) if st is Certainty.VALID}
 
 
 def initial_page(presentation: MonomialAlgebraPresentation, window: Window) -> PageState:
     """The E2 page: every window monomial is its own class, all VALID."""
     basis = enumerate_basis(presentation, window)
-    units = tuple(1 << i for i in range(max(map(len, basis.values()), default=0)))
+    units = [tuple(1 << i for i in range(n)) for n in range(max(map(len, basis.data.values()), default=0) + 1)]
     return PageState(
         presentation=presentation,
         window=window,
         page=2,
         basis=basis,
-        vectors={t: units[: len(mons)] for t, mons in basis.items()},
-        status=dict.fromkeys(basis, Certainty.VALID),
+        vectors=basis.over({key: units[len(mons)] for key, mons in basis.data.items()}),
+        status=basis.over(dict.fromkeys(basis.data, Certainty.VALID)),
         boundaries={},
     )
 
@@ -307,8 +297,10 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
         raise ValueError(f"differential is for page {diff.page}, state is on page {state.page}")
     if diff.presentation != state.presentation:
         raise PresentationMismatchError("differential is built on a different presentation than the page")
-    pres, basis, shift = state.presentation, state.basis, diff.shift
-    vectors, status, boundaries = state.vectors, state.status, state.boundaries
+    pres, grid, shift = state.presentation, state.basis, diff.shift
+    basis, vectors, status, boundaries = grid.data, state.vectors.data, state.status.data, state.boundaries
+    step, F, W = grid.pack(shift), *grid.spans
+    targets = basis if abs(shift.f) < F and abs(shift.w) < W else {}  # else t + shift is out of the window for every t
     bounds = state.window.effective_bounds(pres)
     lows, highs = [lo for lo, _ in bounds], [hi for _, hi in bounds]
     valid = pres.is_valid_exponents
@@ -327,19 +319,17 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
                         return False
         return True
 
-    ds, df, dw = shift
-    walk = zip(basis.items(), vectors.values(), status.values())
-    if shift < (0, 0, 0):
-        walk = zip(reversed(basis.items()), reversed(vectors.values()), reversed(status.values()))
-    pending: dict[tuple[int, int, int], tuple[list[int], bool]] = {}
-    new_vectors: dict[Tridegree, tuple[int, ...]] = dict.fromkeys(basis)
-    new_status: dict[Tridegree, Certainty] = dict.fromkeys(basis)
-    new_boundaries: dict[Tridegree, list[int]] = {}
+    order = reversed if step < 0 else iter  # packed order is (s, f, w) order
+    walk = zip(order(basis.items()), order(vectors.values()), order(status.values()))
+    pending: dict[int, tuple[list[int], bool]] = {}
+    new_vectors: dict[int, tuple[int, ...]] = dict.fromkeys(basis)
+    new_status: dict[int, Certainty] = dict.fromkeys(basis)
+    new_boundaries: dict[int, list[int]] = {}
     VALID, INDETERMINATE = Certainty.VALID, Certainty.INDETERMINATE
     nothing = ([], True)
-    for (t, mons), classes, previous in walk:
-        downstream = (t[0] + ds, t[1] + df, t[2] + dw)
-        target = basis.get(downstream, ())
+    for (key, mons), classes, previous in walk:
+        downstream = key + step
+        target = targets.get(downstream, ())
         # Leibniz terms are valid and sit in t + shift, so a term lies in the
         # window exactly when it is in the target fiber. Terms outside are
         # dropped from the matrix, and the tridegree is not forward-closed.
@@ -376,9 +366,9 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
             kernel, image_echelon = classes, []
         if target:
             pending[downstream] = (image_echelon, forward and (previous is VALID or not hits))
-        incoming, upstream_ok = pending.pop(t, nothing)
+        incoming, upstream_ok = pending.pop(key, nothing)
         # an incoming echelon already holds the earlier boundaries
-        bounded = incoming or boundaries.get(t, incoming)
+        bounded = incoming or boundaries.get(key, incoming)
         if len(bounded) == len(mons):
             # bounded is reduced echelon, so with a row per monomial it spans the fibre: no class survives
             reps = ()
@@ -388,18 +378,18 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
             # the classes are canonical already, so they stand when every column is
             # zero and nothing is bounded; an empty kernel leaves no classes
             reps = tuple(kernel)
-        new_vectors[t] = reps
+        new_vectors[key] = reps
         if reps and bounded:
-            new_boundaries[t] = bounded
+            new_boundaries[key] = bounded
         certified = previous is VALID and forward and upstream_ok and (not hits or status[downstream] is VALID)
-        new_status[t] = VALID if certified and reached_only_from_window(mons) else INDETERMINATE
+        new_status[key] = VALID if certified and reached_only_from_window(mons) else INDETERMINATE
     return PageState(
         presentation=pres,
         window=state.window,
         page=diff.page + 1,
-        basis=basis,
-        vectors=new_vectors,
-        status=new_status,
+        basis=grid,
+        vectors=grid.over(new_vectors),
+        status=grid.over(new_status),
         boundaries=new_boundaries,
     )
 

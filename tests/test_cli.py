@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from motivic_stems import verify
+from motivic_stems import cli, verify
 from motivic_stems.charts import lift_to_motivic, load_sample_chart
 from motivic_stems.cli import main
 from motivic_stems.render import ChartStyle, motivic_chart_svg, region_chart_svg
@@ -393,6 +393,51 @@ def test_verify_einfty_window_is_checked_at_parse_time(capsys, bounds, message):
     assert message in err and "Traceback" not in err
 
 
+def _chart_with_smax(tmp_path, s_max):
+    lines = read_data_text(SAMPLE_CHART_FILE).splitlines(keepends=True)
+    path = tmp_path / f"smax{s_max}.txt"
+    path.write_text("".join(f"# smax: {s_max}\n" if line.startswith("# smax:") else line for line in lines), encoding="utf-8")
+    return str(path)
+
+
+K8_WINDOW = "tau=0:64,alpha1=-96:96,alpha3=0:48,alpha4=0:1"  # 65 * 193 * 49 * 2 = 1,229,410 monomials
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "einfty", "--einfty-window", K8_WINDOW], None),
+        (["verify", "einfty", "--einfty-window", "tau=0:80,alpha1=-120:120,alpha3=0:60,alpha4=0:9"], "2,381,562 monomials"),
+        (["chart", "regions", "--window=0:999:1:1000"], None),
+        (["chart", "regions", "--window=0:1000:0:999"], "--window holds 1,001,000 cells"),
+        (["chart", "groups", "--window=-1000000:1000000:0:1"], "--window holds 4,000,002 cells"),
+        (["chart", "motivic", "--window=0:2000:0:2000"], "--window holds 4,004,001 cells"),
+        (["chart", "motivic", "--chart", 998], None),
+        (["chart", "motivic", "--chart", 999], "default window 0..1000 holds 1,002,001 cells"),
+        (["chart", "motivic", "--chart", 10**20], "holds 10,000,000,000,000,000,000,400,000,000,000,000,000,004 cells"),
+    ],
+    ids=["einfty-k8", "einfty", "regions-at-cap", "regions", "groups", "motivic", "motivic-at-cap", "motivic-default", "smax-1e20"],
+)
+def test_a_window_past_the_cli_limit_is_refused_before_anything_is_built(capsys, monkeypatch, tmp_path, argv, message):
+    # A window past the limit gives one error line and exit 2; one at the
+    # limit reaches the (stubbed) builders. chart motivic's default window,
+    # 0..s_max+1 in s and f, counts s_max from the chart's "# smax:" line.
+    built = []
+    for name in ("region_chart_svg", "groups_tsv", "lift_to_motivic", "motivic_chart_style", "motivic_chart_svg"):
+        monkeypatch.setattr(cli, name, lambda *args, _name=name, **kwargs: built.append(_name) or "")
+    monkeypatch.setattr(cli.verify_mod, "check_einfty", lambda *args, **kwargs: built.append("check_einfty") or [])
+    argv = [_chart_with_smax(tmp_path, a) if isinstance(a, int) else a for a in argv]
+    if message is None:
+        assert main(argv) == 0 and len(built) >= 1
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2 and built == []
+    lines = capsys.readouterr().err.splitlines()
+    assert message in lines[-1] and "limit of" in lines[-1]
+    assert sum("error:" in line for line in lines) == 1
+
+
 def test_data_dir_override(capsys, monkeypatch, tmp_path):
     (tmp_path / "stems.txt").write_text("2 8\n", encoding="utf-8")
     monkeypatch.setenv(DATA_ENV_VAR, str(tmp_path))
@@ -453,8 +498,9 @@ def einfty_windows(draw) -> str:
 @st.composite
 def cli_arguments(draw, chart: str, stems: str) -> list[str]:
     bidegree = [str(draw(st.integers(-30, 30))), str(draw(st.integers(-30, 30)))]
-    # chart motivic always gets a window: its default spans the chart's
-    # declared s_max, which a mutated file can make as large as it likes
+    # chart motivic's default window spans the chart's declared s_max, which
+    # a mutated file can make as large as it likes; the CLI's size limit
+    # refuses it when it is too large to draw
     return draw(
         st.sampled_from(
             [
@@ -468,6 +514,7 @@ def cli_arguments(draw, chart: str, stems: str) -> list[str]:
                 ["chart", "groups", draw(windows), "--stems", stems],
                 ["chart", "groups", "--stems", stems],
                 ["chart", "motivic", draw(windows), "--chart", chart],
+                ["chart", "motivic", "--chart", chart],
                 ["verify", "einfty", "--einfty-window", draw(einfty_windows())],
             ]
         )

@@ -65,19 +65,34 @@ def _referenced_names(tree: ast.Module) -> set[str]:
     """Names read, attributes, imported names and string constants.
 
     Strings count because the bench tracer looks functions up by name with
-    ``getattr``.
+    ``getattr``. An attribute of a name bound by ``import`` of a module from
+    outside ``motivic_stems``, such as ``ast.parse``, is not a use.
     """
+    outside = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name.split(".")[0] != "motivic_stems"
+    }
     refs: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             refs.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and not (isinstance(node.value, ast.Name) and node.value.id in outside):
             refs.add(node.attr)
         elif isinstance(node, ast.alias):
             refs.add(node.name.rsplit(".", 1)[-1])
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             refs.add(node.value)
     return refs
+
+
+def test_an_attribute_of_an_outside_module_is_not_a_use():
+    outside = _referenced_names(ast.parse("import ast\nimport os.path as osp\nast.parse('x')\nosp.join\n"))
+    assert "parse" not in outside and "join" not in outside
+    inside = _referenced_names(ast.parse("import motivic_stems.algebra as algebra\nalgebra.Window.parse\n"))
+    assert {"Window", "parse"} <= inside
 
 
 def test_no_public_api_used_only_by_tests():

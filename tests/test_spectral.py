@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from motivic_stems import gf2, spectral
+from motivic_stems import gf2, spectral, verify
 from motivic_stems.algebra import (
     GeneratorSpec,
     Monomial,
@@ -325,12 +325,8 @@ def _two_sources_on_a_two_monomial_target(second):
     return presentation, d3, Window(((0, 1), (0, 1), (0, 1), (0, 1)))
 
 
-@given(presentations_with_differential())
-@example(_three_sources_on_one_target())
-@example(_two_sources_on_a_two_monomial_target("b"))
-@example(_two_sources_on_a_two_monomial_target("a"))
-def test_page_turn_matches_the_definition(case):
-    presentation, diff, window = case
+def _matches_the_definition(presentation, diff, window):
+    """Run one differential and check every tridegree against the definition; return the page."""
     state = run_to_einfty(presentation, [diff], window)
     assert list(state.classes) == list(state.basis) == list(state.status)
     basis = {t: [Monomial(e) for e in mons] for t, mons in state.basis.items()}
@@ -376,6 +372,60 @@ def test_page_turn_matches_the_definition(case):
             boundary = d_sum(diff, c)
             assert not any(window.contains(presentation, p) for p in boundary)
             assert not boundary or not certified
+    return state
+
+
+@given(presentations_with_differential())
+@example(_three_sources_on_one_target())
+@example(_two_sources_on_a_two_monomial_target("b"))
+@example(_two_sources_on_a_two_monomial_target("a"))
+def test_page_turn_matches_the_definition(case):
+    _matches_the_definition(*case)
+
+
+@pytest.mark.parametrize(
+    "g1_degree, shift",
+    [((0, 1, 2), (-1, 1, -2)), ((-1, 0, 1), (0, 0, 1)), ((-1, 0, 0), (0, 1, 0)), ((-1, 0, 0), (0, 0, 1))],
+    ids=["leaves-f-range", "leaves-w-range", "df-at-least-F", "dw-at-least-W"],
+)
+def test_a_target_outside_the_window_aliases_no_tridegree(g1_degree, shift):
+    # d3(g1) = g0 with g0 held at exponent 0, so the window is {1, g1} and
+    # d3(g1) leaves it. leaves-f-range: t + shift = (-1,2,0) has f outside
+    # the window's f range 0..1; leaves-w-range: (-1,0,2) has w outside 0..1.
+    # Packed with the unpadded radices F and W, each of them has the key of
+    # the unit's (0,0,0), which would then take g1's truncated image as its
+    # upstream and lose its certificate. df-at-least-F and dw-at-least-W:
+    # the window has F = W = 1, so the shift has no target fibre anywhere,
+    # though key + pack(shift) is the unit's key.
+    g1 = Tridegree(*g1_degree)
+    presentation = MonomialAlgebraPresentation(
+        [GeneratorSpec("g0", g1 + Tridegree(*shift)), GeneratorSpec("g1", g1, square_zero=True)]
+    )
+    diff = build_differential(presentation, 3, {"g1": [presentation.monomial(g0=1)]})
+    state = _matches_the_definition(presentation, diff, Window(((0, 0), (0, 1))))
+    assert set(state.basis) == {Tridegree(0, 0, 0), g1}
+    assert g1 + diff.shift not in state.basis
+    assert state.status[Tridegree(0, 0, 0)] is Certainty.VALID
+    assert state.status[g1] is Certainty.INDETERMINATE
+
+
+def test_a_lookup_outside_the_padded_range_is_a_key_error(presentation_and_d3, einfty_window):
+    # (s - 1, f + 2F - 1, w) and (s, f - 1, w + 2W - 1) pack to the key of
+    # (s, f, w), but their f or w digit is outside the padded range, so no
+    # view of the page finds them
+    presentation, d3 = presentation_and_d3
+    state = run_to_einfty(presentation, [d3], einfty_window)
+    rf, rw = state.basis.radices
+    for view in (state.basis, state.vectors, state.status, state.classes):
+        assert list(view.values()) == [view[t] for t in view]
+    for t in (next(iter(state.basis)), Tridegree(4, 4, 4)):
+        for alias in (Tridegree(t.s - 1, t.f + rf, t.w), Tridegree(t.s, t.f - 1, t.w + rw)):
+            assert state.basis.pack(alias) == state.basis.pack(t)
+            for view in (state.basis, state.vectors, state.status, state.classes):
+                assert t in view and alias not in view
+                assert view.get(alias, "default") == "default"
+                with pytest.raises(KeyError):
+                    view[alias]
 
 
 @given(presentations_with_differential())
@@ -687,18 +737,43 @@ def test_the_builtin_run_needs_no_elimination(monkeypatch, presentation_and_d3, 
     assert calls == {"kernel_and_image": 0, "quotient_representatives": 0}
 
 
-def test_fibres_of_many_monomials_are_pinned():
-    # The pinned verify and --table digests cover only the built-in
-    # presentation, whose fibres hold one monomial each. This is the
-    # einfty_wide benchmark's presentation in a smaller box: fibres of up to
-    # 85 monomials, 252 tridegrees with more than one class. The digest is
-    # over ints and strings only.
+def _wide_case():
     text = "t 0 1 0\n" + "".join(f"x{i} 1 1 1\n" for i in range(4)) + "u 2 0 1\n"
     presentation = MonomialAlgebraPresentation.parse(text)
     hit = [presentation.monomial(t=2, x0=1), presentation.monomial(t=2, x1=1)]
     d3 = build_differential(presentation, 3, {"u": hit})
     bounds = {"t": (0, 4), **{f"x{i}": (0, 4) for i in range(4)}, "u": (0, 3)}
-    state = run_to_einfty(presentation, [d3], Window.from_dict(presentation, bounds))
+    return presentation, [d3], Window.from_dict(presentation, bounds)
+
+
+def _builtin_case(alpha1_shift):
+    presentation, diffs = localized_motivic_anss()
+    bounds = {name: (2 * lo, 2 * hi) for name, (lo, hi) in verify.EINFTY_WINDOW.items()}
+    bounds["alpha4"] = verify.EINFTY_WINDOW["alpha4"]
+    lo, hi = bounds["alpha1"]
+    bounds["alpha1"] = (lo + alpha1_shift, hi + alpha1_shift)
+    return presentation, diffs, Window.from_dict(presentation, bounds)
+
+
+@pytest.mark.parametrize(
+    "case, largest, digest",
+    [
+        (_wide_case, 85, "772f1193d57a2820efbc69f237ffbb4c8f64483eb2d0f0246ad7a725cfe8cf80"),
+        (lambda: _builtin_case(-3), 1, "8c803b30c0194be8b7bd4b13c0c52ed4dc55e2b8bd8a1fbd40fbffc75208ccd0"),
+        (lambda: _builtin_case(3), 1, "751892c93e4bc0d5353b070d8e810202a40f6f92d75fdba2ebe6f17c7d4295f9"),
+    ],
+    ids=["wide", "builtin-alpha1-minus-3", "builtin-alpha1-plus-3"],
+)
+def test_fibres_of_many_monomials_are_pinned(case, largest, digest):
+    # The pinned verify and --table digests cover only the built-in
+    # presentation on small windows, whose fibres hold one monomial each.
+    # wide: the einfty_wide benchmark's presentation in a smaller box, with
+    # fibres of up to 85 monomials and 252 tridegrees with more than one
+    # class. builtin: the einfty_builtin benchmark's window, the einfty
+    # window doubled but for alpha4, at its extreme alpha1 shifts (21,658
+    # monomials). Each digest is over ints and strings only.
+    presentation, diffs, window = case()
+    state = run_to_einfty(presentation, diffs, window)
     kept = repr([(tuple(t), mons, state.vectors[t], str(state.status[t])) for t, mons in state.basis.items()])
-    assert max(map(len, state.basis.values())) == 85
-    assert hashlib.sha256(kept.encode()).hexdigest() == "772f1193d57a2820efbc69f237ffbb4c8f64483eb2d0f0246ad7a725cfe8cf80"
+    assert max(map(len, state.basis.values())) == largest
+    assert hashlib.sha256(kept.encode()).hexdigest() == digest
