@@ -420,7 +420,7 @@ K8_WINDOW = "tau=0:64,alpha1=-96:96,alpha3=0:48,alpha4=0:1"  # 65 * 193 * 49 * 2
 )
 def test_a_window_past_the_cli_limit_is_refused_before_anything_is_built(capsys, monkeypatch, tmp_path, argv, message):
     # A window past the limit gives one error line and exit 2; one at the
-    # limit reaches the (stubbed) builders. chart motivic's default window,
+    # limit reaches the (stubbed) renderers. chart motivic's default window,
     # 0..s_max+1 in s and f, counts s_max from the chart's "# smax:" line.
     built = []
     for name in ("region_chart_svg", "groups_tsv", "lift_to_motivic", "motivic_chart_style", "motivic_chart_svg"):
