@@ -256,39 +256,49 @@ def iter_window_monomials(presentation: MonomialAlgebraPresentation, window: Win
 
 
 class TridegreeView(Mapping):
-    """A read-only mapping keyed by ``Tridegree`` over a dict keyed by ``enumerate_basis``'s packed ints.
+    """A read-only mapping keyed by ``Tridegree`` over a sequence in ``enumerate_basis``'s packed-key order.
 
-    A lookup packs its tridegree (``KeyError`` where an f or w digit leaves the padded radix, so packing is not
-    one to one), and iteration builds each ``Tridegree`` as it is read. ``read`` turns a key into its value.
+    ``packed`` holds the packed ints sorted, so in (s, f, w) order, and ``index`` maps each to its position; every
+    view of one grid shares both. ``data[i]`` belongs to ``packed[i]``, and ``read`` turns a position into its value.
+    A lookup packs its tridegree; anything else, and a tridegree whose f or w digit leaves the padded radix (where
+    packing is not one to one), raises ``KeyError``. Iteration builds each ``Tridegree`` as it is read.
     """
 
-    def __init__(self, data: dict[int, Any], origin: Tridegree, spans: tuple[int, int], read=None):
-        self.data, self.origin, self.spans, self.read = data, origin, spans, read or data.__getitem__
+    def __init__(
+        self, origin: Tridegree, spans: tuple[int, int], packed: list[int], index: dict[int, int], data, read=None
+    ):
+        self.origin, self.spans, self.packed, self.index, self.data = origin, spans, packed, index, data
+        self.read = read or data.__getitem__
         self.radices = (2 * spans[0] - 1, 2 * spans[1] - 1)
 
     def pack(self, t: Tridegree) -> int:
         return (t[0] * self.radices[0] + t[1]) * self.radices[1] + t[2]
 
-    def over(self, data: dict[int, Any], read=None) -> TridegreeView:
-        return TridegreeView(data, self.origin, self.spans, read)
+    def over(self, data, read=None) -> TridegreeView:
+        return TridegreeView(self.origin, self.spans, self.packed, self.index, data, read)
 
     def __getitem__(self, t: Tridegree) -> Any:
-        (_, f0, w0), (rf, rw), key = self.origin, self.radices, self.pack(t)
-        if not (0 <= t[1] - f0 < rf and 0 <= t[2] - w0 < rw and key in self.data):
+        (_, f0, w0), (rf, rw) = self.origin, self.radices
+        try:  # a miss unless t is a tuple of three integers in the padded f and w range
+            found = isinstance(t, tuple) and len(t) == 3 and 0 <= t[1] - f0 < rf and 0 <= t[2] - w0 < rw
+            i = self.index.get(self.pack(t)) if found else None
+        except TypeError:
+            i = None
+        if i is None:
             raise KeyError(t)
-        return self.read(key)
+        return self.read(i)
 
     def __iter__(self) -> Iterator[Tridegree]:
         (_, f0, w0), (rf, rw) = self.origin, self.radices
-        for key in self.data:
+        for key in self.packed:
             sf, w = divmod(key - f0 * rw - w0, rw)
             yield Tridegree(sf // rf, f0 + sf % rf, w0 + w)
 
     def __len__(self) -> int:
-        return len(self.data)
+        return len(self.packed)
 
     def values(self) -> Iterator[Any]:  # in key order, building no Tridegree
-        return map(self.read, self.data)
+        return map(self.read, range(len(self.packed)))
 
 
 def enumerate_basis(presentation: MonomialAlgebraPresentation, window: Window) -> TridegreeView:
@@ -299,21 +309,27 @@ def enumerate_basis(presentation: MonomialAlgebraPresentation, window: Window) -
     Window monomials are valid by construction, so degrees come straight
     from the generator degrees without ``degree``'s validation.
 
-    Over the window f lies in [f0, f0 + F) and w in [w0, w0 + W), and the
-    result is keyed by the int (s*(2F-1) + f)*(2W-1) + w. With radices padded
+    Over the window f lies in [f0, f0 + F) and w in [w0, w0 + W), and each
+    tridegree has the key (s*(2F-1) + f)*(2W-1) + w. With radices padded
     to 2F-1 and 2W-1, key + pack(shift) is the key of t + shift for |df| < F
     and |dw| < W, and of no window tridegree when t + shift leaves the window;
     a shift with |df| >= F or |dw| >= W has no target fibre in the window. The
     packed int is linear: a sum of per-generator terms, read off a product of
-    term lists in step with the window's exponent tuples.
+    term lists in step with the window's exponent tuples. The dict that groups
+    the monomials becomes the key-to-position index as each fibre is built.
     """
     gens = presentation.generators
     bounds = window.effective_bounds(presentation)
     lo = [sum(min(a * g.degree[c], b * g.degree[c]) for g, (a, b) in zip(gens, bounds)) for c in range(3)]
     hi = [sum(max(a * g.degree[c], b * g.degree[c]) for g, (a, b) in zip(gens, bounds)) for c in range(3)]
-    grid = TridegreeView({}, Tridegree(*lo), (hi[1] - lo[1] + 1, hi[2] - lo[2] + 1))
+    grid = TridegreeView(Tridegree(*lo), (hi[1] - lo[1] + 1, hi[2] - lo[2] + 1), [], {}, ())
     terms = product(*([e * grid.pack(g.degree) for e in range(a, b + 1)] for g, (a, b) in zip(gens, bounds)))
-    fibers: dict[int, list[tuple[int, ...]]] = {}
+    index: dict[int, Any] = {}
     for key, e in zip(map(sum, terms), product(*(range(a, b + 1) for a, b in bounds))):
-        fibers.setdefault(key, []).append(e)
-    return grid.over({key: tuple(fibers[key]) for key in sorted(fibers)})
+        index.setdefault(key, []).append(e)
+    packed = sorted(index)
+    fibres = []
+    for i, key in enumerate(packed):
+        fibres.append(tuple(index[key]))
+        index[key] = i
+    return TridegreeView(grid.origin, grid.spans, packed, index, fibres)

@@ -27,9 +27,11 @@ construction and are not checked again.
 A page keeps each tridegree's window monomials as exponent tuples and its
 classes as bitmasks over them; ``PageState.classes`` builds formal sums per
 lookup. A formal sum is a frozenset of monomials, and the empty set is zero.
-Page dicts are keyed by ``enumerate_basis``'s packed ints, with f and w
-radices padded to 2F-1 and 2W-1 for window spans F and W: t + shift is key +
-pack(shift) when |df| < F and |dw| < W, and otherwise has no target fibre.
+A page is a set of sequences in the sorted order of ``enumerate_basis``'s
+packed keys, with one key-to-position dict per grid. The f and w radices
+are padded to 2F-1 and 2W-1 for window spans F and W: t + shift is at key +
+pack(shift) when |df| < F and |dw| < W, and otherwise has no target fibre,
+so a page turn finds each target with one lookup.
 A page starts at E2, and a page-r differential turns any page up to r, since
 the pages in between are zero.
 
@@ -53,8 +55,9 @@ single nonzero differential on the third page.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from itertools import compress
 from operator import add, le, sub
 from types import MappingProxyType
 
@@ -206,14 +209,6 @@ def sum_multiply(
     return frozenset(acc)
 
 
-def _set_bits(v: int) -> Iterator[int]:
-    """Indices of the set bits of v, lowest first."""
-    while v:
-        low = v & -v
-        yield low.bit_length() - 1
-        v ^= low
-
-
 @dataclass
 class PageState:
     """One page of a windowed spectral sequence.
@@ -223,12 +218,14 @@ class PageState:
     canonical reduced-echelon bitmasks over ``basis[t]`` (bit i is
     ``basis[t][i]``), and ``classes`` reads them as formal sums; ``status``
     records the per-tridegree certification accumulated over all applied
-    pages. All four are ``TridegreeView``s in one (s, f, w) key order over
-    dicts keyed by ``enumerate_basis``'s packed ints, whose f and w radices
-    are padded to 2F-1 and 2W-1: t + shift is key + pack(shift) when |df| < F
-    and |dw| < W, and has no target otherwise. ``boundaries[key]`` is the
-    reduced-echelon span of every earlier page's image at t, kept only where
-    t still has classes.
+    pages. All four are ``TridegreeView``s of one grid: sequences in the
+    (s, f, w) order of ``enumerate_basis``'s sorted packed keys, ``basis`` and
+    ``vectors`` over lists and ``status`` over a bytearray (1 for VALID), and
+    the grid's one key-to-position dict serves every lookup. The f and w
+    radices are padded to 2F-1 and 2W-1, so t + shift is key + pack(shift)
+    when |df| < F and |dw| < W, and has no target otherwise.
+    ``boundaries[i]`` is the reduced-echelon span of every earlier page's
+    image at the i-th tridegree, kept only where it still has classes.
     """
 
     presentation: MonomialAlgebraPresentation
@@ -242,24 +239,32 @@ class PageState:
     @property
     def classes(self) -> Mapping[Tridegree, list[frozenset[Monomial]]]:
         fibres, vs = self.basis.data, self.vectors.data
-        return self.vectors.over(vs, lambda k: [frozenset(Monomial(fibres[k][i]) for i in _set_bits(v)) for v in vs[k]])
+        return self.vectors.over(
+            vs, lambda i: [frozenset(Monomial(e) for b, e in enumerate(fibres[i]) if v >> b & 1) for v in vs[i]]
+        )
 
     def valid_classes(self) -> dict[Tridegree, list[frozenset[Monomial]]]:
-        classes, status = self.classes.read, self.status
-        return {t: classes(key) for t, (key, st) in zip(status, status.data.items()) if st is Certainty.VALID}
+        classes = self.classes.read
+        return {t: classes(i) for i, t in compress(enumerate(self.basis), self.status.data)}
+
+
+def _status(grid: TridegreeView, flags: bytearray) -> TridegreeView:
+    """A view of per-tridegree flags as ``Certainty``: 1 is VALID, 0 INDETERMINATE."""
+    certainty = (Certainty.INDETERMINATE, Certainty.VALID)
+    return grid.over(flags, lambda i: certainty[flags[i]])
 
 
 def initial_page(presentation: MonomialAlgebraPresentation, window: Window) -> PageState:
     """The E2 page: every window monomial is its own class, all VALID."""
     basis = enumerate_basis(presentation, window)
-    units = [tuple(1 << i for i in range(n)) for n in range(max(map(len, basis.data.values()), default=0) + 1)]
+    units = [tuple(1 << i for i in range(n)) for n in range(max(map(len, basis.data), default=0) + 1)]
     return PageState(
         presentation=presentation,
         window=window,
         page=2,
         basis=basis,
-        vectors=basis.over({key: units[len(mons)] for key, mons in basis.data.items()}),
-        status=basis.over(dict.fromkeys(basis.data, Certainty.VALID)),
+        vectors=basis.over([units[len(mons)] for mons in basis.data]),
+        status=_status(basis, bytearray(b"\x01") * len(basis)),
         boundaries={},
     )
 
@@ -288,10 +293,12 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
     one class, its column is nonzero and the target has no earlier
     boundaries, the kernel is empty and the image echelon is that column.
 
-    Basis keys are sorted by (s, f, w), and ``vectors`` and ``status`` keep
-    that key order on every page. So walking them in that order, or in
-    reverse when the shift is negative, reaches t - shift before t, and its
-    image echelon and flags are ready, and can be dropped, when t is reached.
+    The page's sequences share the sorted key order, so walking their
+    positions in that order, or in reverse when the shift is negative,
+    reaches t - shift before t, and its image echelon and flags are ready,
+    and can be dropped, when t is reached. Each position finds its target's
+    with one lookup of key + pack(shift), and the new page is written into
+    lists of the same length.
     """
     if diff.page < state.page:
         raise ValueError(f"differential is for page {diff.page}, state is on page {state.page}")
@@ -300,61 +307,60 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
     pres, grid, shift = state.presentation, state.basis, diff.shift
     basis, vectors, status, boundaries = grid.data, state.vectors.data, state.status.data, state.boundaries
     step, F, W = grid.pack(shift), *grid.spans
-    targets = basis if abs(shift.f) < F and abs(shift.w) < W else {}  # else t + shift is out of the window for every t
+    # a shift with |df| >= F or |dw| >= W takes every t out of the window
+    index = grid.index if abs(shift.f) < F and abs(shift.w) < W else {}
     bounds = state.window.effective_bounds(pres)
     lows, highs = [lo for lo, _ in bounds], [hi for _, hi in bounds]
     valid = pres.is_valid_exponents
     # n - off lies in the window exactly when n lies in the window shifted by off
-    boxes = [(i, off, [*map(add, lows, off)], [*map(add, highs, off)]) for i, offs in diff.offsets for off, _ in offs]
-
-    def reached_only_from_window(mons: tuple[tuple[int, ...], ...]) -> bool:
-        # Every valid exponent vector whose differential can hit a fiber
-        # monomial must lie in-window, otherwise the incoming image is
-        # underestimated. A candidate n - (u - e_g) with an even g exponent
-        # reaches n with an even coefficient.
-        for n in mons:
-            for i, off, lo, hi in boxes:
-                if (n[i] - off[i]) % 2 and not (all(map(le, lo, n)) and all(map(le, n, hi))):
-                    if valid(tuple(map(sub, n, off))):
-                        return False
-        return True
+    boxes = [(g, off, [*map(add, lows, off)], [*map(add, highs, off)]) for g, offs in diff.offsets for off, _ in offs]
 
     order = reversed if step < 0 else iter  # packed order is (s, f, w) order
-    walk = zip(order(basis.items()), order(vectors.values()), order(status.values()))
+    walk = zip(order(range(len(basis))), order(grid.packed), order(basis), order(vectors), order(status))
     pending: dict[int, tuple[list[int], bool]] = {}
-    new_vectors: dict[int, tuple[int, ...]] = dict.fromkeys(basis)
-    new_status: dict[int, Certainty] = dict.fromkeys(basis)
+    new_vectors: list[tuple[int, ...]] = [()] * len(basis)
+    new_status = bytearray(len(basis))
     new_boundaries: dict[int, list[int]] = {}
-    VALID, INDETERMINATE = Certainty.VALID, Certainty.INDETERMINATE
     nothing = ([], True)
-    for (key, mons), classes, previous in walk:
-        downstream = key + step
-        target = targets.get(downstream, ())
+    for i, key, mons, classes, previous in walk:
+        j = index.get(key + step)
+        target = () if j is None else basis[j]
         # Leibniz terms are valid and sit in t + shift, so a term lies in the
         # window exactly when it is in the target fiber. Terms outside are
         # dropped from the matrix, and the tridegree is not forward-closed.
-        position = {e: k for k, e in enumerate(target)}
         forward = True
         images = []
-        for e in mons:
-            bits = 0
-            for p in diff.terms(e):
-                k = position.get(p)
-                if k is None:
+        if len(target) > 1:
+            position = {e: k for k, e in enumerate(target)}
+            for e in mons:
+                bits = 0
+                for p in diff.terms(e):
+                    k = position.get(p)
+                    if k is None:
+                        forward = False
+                    else:
+                        bits ^= 1 << k
+                images.append(bits)
+        else:
+            only = target[0] if target else None
+            for e in mons:
+                terms = diff.terms(e)
+                bits = 1 if only in terms else 0
+                if len(terms) > bits:
                     forward = False
-                else:
-                    bits ^= 1 << k
-            images.append(bits)
+                images.append(bits)
         hits = any(images)  # with every term in the window, d_r is nonzero out of t exactly when this holds
         # a class goes to its image over the target fibre, zero where the target has no classes
         columns = []
         old = ()
-        if hits and vectors[downstream]:
-            old = boundaries.get(downstream, ())
+        if hits and vectors[j]:
+            old = boundaries.get(j, ())
             for v in classes:
                 col = 0
-                for i in _set_bits(v):
-                    col ^= images[i]
+                while v:
+                    low = v & -v
+                    col ^= images[low.bit_length() - 1]
+                    v ^= low
                 columns.append(col)
         if len(columns) == 1 and columns[0] and not old:
             # one class, a nonzero column, no earlier boundaries: the kernel is empty and the column is its own echelon
@@ -365,10 +371,10 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
         else:
             kernel, image_echelon = classes, []
         if target:
-            pending[downstream] = (image_echelon, forward and (previous is VALID or not hits))
-        incoming, upstream_ok = pending.pop(key, nothing)
+            pending[j] = (image_echelon, forward and (previous or not hits))
+        incoming, upstream_ok = pending.pop(i, nothing)
         # an incoming echelon already holds the earlier boundaries
-        bounded = incoming or boundaries.get(key, incoming)
+        bounded = incoming or boundaries.get(i, incoming)
         if len(bounded) == len(mons):
             # bounded is reduced echelon, so with a row per monomial it spans the fibre: no class survives
             reps = ()
@@ -378,18 +384,27 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
             # the classes are canonical already, so they stand when every column is
             # zero and nothing is bounded; an empty kernel leaves no classes
             reps = tuple(kernel)
-        new_vectors[key] = reps
+        new_vectors[i] = reps
         if reps and bounded:
-            new_boundaries[key] = bounded
-        certified = previous is VALID and forward and upstream_ok and (not hits or status[downstream] is VALID)
-        new_status[key] = VALID if certified and reached_only_from_window(mons) else INDETERMINATE
+            new_boundaries[i] = bounded
+        if previous and forward and upstream_ok and (not hits or status[j]):
+            new_status[i] = 1
+            # Every valid exponent vector whose differential can hit a fiber
+            # monomial must lie in-window, otherwise the incoming image is
+            # underestimated. A candidate n - (u - e_g) with an even g exponent
+            # reaches n with an even coefficient.
+            for n in mons:
+                for g, off, lo, hi in boxes:
+                    if (n[g] - off[g]) % 2 and not (all(map(le, lo, n)) and all(map(le, n, hi))):
+                        if valid(tuple(map(sub, n, off))):
+                            new_status[i] = 0
     return PageState(
         presentation=pres,
         window=state.window,
         page=diff.page + 1,
         basis=grid,
         vectors=grid.over(new_vectors),
-        status=grid.over(new_status),
+        status=_status(grid, new_status),
         boundaries=new_boundaries,
     )
 

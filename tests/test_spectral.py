@@ -18,6 +18,7 @@ from motivic_stems.algebra import (
     PresentationMismatchError,
     Tridegree,
     Window,
+    enumerate_basis,
 )
 from motivic_stems.spectral import (
     Certainty,
@@ -375,12 +376,32 @@ def _matches_the_definition(presentation, diff, window):
     return state
 
 
+def _one_term_twice_outside_the_window():
+    # d2(u) = u*w and d2(v) = v*w, so d2(u*v) = u*v*w + u*v*w = 0: the term
+    # lies outside the window, where w is held at 0, and it cancels
+    degrees = {"u": Tridegree(1, 0, 0), "v": Tridegree(1, 0, 0), "w": Tridegree(-1, 2, 0)}
+    presentation = MonomialAlgebraPresentation(GeneratorSpec(g, t, square_zero=True) for g, t in degrees.items())
+    images = {g: [presentation.monomial(**{g: 1, "w": 1})] for g in "uv"}
+    return presentation, build_differential(presentation, 2, images), Window(((0, 1), (0, 1), (0, 0)))
+
+
 @given(presentations_with_differential())
 @example(_three_sources_on_one_target())
 @example(_two_sources_on_a_two_monomial_target("b"))
 @example(_two_sources_on_a_two_monomial_target("a"))
+@example(_one_term_twice_outside_the_window())
 def test_page_turn_matches_the_definition(case):
     _matches_the_definition(*case)
+
+
+def test_a_term_seen_twice_outside_the_window_cancels():
+    # u*v has no Leibniz term once the two copies of u*v*w cancel, so it stays
+    # a certified class; u and v each lose a term to the window boundary
+    presentation, diff, window = _one_term_twice_outside_the_window()
+    state = _matches_the_definition(presentation, diff, window)
+    assert state.classes[Tridegree(2, 0, 0)] == [frozenset((presentation.monomial(u=1, v=1),))]
+    assert state.status[Tridegree(2, 0, 0)] is Certainty.VALID
+    assert state.status[Tridegree(1, 0, 0)] is Certainty.INDETERMINATE
 
 
 @pytest.mark.parametrize(
@@ -426,6 +447,20 @@ def test_a_lookup_outside_the_padded_range_is_a_key_error(presentation_and_d3, e
                 assert view.get(alias, "default") == "default"
                 with pytest.raises(KeyError):
                     view[alias]
+
+
+@pytest.mark.parametrize("probe", [(0, 0), "x", None, (0, 0, 0, 0), ("a", "b", "c"), [0, 0, 0]])
+def test_a_lookup_of_anything_but_a_tridegree_is_a_miss(presentation_and_d3, einfty_window, probe):
+    # every view is a Mapping: a miss raises KeyError, so `in` reads False and
+    # .get gives the default, whatever the probe is
+    presentation, d3 = presentation_and_d3
+    state = run_to_einfty(presentation, [d3], einfty_window)
+    views = (state.basis, state.vectors, state.status, state.classes, enumerate_basis(presentation, einfty_window))
+    for view in views:
+        assert probe not in view
+        assert view.get(probe) is None and view.get(probe, "default") == "default"
+        with pytest.raises(KeyError):
+            view[probe]
 
 
 @given(presentations_with_differential())
