@@ -316,7 +316,8 @@ def enumerate_basis(presentation: MonomialAlgebraPresentation, window: Window) -
     a shift with |df| >= F or |dw| >= W has no target fibre in the window. The
     packed int is linear: a sum of per-generator terms, read off a product of
     term lists in step with the window's exponent tuples. The dict that groups
-    the monomials becomes the key-to-position index as each fibre is built.
+    the monomials becomes the key-to-position index as each fibre is built,
+    so no per-key list outlives its fibre.
     """
     gens = presentation.generators
     bounds = window.effective_bounds(presentation)
@@ -326,7 +327,13 @@ def enumerate_basis(presentation: MonomialAlgebraPresentation, window: Window) -
     terms = product(*([e * grid.pack(g.degree) for e in range(a, b + 1)] for g, (a, b) in zip(gens, bounds)))
     index: dict[int, Any] = {}
     for key, e in zip(map(sum, terms), product(*(range(a, b + 1) for a, b in bounds))):
-        index.setdefault(key, []).append(e)
+        fibre = index.get(key)
+        if fibre is None:  # most fibres hold one monomial, and get no list
+            index[key] = (e,)
+        elif type(fibre) is tuple:
+            index[key] = [*fibre, e]
+        else:
+            fibre.append(e)
     packed = sorted(index)
     fibres = []
     for i, key in enumerate(packed):

@@ -296,9 +296,7 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
     The page's sequences share the sorted key order, so walking their
     positions in that order, or in reverse when the shift is negative,
     reaches t - shift before t, and its image echelon and flags are ready,
-    and can be dropped, when t is reached. Each position finds its target's
-    with one lookup of key + pack(shift), and the new page is written into
-    lists of the same length.
+    and can be dropped, when t is reached.
     """
     if diff.page < state.page:
         raise ValueError(f"differential is for page {diff.page}, state is on page {state.page}")
