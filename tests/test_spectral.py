@@ -376,15 +376,6 @@ def _matches_the_definition(presentation, diff, window):
     return state
 
 
-def _one_term_twice_outside_the_window():
-    # d2(u) = u*w and d2(v) = v*w, so d2(u*v) = u*v*w + u*v*w = 0: the term
-    # lies outside the window, where w is held at 0, and it cancels
-    degrees = {"u": Tridegree(1, 0, 0), "v": Tridegree(1, 0, 0), "w": Tridegree(-1, 2, 0)}
-    presentation = MonomialAlgebraPresentation(GeneratorSpec(g, t, square_zero=True) for g, t in degrees.items())
-    images = {g: [presentation.monomial(**{g: 1, "w": 1})] for g in "uv"}
-    return presentation, build_differential(presentation, 2, images), Window(((0, 1), (0, 1), (0, 0)))
-
-
 @given(presentations_with_differential())
 @example(_three_sources_on_one_target())
 @example(_two_sources_on_a_two_monomial_target("b"))
@@ -394,10 +385,14 @@ def test_page_turn_matches_the_definition(case):
 
 
 def test_a_term_seen_twice_outside_the_window_cancels():
-    # u*v has no Leibniz term once the two copies of u*v*w cancel, so it stays
-    # a certified class; u and v each lose a term to the window boundary
-    presentation, diff, window = _one_term_twice_outside_the_window()
-    state = _matches_the_definition(presentation, diff, window)
+    # d2(u) = u*w and d2(v) = v*w, so d2(u*v) = u*v*w + u*v*w = 0: the term
+    # lies outside the window, where w is held at 0, and cancels. So u*v has
+    # no Leibniz term and stays a certified class; u and v each lose a term
+    # to the window boundary.
+    degrees = {"u": Tridegree(1, 0, 0), "v": Tridegree(1, 0, 0), "w": Tridegree(-1, 2, 0)}
+    presentation = MonomialAlgebraPresentation(GeneratorSpec(g, t, square_zero=True) for g, t in degrees.items())
+    diff = build_differential(presentation, 2, {g: [presentation.monomial(**{g: 1, "w": 1})] for g in "uv"})
+    state = _matches_the_definition(presentation, diff, Window(((0, 1), (0, 1), (0, 0))))
     assert state.classes[Tridegree(2, 0, 0)] == [frozenset((presentation.monomial(u=1, v=1),))]
     assert state.status[Tridegree(2, 0, 0)] is Certainty.VALID
     assert state.status[Tridegree(1, 0, 0)] is Certainty.INDETERMINATE
