@@ -255,6 +255,15 @@ def iter_window_monomials(presentation: MonomialAlgebraPresentation, window: Win
     return map(Monomial, product(*(range(lo, hi + 1) for lo, hi in window.effective_bounds(presentation))))
 
 
+def _radices(spans: tuple[int, int]) -> tuple[int, int]:
+    """The f and w radices of packed keys for window spans F and W: 2F-1 and 2W-1."""
+    return 2 * spans[0] - 1, 2 * spans[1] - 1
+
+
+def _pack(t: Tridegree, radices: tuple[int, int]) -> int:
+    return (t[0] * radices[0] + t[1]) * radices[1] + t[2]
+
+
 class TridegreeView(Mapping):
     """A read-only mapping keyed by ``Tridegree`` over a sequence in ``enumerate_basis``'s packed-key order.
 
@@ -269,10 +278,10 @@ class TridegreeView(Mapping):
     ):
         self.origin, self.spans, self.packed, self.index, self.data = origin, spans, packed, index, data
         self.read = read or data.__getitem__
-        self.radices = (2 * spans[0] - 1, 2 * spans[1] - 1)
+        self.radices = _radices(spans)
 
     def pack(self, t: Tridegree) -> int:
-        return (t[0] * self.radices[0] + t[1]) * self.radices[1] + t[2]
+        return _pack(t, self.radices)
 
     def over(self, data, read=None) -> TridegreeView:
         return TridegreeView(self.origin, self.spans, self.packed, self.index, data, read)
@@ -305,7 +314,8 @@ def enumerate_basis(presentation: MonomialAlgebraPresentation, window: Window) -
     """Group the window's exponent tuples by tridegree.
 
     Keys are sorted by (s, f, w); each fiber is a tuple in the canonical
-    lexicographic monomial order, which downstream linear algebra relies on.
+    lexicographic monomial order, which downstream linear algebra and
+    ``turn_page``'s bisection rely on.
     Window monomials are valid by construction, so degrees come straight
     from the generator degrees without ``degree``'s validation.
 
@@ -323,8 +333,9 @@ def enumerate_basis(presentation: MonomialAlgebraPresentation, window: Window) -
     bounds = window.effective_bounds(presentation)
     lo = [sum(min(a * g.degree[c], b * g.degree[c]) for g, (a, b) in zip(gens, bounds)) for c in range(3)]
     hi = [sum(max(a * g.degree[c], b * g.degree[c]) for g, (a, b) in zip(gens, bounds)) for c in range(3)]
-    grid = TridegreeView(Tridegree(*lo), (hi[1] - lo[1] + 1, hi[2] - lo[2] + 1), [], {}, ())
-    terms = product(*([e * grid.pack(g.degree) for e in range(a, b + 1)] for g, (a, b) in zip(gens, bounds)))
+    spans = (hi[1] - lo[1] + 1, hi[2] - lo[2] + 1)
+    radices = _radices(spans)
+    terms = product(*([e * _pack(g.degree, radices) for e in range(a, b + 1)] for g, (a, b) in zip(gens, bounds)))
     index: dict[int, Any] = {}
     for key, e in zip(map(sum, terms), product(*(range(a, b + 1) for a, b in bounds))):
         fibre = index.get(key)
@@ -339,4 +350,4 @@ def enumerate_basis(presentation: MonomialAlgebraPresentation, window: Window) -
     for i, key in enumerate(packed):
         fibres.append(tuple(index[key]))
         index[key] = i
-    return TridegreeView(grid.origin, grid.spans, packed, index, fibres)
+    return TridegreeView(Tridegree(*lo), spans, packed, index, fibres)

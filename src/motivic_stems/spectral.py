@@ -31,7 +31,8 @@ A page is a set of sequences in the sorted order of ``enumerate_basis``'s
 packed keys, with one key-to-position dict per grid. The f and w radices
 are padded to 2F-1 and 2W-1 for window spans F and W: t + shift is at key +
 pack(shift) when |df| < F and |dw| < W, and otherwise has no target fibre,
-so a page turn finds each target with one lookup.
+so a page turn finds each target with one lookup, and a Leibniz term's bit
+by bisection in the target's sorted monomials.
 A page starts at E2, and a page-r differential turns any page up to r, since
 the pages in between are zero.
 
@@ -55,6 +56,7 @@ single nonzero differential on the third page.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from itertools import compress
@@ -313,6 +315,18 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
     # n - off lies in the window exactly when n lies in the window shifted by off
     boxes = [(g, off, [*map(add, lows, off)], [*map(add, highs, off)]) for g, offs in diff.offsets for off, _ in offs]
 
+    def reached_only_from_window(mons: tuple[tuple[int, ...], ...]) -> bool:
+        # Every valid exponent vector whose differential can hit a fiber
+        # monomial must lie in-window, otherwise the incoming image is
+        # underestimated. A candidate n - (u - e_g) with an even g exponent
+        # reaches n with an even coefficient.
+        for n in mons:
+            for g, off, lo, hi in boxes:
+                if (n[g] - off[g]) % 2 and not (all(map(le, lo, n)) and all(map(le, n, hi))):
+                    if valid(tuple(map(sub, n, off))):
+                        return False
+        return True
+
     order = reversed if step < 0 else iter  # packed order is (s, f, w) order
     walk = zip(order(range(len(basis))), order(grid.packed), order(basis), order(vectors), order(status))
     pending: dict[int, tuple[list[int], bool]] = {}
@@ -324,29 +338,20 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
         j = index.get(key + step)
         target = () if j is None else basis[j]
         # Leibniz terms are valid and sit in t + shift, so a term lies in the
-        # window exactly when it is in the target fiber. Terms outside are
-        # dropped from the matrix, and the tridegree is not forward-closed.
+        # window exactly when it is in the target fiber, found by bisection in
+        # its sorted monomials. Terms outside are dropped from the matrix, and
+        # the tridegree is not forward-closed.
         forward = True
         images = []
-        if len(target) > 1:
-            position = {e: k for k, e in enumerate(target)}
-            for e in mons:
-                bits = 0
-                for p in diff.terms(e):
-                    k = position.get(p)
-                    if k is None:
-                        forward = False
-                    else:
-                        bits ^= 1 << k
-                images.append(bits)
-        else:
-            only = target[0] if target else None
-            for e in mons:
-                terms = diff.terms(e)
-                bits = 1 if only in terms else 0
-                if len(terms) > bits:
+        for e in mons:
+            bits = 0
+            for p in diff.terms(e):
+                k = bisect_left(target, p)
+                if k < len(target) and target[k] == p:
+                    bits ^= 1 << k
+                else:
                     forward = False
-                images.append(bits)
+            images.append(bits)
         hits = any(images)  # with every term in the window, d_r is nonzero out of t exactly when this holds
         # a class goes to its image over the target fibre, zero where the target has no classes
         columns = []
@@ -386,16 +391,7 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
         if reps and bounded:
             new_boundaries[i] = bounded
         if previous and forward and upstream_ok and (not hits or status[j]):
-            new_status[i] = 1
-            # Every valid exponent vector whose differential can hit a fiber
-            # monomial must lie in-window, otherwise the incoming image is
-            # underestimated. A candidate n - (u - e_g) with an even g exponent
-            # reaches n with an even coefficient.
-            for n in mons:
-                for g, off, lo, hi in boxes:
-                    if (n[g] - off[g]) % 2 and not (all(map(le, lo, n)) and all(map(le, n, hi))):
-                        if valid(tuple(map(sub, n, off))):
-                            new_status[i] = 0
+            new_status[i] = reached_only_from_window(mons)
     return PageState(
         presentation=pres,
         window=state.window,
