@@ -309,6 +309,9 @@ class TridegreeView(Mapping):
     def values(self) -> Iterator[Any]:  # in key order, building no Tridegree
         return map(self.read, range(len(self.packed)))
 
+    def items(self) -> Iterator[tuple[Tridegree, Any]]:  # in key order, with no lookup per key
+        return zip(self, self.values())
+
 
 def enumerate_basis(presentation: MonomialAlgebraPresentation, window: Window) -> TridegreeView:
     """Group the window's exponent tuples by tridegree.

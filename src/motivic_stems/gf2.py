@@ -1,14 +1,17 @@
 """Linear algebra over GF(2) with vectors stored as int bitmasks.
 
-Echelons pivot on lowest set bits and are kept fully reduced: no row has a
-set bit at another row's pivot. While one is built, it is a dict from each
-row's pivot bit, a power of two, to the row, with the OR of the pivot bits as
-a mask. Reducing v against it then XORs in exactly the rows whose pivot bits
-are set in ``v & mask``: each such XOR clears its own pivot bit in v and
-touches no other pivot bit. A new pivot is substituted back only into the
-rows that carry its bit, which keeps the echelon fully reduced.
-``kernel_and_image`` holds the one insertion loop; ``rref`` is its image
-echelon, with a zero source for every row.
+Echelons pivot on lowest set bits and come back fully reduced: no row has a
+set bit at another row's pivot. ``kernel_and_image`` holds the one insertion
+loop, and ``rref`` is its image echelon, with a zero source for every row.
+It builds a semi-echelon first: a dict from each row's pivot bit, a power of
+two, to the row, which has no set bit below its pivot. A new vector is
+reduced by XORing in the row at its lowest set bit until that bit is not yet
+a pivot, where the vector becomes a row, or until it is zero. One
+back-substitution, highest pivot first, then reduces each row against the
+rows of higher pivot, which are fully reduced by then. Reducing v against a
+fully reduced echelon XORs in exactly the rows whose pivot bits are set in
+``v & mask``, with the OR of the pivot bits as the mask: each such XOR
+clears its own pivot bit in v and touches no other pivot bit.
 """
 
 from __future__ import annotations
@@ -32,34 +35,34 @@ def kernel_and_image(columns: list[int], sources: list[int]) -> tuple[list[int],
     """Kernel basis and image echelon of the map sending sources[j] to columns[j].
 
     Each kernel vector is the sum of the sources whose columns sum to zero,
-    produced deterministically in source order; the image comes back in
-    reduced echelon form. The pivot images are kept fully reduced against
-    each other as they are found, each with the sum of sources it is the
-    image of, so the echelon needs no second pass.
+    produced deterministically in source order: a column that reduces to
+    zero against the semi-echelon of the columns before it gives its own
+    source plus the sources carried by the rows it was reduced by, its
+    unique relation with the earlier independent columns. The image comes
+    back in reduced echelon form, after one back-substitution.
     """
-    images: dict[int, int] = {}  # pivot bit -> image
-    trackers: dict[int, int] = {}  # pivot bit -> the sum of sources it is the image of
-    mask = 0
+    rows: dict[int, tuple[int, int]] = {}  # pivot bit -> (image, the sum of sources it is the image of)
     kernel: list[int] = []
     for img, trk in zip(columns, sources, strict=True):
-        hit = img & mask
-        while hit:
-            low = hit & -hit
-            img ^= images[low]
-            trk ^= trackers[low]
-            hit ^= low
-        if not img:
+        while img:
+            low = img & -img
+            row = rows.get(low)
+            if row is None:
+                rows[low] = (img, trk)
+                break
+            img ^= row[0]
+            trk ^= row[1]
+        else:
             kernel.append(trk)
-            continue
-        low = img & -img
-        for q, b in images.items():
-            if b & low:
-                images[q] = b ^ img
-                trackers[q] ^= trk
-        images[low] = img
-        trackers[low] = trk
+    pivots: dict[int, int] = {}
+    mask = 0
+    echelon: list[int] = []
+    for low in sorted(rows, reverse=True):
+        img = pivots[low] = _reduce(pivots, mask, rows[low][0])
         mask |= low
-    return kernel, [images[q] for q in sorted(images)]
+        echelon.append(img)
+    echelon.reverse()
+    return kernel, echelon
 
 
 def quotient_representatives(vectors: list[int], modulo: list[int]) -> list[int]:

@@ -60,7 +60,7 @@ from bisect import bisect_left
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import add, le, sub
+from operator import add, le
 from types import MappingProxyType
 
 from . import gf2
@@ -311,9 +311,18 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
     index = grid.index if abs(shift.f) < F and abs(shift.w) < W else {}
     bounds = state.window.effective_bounds(pres)
     lows, highs = [lo for lo, _ in bounds], [hi for _, hi in bounds]
-    valid = pres.is_valid_exponents
-    # n - off lies in the window exactly when n lies in the window shifted by off
-    boxes = [(g, off, [*map(add, lows, off)], [*map(add, highs, off)]) for g, offs in diff.offsets for off, _ in offs]
+    # A candidate n - off lies in the window exactly when n lies in the window
+    # shifted by off. It is valid exactly when n is at least the floor, off on
+    # the generators that are not invertible (a window monomial n is at least
+    # lo already): no square-zero cap can bind once the parity test below
+    # passes. At a square-zero j other than g, off[j] = u[j] >= 0, so
+    # n[j] - off[j] <= n[j] <= 1; at g the candidate exponent is odd and at
+    # most n[g] + 1 <= 2, so it is 1.
+    boxes = []
+    for g, offs in diff.offsets:
+        for off, _ in offs:
+            floor = [lo if gen.invertible else max(lo, o) for gen, lo, o in zip(pres.generators, lows, off)]
+            boxes.append((g, off, floor, [*map(add, lows, off)], [*map(add, highs, off)]))
 
     def reached_only_from_window(mons: tuple[tuple[int, ...], ...]) -> bool:
         # Every valid exponent vector whose differential can hit a fiber
@@ -321,9 +330,9 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
         # underestimated. A candidate n - (u - e_g) with an even g exponent
         # reaches n with an even coefficient.
         for n in mons:
-            for g, off, lo, hi in boxes:
+            for g, off, floor, lo, hi in boxes:
                 if (n[g] - off[g]) % 2 and not (all(map(le, lo, n)) and all(map(le, n, hi))):
-                    if valid(tuple(map(sub, n, off))):
+                    if all(map(le, floor, n)):
                         return False
         return True
 

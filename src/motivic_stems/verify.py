@@ -126,13 +126,13 @@ def check_einfty(
     state = run_to_einfty(presentation, diffs, window)
     elapsed = time.perf_counter() - t0
     expected = expected_einfty_classes(presentation, window)
-    classes = dict(state.classes)  # one formal-sum build per tridegree for the table and the check
+    # one walk, in (s, f, w) order, with one formal-sum build per tridegree for the table and the check
+    rows = list(zip(state.classes.items(), state.status.values()))
     if table is not None:
         table.append("tridegree (s,f,w) | status | computed | expected")
-        for t in sorted(classes):
-            comp = sorted(presentation.sum_str(c) for c in classes[t])
+        for (t, classes), status in rows:
+            comp = sorted(presentation.sum_str(c) for c in classes)
             exp = sorted(presentation.sum_str(c) for c in expected.get(t, []))
-            status = state.status[t]
             if status is Certainty.INDETERMINATE:
                 mark = "boundary"
             else:
@@ -141,7 +141,7 @@ def check_einfty(
                 f"{str(t):>14} | {status.value:13} | {'; '.join(comp) or '0':24} | "
                 f"{'; '.join(exp) or '0':24} | {mark}"
             )
-    computed_pairs = {(t, c) for t, cls in classes.items() if state.status[t] is Certainty.VALID for c in cls}
+    computed_pairs = {(t, c) for (t, cls), status in rows if status is Certainty.VALID for c in cls}
     expected_pairs = {(t, c) for t, cls in expected.items() for c in cls}
     n_indet = sum(1 for st in state.status.values() if st is Certainty.INDETERMINATE)
     return [

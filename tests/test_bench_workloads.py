@@ -4,7 +4,8 @@
 each engine workload checks that the tracer still reads the engine's results
 (``enumerate_basis``'s through ``values()`` and ``len``, ``run_to_einfty``'s
 through ``status.values()``) and that every output check of the workload
-passes.
+passes. The GF(2) elimination work is pinned too, so that a faster engine
+pass cannot come from less elimination.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from pathlib import Path
 import pytest
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+# the traced gf2.rref calls and the rows they take, per workload
+GF2_WORK = {"einfty_builtin": (0, 0), "einfty_wide": (180, 8_640)}
 
 
 @pytest.mark.parametrize(
@@ -39,3 +42,4 @@ def test_a_traced_engine_pass_passes_its_checks(monkeypatch, workload, tridegree
     assert layer["algebra.tridegrees"] == tridegrees
     assert layer["algebra.monomials"] == monomials
     assert layer["spectral.valid_tridegrees"] == valid
+    assert (layer["gf2.rref_calls"], layer["gf2.rows_in"]) == GF2_WORK[workload]

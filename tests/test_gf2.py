@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -74,7 +76,8 @@ def test_quotient_representatives(vectors, modulo):
 # Plain Gauss-Jordan on lists of 0/1 entries, written without the module
 # under test. Rows of up to 160 bits and up to 60 rows, many of them sums of
 # a few others, so that eliminations cancel, pivots collide and kernels are
-# large.
+# large. The rows are dense, or sparse with 1-4 set bits like the engine's
+# Leibniz columns, whose reduction chains run through many rows.
 
 
 def _bits(x: int, width: int) -> list[int]:
@@ -155,11 +158,21 @@ MAX_ROWS = 60
 widths = st.integers(1, 160)
 
 
+def sparse_rows(width: int) -> st.SearchStrategy[int]:
+    return st.sets(st.integers(0, width - 1), min_size=1, max_size=min(4, width)).map(lambda bits: sum(1 << b for b in bits))
+
+
+def _sparse_columns(seed: int, n: int, width: int) -> list[int]:
+    rng = random.Random(seed)
+    return [sum(1 << b for b in rng.sample(range(width), rng.randint(1, 4))) for _ in range(n)]
+
+
 @st.composite
 def wide_matrices(draw, width: int) -> list[int]:
     """Up to ``MAX_ROWS`` rows of ``width`` bits: drawn rows, then sums of the first few of them."""
     n = draw(st.integers(0, MAX_ROWS))
-    drawn = draw(st.lists(st.integers(0, 2**width - 1), min_size=n, max_size=n))
+    rows = st.integers(0, 2**width - 1) if draw(st.booleans()) else sparse_rows(width)
+    drawn = draw(st.lists(rows, min_size=n, max_size=n))
     if not drawn:
         return []
     n = draw(st.integers(0, MAX_ROWS - n))
@@ -185,3 +198,17 @@ def test_quotient_representatives_match_the_oracle(data):
     vectors = data.draw(wide_matrices(width))
     modulo = _oracle_rref(data.draw(wide_matrices(width)), width)
     assert gf2.quotient_representatives(vectors, modulo) == _oracle_quotient(vectors, modulo, width)
+
+
+def test_kernel_and_image_match_the_oracle_at_the_engine_shape():
+    # 150 sparse columns over 146 bits, the engine's largest fibre: the
+    # semi-echelon rows carry other pivots' bits, which only back-substitution
+    # from the highest pivot down clears in one pass
+    width = 146
+    columns = _sparse_columns(24, 150, width)
+    sources = [1 << j for j in range(len(columns))]
+    kernel, image = gf2.kernel_and_image(columns, sources)
+    assert image == _oracle_rref(columns, width)
+    assert kernel == _oracle_kernel(columns, sources, width)
+    assert gf2.rref(columns) == image
+    assert len(kernel) > 1 and len(image) > 100

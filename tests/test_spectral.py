@@ -17,6 +17,7 @@ from motivic_stems.algebra import (
     PresentationError,
     PresentationMismatchError,
     Tridegree,
+    TridegreeView,
     Window,
     enumerate_basis,
 )
@@ -450,6 +451,35 @@ def test_a_lookup_outside_the_padded_range_is_a_key_error(presentation_and_d3, e
                 view[probe]
 
 
+def test_items_zips_keys_and_values_with_no_lookup(monkeypatch, presentation_and_d3, einfty_window):
+    presentation, d3 = presentation_and_d3
+    state = run_to_einfty(presentation, [d3], einfty_window)
+    views = (state.basis, state.vectors, state.status, state.classes)
+    expected = [list(zip(list(view), list(view.values()))) for view in views]
+    assert expected[0] == [(t, state.basis[t]) for t in state.basis]
+
+    def lookup(self, t):
+        raise AssertionError(f"items() looked up {t}")
+
+    monkeypatch.setattr(TridegreeView, "__getitem__", lookup)
+    assert [list(view.items()) for view in views] == expected
+
+
+@given(presentations_with_differential())
+def test_a_candidate_that_passes_the_parity_test_is_valid_above_the_floor(case):
+    # turn_page's window-reach check reads the validity of a candidate
+    # n - off off one floor, non-negativity on the generators that are not
+    # invertible: after the parity test no square-zero cap can bind
+    presentation, diff, window = case
+    gens = presentation.generators
+    for n in product(*(range(lo, hi + 1) for lo, hi in window.effective_bounds(presentation))):
+        for g, offs in diff.offsets:
+            for off, _ in offs:
+                if (n[g] - off[g]) % 2:
+                    floor = all(e >= o for e, o, gen in zip(n, off, gens) if not gen.invertible)
+                    assert presentation.is_valid_exponents(tuple(e - o for e, o in zip(n, off))) == floor
+
+
 @given(presentations_with_differential())
 def test_one_page_turn_from_e2_is_the_run_to_einfty(case):
     # turn_page takes any later page's differential; the pages in between are zero
@@ -759,12 +789,12 @@ def test_the_builtin_run_needs_no_elimination(monkeypatch, presentation_and_d3, 
     assert calls == {"kernel_and_image": 0, "quotient_representatives": 0}
 
 
-def _wide_case():
+def _wide_case(x_hi):
     text = "t 0 1 0\n" + "".join(f"x{i} 1 1 1\n" for i in range(4)) + "u 2 0 1\n"
     presentation = MonomialAlgebraPresentation.parse(text)
     hit = [presentation.monomial(t=2, x0=1), presentation.monomial(t=2, x1=1)]
     d3 = build_differential(presentation, 3, {"u": hit})
-    bounds = {"t": (0, 4), **{f"x{i}": (0, 4) for i in range(4)}, "u": (0, 3)}
+    bounds = {"t": (0, 4), **{f"x{i}": (0, x_hi) for i in range(4)}, "u": (0, 3)}
     return presentation, [d3], Window.from_dict(presentation, bounds)
 
 
@@ -780,18 +810,20 @@ def _builtin_case(alpha1_shift):
 @pytest.mark.parametrize(
     "case, largest, digest",
     [
-        (_wide_case, 85, "772f1193d57a2820efbc69f237ffbb4c8f64483eb2d0f0246ad7a725cfe8cf80"),
+        (lambda: _wide_case(4), 85, "772f1193d57a2820efbc69f237ffbb4c8f64483eb2d0f0246ad7a725cfe8cf80"),
+        (lambda: _wide_case(5), 146, "bee529bba47e418d57c7969fbf24158bbe1afbbd9b2a5dc1b9d196466ca7cc88"),
         (lambda: _builtin_case(-3), 1, "8c803b30c0194be8b7bd4b13c0c52ed4dc55e2b8bd8a1fbd40fbffc75208ccd0"),
         (lambda: _builtin_case(3), 1, "751892c93e4bc0d5353b070d8e810202a40f6f92d75fdba2ebe6f17c7d4295f9"),
     ],
-    ids=["wide", "builtin-alpha1-minus-3", "builtin-alpha1-plus-3"],
+    ids=["wide", "wide-bench-size", "builtin-alpha1-minus-3", "builtin-alpha1-plus-3"],
 )
 def test_fibres_of_many_monomials_are_pinned(case, largest, digest):
     # The pinned verify and --table digests cover only the built-in
     # presentation on small windows, whose fibres hold one monomial each.
     # wide: the einfty_wide benchmark's presentation in a smaller box, with
     # fibres of up to 85 monomials and 252 tridegrees with more than one
-    # class. builtin: the einfty_builtin benchmark's window, the einfty
+    # class. wide-bench-size: the same in the benchmark's box, x_i 0:5, with
+    # fibres of up to 146 monomials. builtin: the einfty_builtin benchmark's window, the einfty
     # window doubled but for alpha4, at its extreme alpha1 shifts (21,658
     # monomials). Each digest is over ints and strings only.
     presentation, diffs, window = case()
