@@ -126,11 +126,14 @@ def check_einfty(
     state = run_to_einfty(presentation, diffs, window)
     elapsed = time.perf_counter() - t0
     expected = expected_einfty_classes(presentation, window)
-    # one walk, in (s, f, w) order, with one formal-sum build per tridegree for the table and the check
-    rows = list(zip(state.classes.items(), state.status.values()))
     if table is not None:
         table.append("tridegree (s,f,w) | status | computed | expected")
-        for (t, classes), status in rows:
+    computed_pairs = set()
+    # one walk, in (s, f, w) order, with one formal-sum build per tridegree for the check and the table
+    for (t, classes), status in zip(state.classes.items(), state.status.values()):
+        if status is Certainty.VALID:
+            computed_pairs.update((t, c) for c in classes)
+        if table is not None:
             comp = sorted(presentation.sum_str(c) for c in classes)
             exp = sorted(presentation.sum_str(c) for c in expected.get(t, []))
             if status is Certainty.INDETERMINATE:
@@ -141,7 +144,6 @@ def check_einfty(
                 f"{str(t):>14} | {status.value:13} | {'; '.join(comp) or '0':24} | "
                 f"{'; '.join(exp) or '0':24} | {mark}"
             )
-    computed_pairs = {(t, c) for (t, cls), status in rows if status is Certainty.VALID for c in cls}
     expected_pairs = {(t, c) for t, cls in expected.items() for c in cls}
     n_indet = sum(1 for st in state.status.values() if st is Certainty.INDETERMINATE)
     return [

@@ -158,20 +158,15 @@ MAX_ROWS = 60
 widths = st.integers(1, 160)
 
 
-def sparse_rows(width: int) -> st.SearchStrategy[int]:
-    return st.sets(st.integers(0, width - 1), min_size=1, max_size=min(4, width)).map(lambda bits: sum(1 << b for b in bits))
-
-
-def _sparse_columns(seed: int, n: int, width: int) -> list[int]:
-    rng = random.Random(seed)
-    return [sum(1 << b for b in rng.sample(range(width), rng.randint(1, 4))) for _ in range(n)]
-
-
 @st.composite
 def wide_matrices(draw, width: int) -> list[int]:
-    """Up to ``MAX_ROWS`` rows of ``width`` bits: drawn rows, then sums of the first few of them."""
+    """Up to ``MAX_ROWS`` rows of ``width`` bits: drawn rows, dense or sparse, then sums of the first few of them."""
     n = draw(st.integers(0, MAX_ROWS))
-    rows = st.integers(0, 2**width - 1) if draw(st.booleans()) else sparse_rows(width)
+    if draw(st.booleans()):
+        rows = st.integers(0, 2**width - 1)
+    else:
+        bits = st.sets(st.integers(0, width - 1), min_size=1, max_size=min(4, width))
+        rows = bits.map(lambda bits: sum(1 << b for b in bits))
     drawn = draw(st.lists(rows, min_size=n, max_size=n))
     if not drawn:
         return []
@@ -204,8 +199,8 @@ def test_kernel_and_image_match_the_oracle_at_the_engine_shape():
     # 150 sparse columns over 146 bits, the engine's largest fibre: the
     # semi-echelon rows carry other pivots' bits, which only back-substitution
     # from the highest pivot down clears in one pass
-    width = 146
-    columns = _sparse_columns(24, 150, width)
+    width, rng = 146, random.Random(24)
+    columns = [sum(1 << b for b in rng.sample(range(width), rng.randint(1, 4))) for _ in range(150)]
     sources = [1 << j for j in range(len(columns))]
     kernel, image = gf2.kernel_and_image(columns, sources)
     assert image == _oracle_rref(columns, width)
