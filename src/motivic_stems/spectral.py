@@ -312,12 +312,12 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
     bounds = state.window.effective_bounds(pres)
     lows, highs = [lo for lo, _ in bounds], [hi for _, hi in bounds]
     # A candidate n - off lies in the window exactly when n lies in the window
-    # shifted by off. It is valid exactly when n is at least the floor, off on
-    # the generators that are not invertible (a window monomial n is at least
-    # lo already): no square-zero cap can bind once the parity test below
-    # passes. At a square-zero j other than g, off[j] = u[j] >= 0, so
-    # n[j] - off[j] <= n[j] <= 1; at g the candidate exponent is odd and at
-    # most n[g] + 1 <= 2, so it is 1.
+    # shifted by off. Once the parity test below passes, it is valid exactly
+    # when n is at least the floor: max(lo, off[j]) on each generator j that
+    # is not invertible, and lo, which every window monomial meets, elsewhere.
+    # No square-zero cap can bind then: at a square-zero j other than g,
+    # off[j] = u[j] >= 0, so n[j] - off[j] <= n[j] <= 1; at g the candidate
+    # exponent is odd and at most n[g] + 1 <= 2, so it is 1.
     boxes = []
     for g, offs in diff.offsets:
         for off, _ in offs:

@@ -467,9 +467,9 @@ def test_items_zips_keys_and_values_with_no_lookup(monkeypatch, presentation_and
 
 @given(presentations_with_differential())
 def test_a_candidate_that_passes_the_parity_test_is_valid_above_the_floor(case):
-    # turn_page's window-reach check reads the validity of a candidate
-    # n - off off one floor, non-negativity on the generators that are not
-    # invertible: after the parity test no square-zero cap can bind
+    # turn_page's window-reach check takes a candidate n - off as valid
+    # exactly when it is non-negative on the generators that are not
+    # invertible: once the parity test passes, no square-zero cap can bind
     presentation, diff, window = case
     gens = presentation.generators
     for n in product(*(range(lo, hi + 1) for lo, hi in window.effective_bounds(presentation))):
@@ -823,9 +823,9 @@ def test_fibres_of_many_monomials_are_pinned(case, largest, digest):
     # wide: the einfty_wide benchmark's presentation in a smaller box, with
     # fibres of up to 85 monomials and 252 tridegrees with more than one
     # class. wide-bench-size: the same in the benchmark's box, x_i 0:5, with
-    # fibres of up to 146 monomials. builtin: the einfty_builtin benchmark's window, the einfty
-    # window doubled but for alpha4, at its extreme alpha1 shifts (21,658
-    # monomials). Each digest is over ints and strings only.
+    # fibres of up to 146 monomials. builtin: the einfty_builtin benchmark's
+    # window, the einfty window doubled but for alpha4, at its extreme alpha1
+    # shifts (21,658 monomials). Each digest is over ints and strings only.
     presentation, diffs, window = case()
     state = run_to_einfty(presentation, diffs, window)
     kept = repr([(tuple(t), mons, state.vectors[t], str(state.status[t])) for t, mons in state.basis.items()])
