@@ -125,7 +125,9 @@ class ClassicalChart:
         return self._by_bidegree.get((s, f), ())
 
     def group_at(self, s: int, f: int) -> GroupDescriptor:
-        return GroupDescriptor(tuple(c.order for c in self.at(s, f)))
+        # an empty bidegree shares the one trivial descriptor
+        classes = self.at(s, f)
+        return GroupDescriptor(tuple(c.order for c in classes)) if classes else TRIVIAL_GROUP
 
 
 def _parse_order_token(token: str, lineno: int) -> int:
@@ -198,7 +200,8 @@ def serialize_chart(chart: ClassicalChart) -> str:
     for c in chart.classes:
         tail = f" eta:{c.eta_edge}" if c.eta_edge else ""
         lines.append(f"{c.s} {c.f} {c.name} {_order_token(c.order)}{tail}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # ends the text with a newline
+    return "\n".join(lines)
 
 
 @dataclass
@@ -343,7 +346,8 @@ def serialize_stems(table: StemsTable) -> str:
             lines.append(f"{s} 0")
         else:
             lines.append(f"{s} " + ",".join(map(_order_token, g.summands)))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # ends the text with a newline; an empty table is one empty line
+    return "\n".join(lines) or "\n"
 
 
 def load_sample_chart() -> ClassicalChart:

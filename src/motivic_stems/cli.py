@@ -8,6 +8,7 @@ validation or a verification check fails, 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from pathlib import Path
@@ -96,11 +97,15 @@ def _parse_exponent_window(text: str, parser: argparse.ArgumentParser) -> dict[s
     return bounds
 
 
+_WRITE_CHUNK = 1 << 20  # characters per write
+
+
 def _emit(text: str, output: str | None) -> None:
-    if output and output != "-":
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    # a slice at a time: one write of the whole text would hold a second, encoded copy of it
+    to_file = output and output != "-"
+    with open(output, "w", encoding="utf-8") if to_file else contextlib.nullcontext(sys.stdout) as out:
+        for i in range(0, len(text), _WRITE_CHUNK):
+            out.write(text[i : i + _WRITE_CHUNK])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,6 +6,10 @@ and a Fraction only at a boundary line's clip point, printed with exactly three
 decimals (exact rounding, half to even), and the palette is hard coded.
 Regenerating a chart from the same inputs must reproduce the committed golden
 files bit for bit.
+
+A document is joined once, from one piece per layer row or s-column, and the
+join is returned as is: no per-cell line list stays alive until the join, and
+no copy follows it.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, product, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .charts import MotivicLift, StemsTable
@@ -229,7 +234,8 @@ def _legend_layer(canvas: _Canvas) -> list[str]:
 
 
 def _dot_layer(canvas: _Canvas, stems_table: StemsTable | None) -> list[str]:
-    # x depends only on s and y only on w: format each once, not once per cell
+    # x depends only on s and y only on w: format each once, not once per cell.
+    # One piece per nonempty s-column, so no dot's string outlives its column
     style = canvas.style
     out = []
     r = _fmt_milli(180 * style.scale)
@@ -237,20 +243,23 @@ def _dot_layer(canvas: _Canvas, stems_table: StemsTable | None) -> list[str]:
     not_understood = RegionLabel.NOT_UNDERSTOOD
     for s in range(style.s_min, style.s_max + 1):
         cx = _fmt_milli(canvas.x(s))
+        column = []
         for w, cy, text_y in rows:
             value = resolve_group(s, w, stems_table)
             if value.region is not_understood:
-                out.append(
+                column.append(
                     f'<text x="{cx}" y="{text_y}" font-size="10.000" '
                     f'text-anchor="middle" fill="#7a3fd1">?</text>'
                 )
             elif value.descriptor is None:
-                out.append(
+                column.append(
                     f'<circle cx="{cx}" cy="{cy}" r="{r}" '
                     f'fill="none" stroke="#222222" stroke-width="1.000"/>'
                 )
             elif not value.descriptor.is_trivial:
-                out.append(f'<circle cx="{cx}" cy="{cy}" r="{r}" fill="#222222"/>')
+                column.append(f'<circle cx="{cx}" cy="{cy}" r="{r}" fill="#222222"/>')
+        if column:
+            out.append("\n".join(column))
     return out
 
 
@@ -289,19 +298,19 @@ def _family_layer(canvas: _Canvas) -> list[str]:
 
 
 def _document(canvas: _Canvas, title: str, layers: list[tuple[str, list[str]]]) -> str:
-    """The SVG element, its title and white background, then one group per (id, lines) layer."""
+    """The SVG element, its title and white background, then one group per (id, pieces) layer."""
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{canvas.width}" height="{canvas.height}" '
         f'viewBox="0 0 {canvas.width} {canvas.height}">',
         f"<title>{title}</title>",
         f'<rect x="0.000" y="0.000" width="{fmt3(canvas.width)}" height="{fmt3(canvas.height)}" fill="#ffffff"/>',
     ]
-    for layer_id, lines in layers:
+    for layer_id, pieces in layers:
         parts.append(f'<g id="{layer_id}">')
-        parts.extend(lines)
+        parts.extend(pieces)
         parts.append("</g>")
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts += ["</svg>", ""]  # the empty last part ends the text with a newline
+    return "\n".join(parts)
 
 
 def region_chart_svg(style: ChartStyle | None = None, stems_table: StemsTable | None = None) -> str:
@@ -335,17 +344,23 @@ def bidegree_window(s_min: int, s_max: int, w_min: int, w_max: int) -> Iterator[
 
 def groups_tsv(window: Iterable[tuple[int, int]], stems_table: StemsTable | None = None) -> str:
     """One row per (s, w), in the window's order and unsorted: region, group, and generator."""
-    lines = ["# s\tw\tregion\tgroup\tgenerator"]
-    # runs of cells share one value object (the zero and not-understood
-    # constants, a stem's memoized tau-local value): format each run once
+    pieces = ["# s\tw\tregion\tgroup\tgenerator"]
+    # one piece per run of cells with the same s, so only one run's rows are
+    # alive at a time. Runs of cells also share one value object (the zero and
+    # not-understood constants, a stem's memoized tau-local value): format
+    # each such run once
     last = tail = None
-    for s, w in window:
-        value = resolve_group(s, w, stems_table)
-        if value is not last:
-            last = value
-            tail = f"{value.region.value}\t{value.group_str}\t{value.generator_str}"
-        lines.append(f"{s}\t{w}\t{tail}")
-    return "\n".join(lines) + "\n"
+    for s, cells in groupby(window, itemgetter(0)):
+        rows = []
+        for _, w in cells:
+            value = resolve_group(s, w, stems_table)
+            if value is not last:
+                last = value
+                tail = f"{value.region.value}\t{value.group_str}\t{value.generator_str}"
+            rows.append(f"{s}\t{w}\t{tail}")
+        pieces.append("\n".join(rows))
+    pieces.append("")  # ends the text with a newline
+    return "\n".join(pieces)
 
 
 def motivic_chart_style(lift: MotivicLift, scale: int = MOTIVIC_SCALE) -> ChartStyle:

@@ -29,7 +29,7 @@ from motivic_stems.charts import (
     serialize_chart,
     serialize_stems,
 )
-from motivic_stems.groups import GroupDescriptor
+from motivic_stems.groups import TRIVIAL_GROUP, GroupDescriptor
 from motivic_stems.resources import read_data_text
 
 MINIMAL = "# provenance: test fixture\n# smax: 2\n0 0 1 Z\n2 2 x 2\n"
@@ -45,6 +45,7 @@ def test_parse_minimal_chart():
     assert chart.at(2, 2) == (chart.by_name("x"),)
     assert chart.at(7, 1) == ()
     assert chart.group_at(0, 0) == GroupDescriptor((0,))
+    assert chart.group_at(7, 1) is TRIVIAL_GROUP  # an empty bidegree builds no descriptor
 
 
 def test_parse_strips_blank_lines_and_trailing_comments():
@@ -152,6 +153,9 @@ def test_ctau_homotopy_values(sample_chart):
     assert str(ctau_homotopy(sample_chart, 3, 2)) == "Z/4"
     assert ctau_homotopy(sample_chart, 5, 2).is_trivial  # 2w-s < 0
     assert ctau_homotopy(sample_chart, 14, 7).is_trivial  # empty entry at f = 0
+    # both zero cases hand out the one shared trivial descriptor
+    assert ctau_homotopy(sample_chart, 5, 2) is TRIVIAL_GROUP
+    assert ctau_homotopy(sample_chart, 14, 7) is TRIVIAL_GROUP
     with pytest.raises(StemRangeError):
         ctau_homotopy(sample_chart, -1, 0)
     with pytest.raises(StemRangeError):
@@ -264,3 +268,8 @@ def test_serialize_stems_roundtrip(sample_stems):
     assert again.groups == sample_stems.groups
     assert serialize_stems(again) == out
     assert "4 0" in out.splitlines()
+
+
+def test_serialize_stems_of_an_empty_table_is_one_empty_line():
+    assert serialize_stems(parse_stems("")) == "\n"
+    assert serialize_stems(parse_stems("# provenance: none listed\n")) == "# provenance: none listed\n"

@@ -12,9 +12,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from motivic_stems import cli, verify
-from motivic_stems.charts import lift_to_motivic, load_sample_chart
+from motivic_stems.charts import lift_to_motivic, load_sample_chart, load_sample_stems
 from motivic_stems.cli import main
-from motivic_stems.render import ChartStyle, motivic_chart_svg, region_chart_svg
+from motivic_stems.render import ChartStyle, bidegree_window, groups_tsv, motivic_chart_svg, region_chart_svg
 from motivic_stems.resources import DATA_ENV_VAR, SAMPLE_CHART_FILE, SAMPLE_STEMS_FILE, data_path, read_data_text
 from motivic_stems.spectral import run_to_einfty
 
@@ -185,6 +185,19 @@ def test_chart_regions_file_matches_library(capsys, tmp_path):
     svg = target.read_text(encoding="utf-8")
     assert svg == region_chart_svg(ChartStyle())
     assert hashlib.sha256(svg.encode()).hexdigest() == "8af71cff31d1225bf44646b63a7aaee855204a659b7d76c38bc141682fa52b67"
+
+
+def test_chart_output_is_written_in_slices(capsys, tmp_path, monkeypatch):
+    # a render longer than one write reaches stdout and a file whole: no slice lost, repeated or reordered
+    monkeypatch.setattr(cli, "_WRITE_CHUNK", 1000)
+    expected = groups_tsv(bidegree_window(-5, 20, -5, 20), stems_table=load_sample_stems())
+    assert len(expected) > 10 * 1000 and len(expected) % 1000
+    code, out, _ = run(capsys, "chart", "groups", "--window=-5:20:-5:20")
+    assert code == 0 and out == expected
+    target = tmp_path / "groups.tsv"
+    code, out, _ = run(capsys, "chart", "groups", "--window=-5:20:-5:20", "-o", str(target))
+    assert code == 0 and out == ""
+    assert target.read_text(encoding="utf-8") == expected
 
 
 @pytest.mark.parametrize(

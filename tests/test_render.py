@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -135,6 +136,44 @@ def test_groups_tsv_accepts_custom_resolver(sample_stems, monkeypatch):
     # one row per cell, in the order given
     assert out.splitlines()[1:] == ["2\t1\tTauLocal\tZ/2\t-", "0\t0\tTauLocal\tZ2\t1"]
     assert calls == [(2, 1), (0, 0)]
+
+    # a stem that comes back after another stem keeps its place
+    calls.clear()
+    out = groups_tsv([(2, 1), (0, 0), (2, 2)], stems_table=sample_stems)
+    assert out.splitlines()[1:] == ["2\t1\tTauLocal\tZ/2\t-", "0\t0\tTauLocal\tZ2\t1", "2\t2\tTauLocal\tZ/2\t-"]
+    assert calls == [(2, 1), (0, 0), (2, 2)]
+
+    calls.clear()
+    assert groups_tsv([], stems_table=sample_stems) == "# s\tw\tregion\tgroup\tgenerator\n"
+    assert calls == []
+
+
+# the atlas benchmark's window: the renders join their text once, from one
+# piece per s-column, so the peak is about the pieces plus the joined text
+# (2.0x); a list with one string per cell, or a copy after the join, reads
+# 3.7x for the chart and 5.5x for the TSV
+ATLAS_WINDOW = (-4, 200, -100, 200)
+
+
+@pytest.mark.parametrize(
+    "render_call",
+    [
+        lambda stems: region_chart_svg(ChartStyle(*ATLAS_WINDOW, group_dots=True), stems_table=stems),
+        lambda stems: groups_tsv(bidegree_window(*ATLAS_WINDOW), stems_table=stems),
+    ],
+    ids=["regions", "groups"],
+)
+def test_renders_allocate_little_beyond_their_text(sample_stems, render_call):
+    # the peak of what the call allocates above what is held when it starts
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        text = render_call(sample_stems)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text), f"peak {peak} bytes for {len(text)} characters"
 
 
 def test_motivic_chart_tooltips(sample_chart):
