@@ -255,11 +255,6 @@ def iter_window_monomials(presentation: MonomialAlgebraPresentation, window: Win
     return map(Monomial, product(*(range(lo, hi + 1) for lo, hi in window.effective_bounds(presentation))))
 
 
-def _radices(spans: tuple[int, int]) -> tuple[int, int]:
-    """The f and w radices of packed keys for window spans F and W: 2F-1 and 2W-1."""
-    return 2 * spans[0] - 1, 2 * spans[1] - 1
-
-
 def _pack(t: Tridegree, radices: tuple[int, int]) -> int:
     return (t[0] * radices[0] + t[1]) * radices[1] + t[2]
 
@@ -269,39 +264,40 @@ class TridegreeView(Mapping):
 
     ``packed`` holds the packed ints sorted, so in (s, f, w) order, and ``index`` maps each to its position; every
     view of one grid shares both. ``data[i]`` belongs to ``packed[i]``, and ``read`` turns a position into its value.
-    A lookup packs its tridegree; anything else, and a tridegree whose f or w digit leaves the padded radix (where
-    packing is not one to one), raises ``KeyError``. Iteration builds each ``Tridegree`` as it is read.
+    ``tridegree`` decodes a key. A lookup packs its tridegree and misses, raising ``KeyError``, unless the key is the
+    grid's and decodes back to it: so a tridegree whose f or w digit leaves the padded radix, where packing is not one
+    to one, misses, and so does anything that is not a tridegree. Iteration decodes each key as it is read.
     """
 
     def __init__(
-        self, origin: Tridegree, spans: tuple[int, int], packed: list[int], index: dict[int, int], data, read=None
+        self, origin: Tridegree, radices: tuple[int, int], packed: list[int], index: dict[int, int], data, read=None
     ):
-        self.origin, self.spans, self.packed, self.index, self.data = origin, spans, packed, index, data
+        self.origin, self.radices, self.packed, self.index, self.data = origin, radices, packed, index, data
         self.read = read or data.__getitem__
-        self.radices = _radices(spans)
 
     def pack(self, t: Tridegree) -> int:
         return _pack(t, self.radices)
 
+    def tridegree(self, key: int) -> Tridegree:
+        (_, f0, w0), (rf, rw) = self.origin, self.radices
+        sf, w = divmod(key - f0 * rw - w0, rw)
+        return Tridegree(sf // rf, f0 + sf % rf, w0 + w)
+
     def over(self, data, read=None) -> TridegreeView:
-        return TridegreeView(self.origin, self.spans, self.packed, self.index, data, read)
+        return TridegreeView(self.origin, self.radices, self.packed, self.index, data, read)
 
     def __getitem__(self, t: Tridegree) -> Any:
-        (_, f0, w0), (rf, rw) = self.origin, self.radices
-        try:  # a miss unless t is a tuple of three integers in the padded f and w range
-            found = isinstance(t, tuple) and len(t) == 3 and 0 <= t[1] - f0 < rf and 0 <= t[2] - w0 < rw
-            i = self.index.get(self.pack(t)) if found else None
-        except TypeError:
+        try:
+            key = self.pack(t)
+            i = self.index.get(key)
+        except (TypeError, IndexError):  # t is not a tridegree
             i = None
-        if i is None:
+        if i is None or self.tridegree(key) != t:
             raise KeyError(t)
         return self.read(i)
 
     def __iter__(self) -> Iterator[Tridegree]:
-        (_, f0, w0), (rf, rw) = self.origin, self.radices
-        for key in self.packed:
-            sf, w = divmod(key - f0 * rw - w0, rw)
-            yield Tridegree(sf // rf, f0 + sf % rf, w0 + w)
+        return map(self.tridegree, self.packed)
 
     def __len__(self) -> int:
         return len(self.packed)
@@ -336,8 +332,7 @@ def enumerate_basis(presentation: MonomialAlgebraPresentation, window: Window) -
     bounds = window.effective_bounds(presentation)
     lo = [sum(min(a * g.degree[c], b * g.degree[c]) for g, (a, b) in zip(gens, bounds)) for c in range(3)]
     hi = [sum(max(a * g.degree[c], b * g.degree[c]) for g, (a, b) in zip(gens, bounds)) for c in range(3)]
-    spans = (hi[1] - lo[1] + 1, hi[2] - lo[2] + 1)
-    radices = _radices(spans)
+    radices = (2 * (hi[1] - lo[1]) + 1, 2 * (hi[2] - lo[2]) + 1)
     terms = product(*([e * _pack(g.degree, radices) for e in range(a, b + 1)] for g, (a, b) in zip(gens, bounds)))
     index: dict[int, Any] = {}
     for key, e in zip(map(sum, terms), product(*(range(a, b + 1) for a, b in bounds))):
@@ -353,4 +348,4 @@ def enumerate_basis(presentation: MonomialAlgebraPresentation, window: Window) -
     for i, key in enumerate(packed):
         fibres.append(tuple(index[key]))
         index[key] = i
-    return TridegreeView(Tridegree(*lo), spans, packed, index, fibres)
+    return TridegreeView(Tridegree(*lo), radices, packed, index, fibres)

@@ -240,7 +240,8 @@ def _cmd_ingest(args, parser: argparse.ArgumentParser) -> int:
             sys.stdout.write(serialize_chart(chart))
     else:
         table = _load_stems(args.path)
-        print(f"ok: stems 0..{table.s_max}, provenance={table.provenance or '(none)'}")
+        stems = f"stems 0..{table.s_max}" if table.groups else "no stems"
+        print(f"ok: {stems}, provenance={table.provenance or '(none)'}")
         if args.canonical:
             sys.stdout.write(serialize_stems(table))
     return 0

@@ -28,11 +28,10 @@ A page keeps each tridegree's window monomials as exponent tuples and its
 classes as bitmasks over them; ``PageState.classes`` builds formal sums per
 lookup. A formal sum is a frozenset of monomials, and the empty set is zero.
 A page is a set of sequences in the sorted order of ``enumerate_basis``'s
-packed keys, with one key-to-position dict per grid. The f and w radices
-are padded to 2F-1 and 2W-1 for window spans F and W: t + shift is at key +
-pack(shift) when |df| < F and |dw| < W, and otherwise has no target fibre,
-so a page turn finds each target with one lookup, and a Leibniz term's bit
-by bisection in the target's sorted monomials.
+packed keys, with one key-to-position dict per grid. The key format, given
+there, puts t + shift at key + pack(shift) or outside the window, so a page
+turn finds each target with one lookup, and a Leibniz term's bit by
+bisection in the target's sorted monomials.
 A page starts at E2, and a page-r differential turns any page up to r, since
 the pages in between are zero.
 
@@ -172,13 +171,8 @@ class DifferentialSpec:
         return out
 
 
-def build_differential(
-    presentation: MonomialAlgebraPresentation,
-    page: int,
-    images: Mapping[str, Iterable[Monomial]],
-) -> DifferentialSpec:
-    """The page-``page`` differential with these generator images; see ``DifferentialSpec``."""
-    return DifferentialSpec(presentation, page, images)
+# the benchmark's wide workload (bench/workloads.py) builds its differential by this name
+build_differential = DifferentialSpec
 
 
 def leibniz_extend(diff: DifferentialSpec, m: Monomial) -> frozenset[Monomial]:
@@ -223,9 +217,8 @@ class PageState:
     pages. All four are ``TridegreeView``s of one grid: sequences in the
     (s, f, w) order of ``enumerate_basis``'s sorted packed keys, ``basis`` and
     ``vectors`` over lists and ``status`` over a bytearray (1 for VALID), and
-    the grid's one key-to-position dict serves every lookup. The f and w
-    radices are padded to 2F-1 and 2W-1, so t + shift is key + pack(shift)
-    when |df| < F and |dw| < W, and has no target otherwise.
+    the grid's one key-to-position dict serves every lookup; see
+    ``enumerate_basis`` for the key format.
     ``boundaries[i]`` is the reduced-echelon span of every earlier page's
     image at the i-th tridegree, kept only where it still has classes.
     """
@@ -246,8 +239,8 @@ class PageState:
         )
 
     def valid_classes(self) -> dict[Tridegree, list[frozenset[Monomial]]]:
-        classes = self.classes.read
-        return {t: classes(i) for i, t in compress(enumerate(self.basis), self.status.data)}
+        classes, tridegree = self.classes.read, self.basis.tridegree
+        return {tridegree(key): classes(i) for i, key in compress(enumerate(self.basis.packed), self.status.data)}
 
 
 def _status(grid: TridegreeView, flags: bytearray) -> TridegreeView:
@@ -306,9 +299,9 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
         raise PresentationMismatchError("differential is built on a different presentation than the page")
     pres, grid, shift = state.presentation, state.basis, diff.shift
     basis, vectors, status, boundaries = grid.data, state.vectors.data, state.status.data, state.boundaries
-    step, F, W = grid.pack(shift), *grid.spans
-    # a shift with |df| >= F or |dw| >= W takes every t out of the window
-    index = grid.index if abs(shift.f) < F and abs(shift.w) < W else {}
+    step, (rf, rw) = grid.pack(shift), grid.radices
+    # radices 2F-1 and 2W-1: a shift with |df| >= F or |dw| >= W takes every t out of the window
+    index = grid.index if 2 * abs(shift.f) < rf and 2 * abs(shift.w) < rw else {}
     bounds = state.window.effective_bounds(pres)
     lows, highs = [lo for lo, _ in bounds], [hi for _, hi in bounds]
     # A candidate n - off lies in the window exactly when n lies in the window
@@ -464,9 +457,5 @@ def localized_motivic_anss() -> tuple[MonomialAlgebraPresentation, list[Differen
             GeneratorSpec("alpha4", Tridegree(7, 1, 4), square_zero=True),
         ]
     )
-    d3 = build_differential(
-        presentation,
-        page=3,
-        images={"alpha3": [presentation.monomial(tau=1, alpha1=4)]},
-    )
+    d3 = DifferentialSpec(presentation, page=3, images={"alpha3": [presentation.monomial(tau=1, alpha1=4)]})
     return presentation, [d3]

@@ -111,6 +111,15 @@ def test_ingest_stems(capsys):
     assert out.split("\n", 1)[1] == data_path("stems.txt").read_text(encoding="utf-8")
 
 
+def test_ingest_of_an_empty_stems_file_says_no_stems(capsys, tmp_path):
+    empty = tmp_path / "stems.txt"
+    empty.write_text("", encoding="utf-8")
+    assert run(capsys, "ingest", str(empty), "--kind", "stems") == (0, "ok: no stems, provenance=(none)\n", "")
+    # --canonical then writes the empty table as one empty line
+    code, out, _ = run(capsys, "ingest", str(empty), "--kind", "stems", "--canonical")
+    assert (code, out) == (0, "ok: no stems, provenance=(none)\n\n")
+
+
 def test_ingest_corrupt_chart(capsys):
     path = data_path("fixtures/missing_unit.txt")
     code, _, err = run(capsys, "ingest", str(path))

@@ -49,11 +49,14 @@ def test_no_unused_imports():
 
 
 def _public_definitions(tree: ast.Module) -> dict[str, int]:
-    """Public top-level functions and classes, and public methods -> line."""
+    """Public top-level functions, classes and aliases (``name = OtherName``), and public methods -> line."""
     defs: dict[str, int] = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             defs[node.name] = node.lineno
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            defs.update((name, node.lineno) for name in names if not name.startswith("_"))
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
@@ -62,7 +65,7 @@ def _public_definitions(tree: ast.Module) -> dict[str, int]:
 
 
 def _referenced_names(tree: ast.Module) -> set[str]:
-    """Names read, attributes, imported names and string constants.
+    """Names read (binding a name is not a use), attributes, imported names and string constants.
 
     Strings count because the bench tracer looks functions up by name with
     ``getattr``. An attribute of a name bound by ``import`` of a module from
@@ -77,7 +80,7 @@ def _referenced_names(tree: ast.Module) -> set[str]:
     }
     refs: set[str] = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             refs.add(node.id)
         elif isinstance(node, ast.Attribute) and not (isinstance(node.value, ast.Name) and node.value.id in outside):
             refs.add(node.attr)
@@ -93,6 +96,12 @@ def test_an_attribute_of_an_outside_module_is_not_a_use():
     assert "parse" not in outside and "join" not in outside
     inside = _referenced_names(ast.parse("import motivic_stems.algebra as algebra\nalgebra.Window.parse\n"))
     assert {"Window", "parse"} <= inside
+
+
+def test_a_public_alias_is_a_definition_and_binding_it_is_not_a_use():
+    tree = ast.parse("class A:\n    pass\n\n\nB = A\n_C = A\nD = A()\n")
+    assert _public_definitions(tree) == {"A": 1, "B": 5}
+    assert "B" not in _referenced_names(tree) and "A" in _referenced_names(tree)
 
 
 def test_no_public_api_used_only_by_tests():

@@ -46,6 +46,7 @@ def _reduce_mod(echelon: list[int], v: int) -> int:
 
 def test_builtin_differential_shape(presentation_and_d3):
     presentation, d3 = presentation_and_d3
+    assert build_differential is DifferentialSpec and type(d3) is DifferentialSpec
     assert d3.page == 3
     assert d3.shift == Tridegree(-1, 3, 0)
     assert d3.images["alpha3"] == frozenset((presentation.monomial(tau=1, alpha1=4),))
@@ -327,6 +328,19 @@ def _two_sources_on_a_two_monomial_target(second):
     return presentation, d3, Window(((0, 1), (0, 1), (0, 1), (0, 1)))
 
 
+def _zero_shift():
+    # d2(x) = y with x and y in one tridegree, so the shift is zero and each
+    # tridegree is its own source and target: a walk that starts d_r only at
+    # tridegrees with no source never starts. E3 keeps 1 at (0,0,0), nothing
+    # at (1,1,1), and x*y and x^2 at (2,2,2), all VALID; (3,3,3) is
+    # INDETERMINATE, since x^3, which reaches x^2*y, is outside the window.
+    presentation = MonomialAlgebraPresentation(
+        [GeneratorSpec("x", Tridegree(1, 1, 1)), GeneratorSpec("y", Tridegree(1, 1, 1), square_zero=True)]
+    )
+    d2 = build_differential(presentation, page=2, images={"x": [presentation.monomial(y=1)]})
+    return presentation, d2, Window(((0, 2), (0, 1)))
+
+
 def _matches_the_definition(presentation, diff, window):
     """Run one differential and check every tridegree against the definition; return the page."""
     state = run_to_einfty(presentation, [diff], window)
@@ -381,6 +395,7 @@ def _matches_the_definition(presentation, diff, window):
 @example(_three_sources_on_one_target())
 @example(_two_sources_on_a_two_monomial_target("b"))
 @example(_two_sources_on_a_two_monomial_target("a"))
+@example(_zero_shift())
 def test_page_turn_matches_the_definition(case):
     _matches_the_definition(*case)
 
