@@ -11,6 +11,7 @@ while ``+``, ``-`` and integer ``*`` on degrees act coordinatewise.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from itertools import product
@@ -262,17 +263,16 @@ def _pack(t: Tridegree, radices: tuple[int, int]) -> int:
 class TridegreeView(Mapping):
     """A read-only mapping keyed by ``Tridegree`` over a sequence in ``enumerate_basis``'s packed-key order.
 
-    ``packed`` holds the packed ints sorted, so in (s, f, w) order, and ``index`` maps each to its position; every
-    view of one grid shares both. ``data[i]`` belongs to ``packed[i]``, and ``read`` turns a position into its value.
-    ``tridegree`` decodes a key. A lookup packs its tridegree and misses, raising ``KeyError``, unless the key is the
-    grid's and decodes back to it: so a tridegree whose f or w digit leaves the padded radix, where packing is not one
-    to one, misses, and so does anything that is not a tridegree. Iteration decodes each key as it is read.
+    ``packed`` holds the packed ints sorted, so in (s, f, w) order, and every view of one grid shares it; a key's
+    position in it is the position of its value. ``data[i]`` belongs to ``packed[i]``, and ``read`` turns a position
+    into its value. ``tridegree`` decodes a key. A lookup packs its tridegree, finds the key by bisection, and misses,
+    raising ``KeyError``, unless the key is the grid's and decodes back to it: so a tridegree whose f or w digit leaves
+    the padded radix, where packing is not one to one, misses, and so does anything that is not a tridegree.
+    Iteration decodes each key as it is read.
     """
 
-    def __init__(
-        self, origin: Tridegree, radices: tuple[int, int], packed: list[int], index: dict[int, int], data, read=None
-    ):
-        self.origin, self.radices, self.packed, self.index, self.data = origin, radices, packed, index, data
+    def __init__(self, origin: Tridegree, radices: tuple[int, int], packed: list[int], data, read=None):
+        self.origin, self.radices, self.packed, self.data = origin, radices, packed, data
         self.read = read or data.__getitem__
 
     def pack(self, t: Tridegree) -> int:
@@ -284,15 +284,16 @@ class TridegreeView(Mapping):
         return Tridegree(sf // rf, f0 + sf % rf, w0 + w)
 
     def over(self, data, read=None) -> TridegreeView:
-        return TridegreeView(self.origin, self.radices, self.packed, self.index, data, read)
+        return TridegreeView(self.origin, self.radices, self.packed, data, read)
 
     def __getitem__(self, t: Tridegree) -> Any:
         try:
             key = self.pack(t)
-            i = self.index.get(key)
-        except (TypeError, IndexError):  # t is not a tridegree
-            i = None
-        if i is None or self.tridegree(key) != t:
+            i = bisect_left(self.packed, key)
+            hit = self.packed[i] == key and self.tridegree(key) == t
+        except (TypeError, IndexError):  # t is not a tridegree, or its key is past the last
+            hit = False
+        if not hit:
             raise KeyError(t)
         return self.read(i)
 
@@ -324,9 +325,7 @@ def enumerate_basis(presentation: MonomialAlgebraPresentation, window: Window) -
     and |dw| < W, and of no window tridegree when t + shift leaves the window;
     a shift with |df| >= F or |dw| >= W has no target fibre in the window. The
     packed int is linear: a sum of per-generator terms, read off a product of
-    term lists in step with the window's exponent tuples. The dict that groups
-    the monomials becomes the key-to-position index as each fibre is built,
-    so no per-key list outlives its fibre.
+    term lists in step with the window's exponent tuples.
     """
     gens = presentation.generators
     bounds = window.effective_bounds(presentation)
@@ -334,18 +333,14 @@ def enumerate_basis(presentation: MonomialAlgebraPresentation, window: Window) -
     hi = [sum(max(a * g.degree[c], b * g.degree[c]) for g, (a, b) in zip(gens, bounds)) for c in range(3)]
     radices = (2 * (hi[1] - lo[1]) + 1, 2 * (hi[2] - lo[2]) + 1)
     terms = product(*([e * _pack(g.degree, radices) for e in range(a, b + 1)] for g, (a, b) in zip(gens, bounds)))
-    index: dict[int, Any] = {}
+    groups: dict[int, Any] = {}
     for key, e in zip(map(sum, terms), product(*(range(a, b + 1) for a, b in bounds))):
-        fibre = index.get(key)
+        fibre = groups.get(key)
         if fibre is None:  # most fibres hold one monomial, and get no list
-            index[key] = (e,)
+            groups[key] = (e,)
         elif type(fibre) is tuple:
-            index[key] = [*fibre, e]
+            groups[key] = [*fibre, e]
         else:
             fibre.append(e)
-    packed = sorted(index)
-    fibres = []
-    for i, key in enumerate(packed):
-        fibres.append(tuple(index[key]))
-        index[key] = i
-    return TridegreeView(Tridegree(*lo), radices, packed, index, fibres)
+    packed = sorted(groups)
+    return TridegreeView(Tridegree(*lo), radices, packed, [tuple(groups[key]) for key in packed])

@@ -28,10 +28,10 @@ A page keeps each tridegree's window monomials as exponent tuples and its
 classes as bitmasks over them; ``PageState.classes`` builds formal sums per
 lookup. A formal sum is a frozenset of monomials, and the empty set is zero.
 A page is a set of sequences in the sorted order of ``enumerate_basis``'s
-packed keys, with one key-to-position dict per grid. The key format, given
-there, puts t + shift at key + pack(shift) or outside the window, so a page
-turn finds each target with one lookup, and a Leibniz term's bit by
-bisection in the target's sorted monomials.
+packed keys, and a key's position is its position in them. The key format,
+given there, puts t + shift at key + pack(shift) or outside the window, so a
+page turn finds each target with a second pointer over the sorted keys, and
+a Leibniz term's bit by bisection in the target's sorted monomials.
 A page starts at E2, and a page-r differential turns any page up to r, since
 the pages in between are zero.
 
@@ -59,7 +59,7 @@ from bisect import bisect_left
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import add, le
+from operator import add, gt, le, lt
 from types import MappingProxyType
 
 from . import gf2
@@ -217,7 +217,7 @@ class PageState:
     pages. All four are ``TridegreeView``s of one grid: sequences in the
     (s, f, w) order of ``enumerate_basis``'s sorted packed keys, ``basis`` and
     ``vectors`` over lists and ``status`` over a bytearray (1 for VALID), and
-    the grid's one key-to-position dict serves every lookup; see
+    a lookup finds its key by bisection in the grid's sorted keys; see
     ``enumerate_basis`` for the key format.
     ``boundaries[i]`` is the reduced-echelon span of every earlier page's
     image at the i-th tridegree, kept only where it still has classes.
@@ -299,9 +299,7 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
         raise PresentationMismatchError("differential is built on a different presentation than the page")
     pres, grid, shift = state.presentation, state.basis, diff.shift
     basis, vectors, status, boundaries = grid.data, state.vectors.data, state.status.data, state.boundaries
-    step, (rf, rw) = grid.pack(shift), grid.radices
-    # radices 2F-1 and 2W-1: a shift with |df| >= F or |dw| >= W takes every t out of the window
-    index = grid.index if 2 * abs(shift.f) < rf and 2 * abs(shift.w) < rw else {}
+    packed, step, (rf, rw) = grid.packed, grid.pack(shift), grid.radices
     bounds = state.window.effective_bounds(pres)
     lows, highs = [lo for lo, _ in bounds], [hi for _, hi in bounds]
     # A candidate n - off lies in the window exactly when n lies in the window
@@ -329,16 +327,21 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
                         return False
         return True
 
-    order = reversed if step < 0 else iter  # packed order is (s, f, w) order
-    walk = zip(order(range(len(basis))), order(grid.packed), order(basis), order(vectors), order(status))
+    order, behind = (reversed, gt) if step < 0 else (iter, lt)  # packed order is (s, f, w) order
+    walk = zip(order(range(len(basis))), order(packed), order(basis), order(vectors), order(status))
+    # radices 2F-1 and 2W-1: a shift with |df| >= F or |dw| >= W has no target, so the pointer searches no key
+    targets = order(range(len(packed) if 2 * abs(shift.f) < rf and 2 * abs(shift.w) < rw else 0))
     pending: dict[int, tuple[list[int], bool]] = {}
     new_vectors: list[tuple[int, ...]] = [()] * len(basis)
     new_status = bytearray(len(basis))
     new_boundaries: dict[int, list[int]] = {}
     nothing = ([], True)
+    j = next(targets, None)
     for i, key, mons, classes, previous in walk:
-        j = index.get(key + step)
-        target = () if j is None else basis[j]
+        key += step  # t + shift's key moves with the walk: the pointer stops at the first key not behind it
+        while j is not None and behind(packed[j], key):
+            j = next(targets, None)
+        target = basis[j] if j is not None and packed[j] == key else ()
         # Leibniz terms are valid and sit in t + shift, so a term lies in the
         # window exactly when it is in the target fiber, found by bisection in
         # its sorted monomials. Terms outside are dropped from the matrix, and

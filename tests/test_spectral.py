@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -341,6 +342,23 @@ def _zero_shift():
     return presentation, d2, Window(((0, 2), (0, 1)))
 
 
+def _positive_shift():
+    # d2(x) = y with shift (1,2,0) > 0, so the page turn walks the keys
+    # forward, and its pointer to t + shift skips keys between targets: of the
+    # 18 tridegrees only (4,5,3), (4,6,3) and (4,7,3), where x^3 would reach
+    # x^2*y, are INDETERMINATE. Every other built-in or drawn shift walks in
+    # reverse or has step 0.
+    presentation = MonomialAlgebraPresentation(
+        [
+            GeneratorSpec("x", Tridegree(1, 1, 1)),
+            GeneratorSpec("y", Tridegree(2, 3, 1), square_zero=True),
+            GeneratorSpec("z", Tridegree(0, 1, 0)),
+        ]
+    )
+    d2 = build_differential(presentation, page=2, images={"x": [presentation.monomial(y=1)]})
+    return presentation, d2, Window(((0, 2), (0, 1), (0, 2)))
+
+
 def _matches_the_definition(presentation, diff, window):
     """Run one differential and check every tridegree against the definition; return the page."""
     state = run_to_einfty(presentation, [diff], window)
@@ -396,6 +414,7 @@ def _matches_the_definition(presentation, diff, window):
 @example(_two_sources_on_a_two_monomial_target("b"))
 @example(_two_sources_on_a_two_monomial_target("a"))
 @example(_zero_shift())
+@example(_positive_shift())
 def test_page_turn_matches_the_definition(case):
     _matches_the_definition(*case)
 
@@ -452,7 +471,9 @@ def test_a_lookup_outside_the_padded_range_is_a_key_error(presentation_and_d3, e
     rf, rw = state.basis.radices
     for view in views:
         assert list(view.values()) == [view[t] for t in view]
+    # (-10**6, 0, 0) and (10**6, 0, 0) pack to keys before the first and after the last
     misses = [(0, 0), "x", None, (0, 0, 0, 0), ("a", "b", "c"), [0, 0, 0]]
+    misses += [Tridegree(-(10**6), 0, 0), Tridegree(10**6, 0, 0)]
     for t in (next(iter(state.basis)), Tridegree(4, 4, 4)):
         for alias in (Tridegree(t.s - 1, t.f + rf, t.w), Tridegree(t.s, t.f - 1, t.w + rw)):
             assert state.basis.pack(alias) == state.basis.pack(t)
@@ -846,3 +867,20 @@ def test_fibres_of_many_monomials_are_pinned(case, largest, digest):
     kept = repr([(tuple(t), mons, state.vectors[t], str(state.status[t])) for t, mons in state.basis.items()])
     assert max(map(len, state.basis.values())) == largest
     assert hashlib.sha256(kept.encode()).hexdigest() == digest
+
+
+def test_a_run_holds_no_position_per_key():
+    # the einfty_builtin benchmark's window, 21,658 tridegrees of one monomial
+    # each. Positions come from the sorted keys alone: a key-to-position dict
+    # and its position ints held 253 bytes per tridegree here at the peak, and
+    # the grid without them holds 199.
+    presentation, diffs, window = _builtin_case(0)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        state = run_to_einfty(presentation, diffs, window)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak <= 225 * len(state.basis), f"peak {peak} bytes for {len(state.basis)} tridegrees"
