@@ -121,16 +121,6 @@ class MonomialAlgebraPresentation:
         self.validate_monomial(m)
         return m
 
-    def is_valid_exponents(self, exps: tuple[int, ...]) -> bool:
-        if len(exps) != len(self.generators):
-            return False
-        for g, e in zip(self.generators, exps):
-            if e < 0 and not g.invertible:
-                return False
-            if g.square_zero and e > 1:
-                return False
-        return True
-
     def validate_monomial(self, m: Monomial) -> None:
         if len(m.exponents) != len(self.generators):
             raise PresentationMismatchError(
@@ -157,7 +147,8 @@ class MonomialAlgebraPresentation:
         self.validate_monomial(m1)
         self.validate_monomial(m2)
         exps = tuple(a + b for a, b in zip(m1.exponents, m2.exponents))
-        return Monomial(exps) if self.is_valid_exponents(exps) else None
+        # both factors are valid, so their sum can break only a square-zero cap
+        return None if any(e > 1 and g.square_zero for g, e in zip(self.generators, exps)) else Monomial(exps)
 
     def monomial_str(self, m: Monomial) -> str:
         parts = []

@@ -237,13 +237,13 @@ def _cmd_ingest(args, parser: argparse.ArgumentParser) -> int:
             f"provenance={chart.provenance or '(none)'}"
         )
         if args.canonical:
-            sys.stdout.write(serialize_chart(chart))
+            _emit(serialize_chart(chart), None)
     else:
         table = _load_stems(args.path)
         stems = f"stems 0..{table.s_max}" if table.groups else "no stems"
         print(f"ok: {stems}, provenance={table.provenance or '(none)'}")
         if args.canonical:
-            sys.stdout.write(serialize_stems(table))
+            _emit(serialize_stems(table), None)
     return 0
 
 

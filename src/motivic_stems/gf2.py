@@ -38,8 +38,7 @@ def kernel_and_image(columns: list[int], sources: list[int]) -> tuple[list[int],
     produced deterministically in source order: a column that reduces to
     zero against the semi-echelon of the columns before it gives its own
     source plus the sources carried by the rows it was reduced by, its
-    unique relation with the earlier independent columns. The image comes
-    back in reduced echelon form, after one back-substitution.
+    unique relation with the earlier independent columns.
     """
     rows: dict[int, tuple[int, int]] = {}  # pivot bit -> (image, the sum of sources it is the image of)
     kernel: list[int] = []

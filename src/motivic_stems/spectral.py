@@ -2,54 +2,20 @@
 
 A differential is specified on generators only and extended to monomials by
 the Leibniz rule; since coefficients live in F2, a generator slot contributes
-a term exactly when its exponent is odd. Homology is computed one tridegree
-fiber at a time inside a finite exponent window.
+a term exactly when its exponent is odd. A formal sum is a frozenset of
+monomials, and the empty set is zero. Homology is computed one tridegree
+fibre at a time inside a finite exponent window, from the E2 page on.
 
 Windowed homology near the window boundary sees truncated differentials, so
-every page-turn certifies each tridegree as VALID or INDETERMINATE. VALID
-means the window contained every differential interaction of that fiber's
-monomials: all nonzero Leibniz terms of its monomials stay inside the window,
-every valid exponent vector that could map onto one of them lies inside the
-window, the same forward condition holds one shift upstream, and a fiber
-at the other end of a nonzero term was VALID on the previous page. When the
-window's fiber equals the full fiber of the algebra (true for the built-in
-instance, where each tridegree carries at most one monomial), a VALID answer
-equals the answer in the infinite algebra.
+every page turn certifies each tridegree as VALID or INDETERMINATE. VALID
+means the window contained every differential interaction of that fibre's
+monomials. Where the window's fibre equals the full fibre of the algebra, as
+it does on the built-in instance, a VALID answer equals the answer in the
+infinite algebra.
 
-Inputs are validated at the boundary. A ``DifferentialSpec`` checks its
-images against its presentation once, when it is built, and carries them
-prepared for the Leibniz rule; every consumer trusts it. ``turn_page`` only
-checks that the differential and the page share a presentation, and
-``d_sum`` and ``leibniz_extend`` check the monomials they are given. Inside
-a page turn the window monomials and their Leibniz terms are valid by
-construction and are not checked again.
-
-A page keeps each tridegree's window monomials as exponent tuples and its
-classes as bitmasks over them; ``PageState.classes`` builds formal sums per
-lookup. A formal sum is a frozenset of monomials, and the empty set is zero.
-A page is a set of sequences in the sorted order of ``enumerate_basis``'s
-packed keys, and a key's position is its position in them. The key format,
-given there, puts t + shift at key + pack(shift) or outside the window, so a
-page turn finds each target with a second pointer over the sorted keys, and
-a Leibniz term's bit by bisection in the target's sorted monomials.
-A page starts at E2, and a page-r differential turns any page up to r, since
-the pages in between are zero.
-
-A target fiber's boundaries from earlier pages enter the one GF(2)
-elimination ahead of the class columns, so the image echelon that comes
-back is the target's new boundaries.
-
-Two rank rules settle a fiber from dimensions alone, with no GF(2)
-elimination, for every presentation and window. Reduced-echelon boundaries
-with as many rows as the fiber has monomials span it, so no class survives.
-A map out of a single class with a nonzero column, into a target with no
-earlier boundaries, has an empty kernel, and that column is its own reduced
-echelon. On the built-in instance these two rules settle every fiber that
-d3 touches.
-
-The built-in instance is the E2 page of the eta-localized motivic
-Adams-Novikov spectral sequence for the 2-complete sphere over C, with its
-single nonzero differential on the third page.
+``DifferentialSpec`` says when inputs are checked, ``PageState`` how a page
+is stored, ``turn_page`` how a page turns and what it certifies, and
+``localized_motivic_anss`` what the built-in instance is.
 """
 
 from __future__ import annotations
@@ -57,7 +23,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import compress
 from operator import add, gt, le, lt
 from types import MappingProxyType
@@ -95,11 +61,14 @@ class DifferentialSpec:
     ``images`` maps generator name to the monomials of its image; it is
     stored read-only, as formal sums. Building a spec checks it against the
     presentation: ``page`` is at least 2, every image is keyed by a known
-    generator, and every term is a valid monomial sitting in
-    degree(generator) + ``shift`` for one common ``shift``, and d^2 is zero
-    on every generator. The shift is derived from the terms, or (-1, r, 0)
-    when there are none. Consumers trust a built spec and do not check it
-    again.
+    generator, every term is a valid monomial sitting in degree(generator) +
+    ``shift`` for one common ``shift``, and d^2 is zero on every generator.
+    The shift is derived from the terms, or (-1, r, 0) when there are none.
+    Every consumer trusts a built spec. ``turn_page`` checks only that it is
+    on the page's presentation, and trusts that it anticommutes with every
+    earlier page's differential, as ``run_to_einfty`` checks; ``d_sum`` and
+    ``leibniz_extend`` check the monomials they are given. Inside a page turn
+    the window monomials and their Leibniz terms are valid by construction.
 
     ``offsets`` lists, per generator g with a nonzero image, its index and
     u - e_g for every image term u: the term (m / g) * u of a monomial m is
@@ -181,11 +150,7 @@ def leibniz_extend(diff: DifferentialSpec, m: Monomial) -> frozenset[Monomial]:
 
 
 def d_sum(diff: DifferentialSpec, s: Iterable[Monomial]) -> frozenset[Monomial]:
-    """Linear extension of the differential to a formal sum.
-
-    Each monomial is checked against the differential's presentation; the
-    differential itself was checked when it was built.
-    """
+    """Linear extension of the differential to a formal sum, each of whose monomials is checked."""
     acc: set[tuple[int, ...]] = set()
     for m in s:
         diff.presentation.validate_monomial(m)
@@ -209,18 +174,15 @@ def sum_multiply(
 class PageState:
     """One page of a windowed spectral sequence.
 
-    ``basis`` holds the fixed window monomial fibers as tuples of exponent
-    tuples; ``vectors[t]`` holds the surviving classes at t as a tuple of
-    canonical reduced-echelon bitmasks over ``basis[t]`` (bit i is
-    ``basis[t][i]``), and ``classes`` reads them as formal sums; ``status``
-    records the per-tridegree certification accumulated over all applied
-    pages. All four are ``TridegreeView``s of one grid: sequences in the
-    (s, f, w) order of ``enumerate_basis``'s sorted packed keys, ``basis`` and
-    ``vectors`` over lists and ``status`` over a bytearray (1 for VALID), and
-    a lookup finds its key by bisection in the grid's sorted keys; see
-    ``enumerate_basis`` for the key format.
-    ``boundaries[i]`` is the reduced-echelon span of every earlier page's
-    image at the i-th tridegree, kept only where it still has classes.
+    ``basis[t]`` is the fixed window fibre at t, a tuple of exponent tuples;
+    ``vectors[t]`` holds the surviving classes at t as a tuple of canonical
+    reduced-echelon bitmasks over it (bit i is ``basis[t][i]``), and
+    ``classes`` reads them as formal sums; ``status`` records the
+    certification accumulated over all applied pages. All four are
+    ``TridegreeView``s of one grid, ``basis`` and ``vectors`` over lists and
+    ``status`` over a bytearray (1 for VALID). ``boundaries[i]`` is the
+    reduced-echelon span of every earlier page's image at the i-th
+    tridegree, kept only where it still has classes.
     """
 
     presentation: MonomialAlgebraPresentation
@@ -244,7 +206,6 @@ class PageState:
 
 
 def _status(grid: TridegreeView, flags: bytearray) -> TridegreeView:
-    """A view of per-tridegree flags as ``Certainty``: 1 is VALID, 0 INDETERMINATE."""
     certainty = (Certainty.INDETERMINATE, Certainty.VALID)
     return grid.over(flags, lambda i: certainty[flags[i]])
 
@@ -265,33 +226,33 @@ def initial_page(presentation: MonomialAlgebraPresentation, window: Window) -> P
 
 
 def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
-    """Homology at diff's page number, which must not precede the state's page.
+    """Homology at diff's page number, which must not precede the state's page; the pages between are zero.
 
-    The pages in between are zero. The differential must be built on the
-    state's presentation, which is the only check it gets here. Per
-    tridegree, new classes are the kernel of the outgoing matrix modulo the
-    image of the incoming one and the earlier boundaries, with
+    Per tridegree t, the new classes are the kernel of the outgoing matrix
+    modulo the image of the incoming one and the earlier boundaries, with
     reduced-echelon canonical representatives in the fixed monomial order.
-    The matrices act on the current page's classes, each sent to the sum of
-    its monomials' Leibniz images over the target fiber, zero where the
-    target has no classes. The target's boundaries enter the elimination
-    first, so each column is read modulo them.
-    Certification shrinks to tridegrees whose differential interactions were
-    fully visible inside the window and, where d_r has a nonzero term into or
-    out of t, whose tridegree at the other end was certified on the previous
-    page too. It trusts its caller that diff anticommutes with every earlier
-    page's differential, as ``run_to_einfty`` checks.
+    A matrix sends each current class to the sum of its monomials' Leibniz
+    images over the target fibre, zero where the target has no classes. The
+    target's boundaries enter the one GF(2) elimination ahead of the class
+    columns, so each column is read modulo them and the image echelon that
+    comes back is the target's new boundaries.
 
-    Two cases are decided by rank before any elimination. When the
-    boundaries at t, reduced echelon and so independent, have as many rows
-    as t has monomials, they span the fiber and t keeps no class. When t has
-    one class, its column is nonzero and the target has no earlier
-    boundaries, the kernel is empty and the image echelon is that column.
+    Two rank rules decide a fibre with no elimination. Boundaries at t,
+    reduced echelon and so independent, with as many rows as t has
+    monomials span the fibre, and no class survives. One class with a
+    nonzero column, into a target with no earlier boundaries, has an empty
+    kernel, and the column is its own image echelon.
 
-    The page's sequences share the sorted key order, so walking their
-    positions in that order, or in reverse when the shift is negative,
-    reaches t - shift before t, and its image echelon and flags are ready,
-    and can be dropped, when t is reached.
+    The walk takes positions in key order, or in reverse when the shift is
+    negative. So t - shift comes before t, and its image echelon and flags
+    are ready, and can be dropped, when t is reached; and the key of t +
+    shift moves with the walk, so a second pointer finds it.
+
+    t stays VALID when it was VALID on the previous page, every Leibniz term
+    of the monomials at t and at t - shift lies in the window, every valid
+    monomial whose differential can reach t lies in the window, and, where
+    d_r is nonzero into or out of t, the tridegree at the other end was
+    VALID on the previous page.
     """
     if diff.page < state.page:
         raise ValueError(f"differential is for page {diff.page}, state is on page {state.page}")
@@ -316,10 +277,8 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
             boxes.append((g, off, floor, [*map(add, lows, off)], [*map(add, highs, off)]))
 
     def reached_only_from_window(mons: tuple[tuple[int, ...], ...]) -> bool:
-        # Every valid exponent vector whose differential can hit a fiber
-        # monomial must lie in-window, otherwise the incoming image is
-        # underestimated. A candidate n - (u - e_g) with an even g exponent
-        # reaches n with an even coefficient.
+        # a source outside the window would leave the incoming image short; a
+        # candidate n - (u - e_g) with an even g exponent reaches n with an even coefficient
         for n in mons:
             for g, off, floor, lo, hi in boxes:
                 if (n[g] - off[g]) % 2 and not (all(map(le, lo, n)) and all(map(le, n, hi))):
@@ -327,9 +286,9 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
                         return False
         return True
 
-    order, behind = (reversed, gt) if step < 0 else (iter, lt)  # packed order is (s, f, w) order
+    order, behind = (reversed, gt) if step < 0 else (iter, lt)
     walk = zip(order(range(len(basis))), order(packed), order(basis), order(vectors), order(status))
-    # radices 2F-1 and 2W-1: a shift with |df| >= F or |dw| >= W has no target, so the pointer searches no key
+    # past enumerate_basis's reach guard the shift has no target, and the pointer searches no key
     targets = order(range(len(packed) if 2 * abs(shift.f) < rf and 2 * abs(shift.w) < rw else 0))
     pending: dict[int, tuple[list[int], bool]] = {}
     new_vectors: list[tuple[int, ...]] = [()] * len(basis)
@@ -338,7 +297,7 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
     nothing = ([], True)
     j = next(targets, None)
     for i, key, mons, classes, previous in walk:
-        key += step  # t + shift's key moves with the walk: the pointer stops at the first key not behind it
+        key += step  # the pointer stops at the first key not behind t + shift's
         while j is not None and behind(packed[j], key):
             j = next(targets, None)
         target = basis[j] if j is not None and packed[j] == key else ()
@@ -358,7 +317,6 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
                     forward = False
             images.append(bits)
         hits = any(images)  # with every term in the window, d_r is nonzero out of t exactly when this holds
-        # a class goes to its image over the target fibre, zero where the target has no classes
         columns = []
         old = ()
         if hits and vectors[j]:
@@ -371,10 +329,9 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
                     v ^= low
                 columns.append(col)
         if len(columns) == 1 and columns[0] and not old:
-            # one class, a nonzero column, no earlier boundaries: the kernel is empty and the column is its own echelon
             kernel, image_echelon = [], columns
         elif any(columns):
-            # independent boundaries first: none enters the kernel, and the echelon is the target's new boundaries
+            # the boundaries are independent, so none enters the kernel
             kernel, image_echelon = gf2.kernel_and_image([*old, *columns], (0,) * len(old) + classes)
         else:
             kernel, image_echelon = classes, []
@@ -384,7 +341,6 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
         # an incoming echelon already holds the earlier boundaries
         bounded = incoming or boundaries.get(i, incoming)
         if len(bounded) == len(mons):
-            # bounded is reduced echelon, so with a row per monomial it spans the fibre: no class survives
             reps = ()
         elif kernel and (bounded or kernel is not classes):
             reps = tuple(gf2.quotient_representatives(kernel, bounded))
@@ -397,11 +353,9 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
             new_boundaries[i] = bounded
         if previous and forward and upstream_ok and (not hits or status[j]):
             new_status[i] = reached_only_from_window(mons)
-    return PageState(
-        presentation=pres,
-        window=state.window,
+    return replace(
+        state,
         page=diff.page + 1,
-        basis=grid,
         vectors=grid.over(new_vectors),
         status=_status(grid, new_status),
         boundaries=new_boundaries,
@@ -450,7 +404,9 @@ def localized_motivic_anss() -> tuple[MonomialAlgebraPresentation, list[Differen
 
     E2 = F2[tau, alpha1^(+-1), alpha3, alpha4] / alpha4^2 with degrees
     tau (0,0,-1), alpha1 (1,1,1), alpha3 (5,1,3), alpha4 (7,1,4); the only
-    nonzero differential is d3(alpha3) = tau * alpha1^4.
+    nonzero differential is d3(alpha3) = tau * alpha1^4. Each tridegree holds
+    at most one monomial, so every fibre a window holds is whole, and the
+    rank rules of ``turn_page`` settle every fibre that d3 touches.
     """
     presentation = MonomialAlgebraPresentation(
         [

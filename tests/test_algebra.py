@@ -135,9 +135,10 @@ def test_window_built_directly_checks_its_bounds():
 def test_wrong_length_exponents_are_not_valid_or_in_a_window(presentation_and_d3, einfty_window):
     presentation, _ = presentation_and_d3
     for exps in ((0, 0, 0), (0, 0, 0, 0, 0)):
-        assert not presentation.is_valid_exponents(exps)
+        with pytest.raises(PresentationMismatchError, match="exponents, presentation has 4 generators"):
+            presentation.validate_monomial(Monomial(exps))
         assert not einfty_window.contains(presentation, Monomial(exps))
-    assert presentation.is_valid_exponents((0, 0, 0, 0))
+    presentation.validate_monomial(Monomial((0, 0, 0, 0)))
 
 
 def test_window_clamps_to_presentation(presentation_and_d3):

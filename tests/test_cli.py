@@ -209,6 +209,36 @@ def test_chart_output_is_written_in_slices(capsys, tmp_path, monkeypatch):
     assert target.read_text(encoding="utf-8") == expected
 
 
+class _Writes(io.StringIO):
+    """A stdout that records the length of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.lengths = []
+
+    def write(self, text):
+        self.lengths.append(len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "kind, digest",
+    [
+        ("chart", "dd68212217b98c02224bffaf89db4408d5961b087bad171d0109b1b575bab60a"),
+        ("stems", "6e8678da283676e208a259cb00fcefab7a49bdee299a91a7497d2490f069273d"),
+    ],
+)
+def test_canonical_ingest_is_written_in_slices(monkeypatch, kind, digest):
+    # the canonical text goes out through the same sliced writes as a chart, with the same bytes as before
+    monkeypatch.setattr(cli, "_WRITE_CHUNK", 50)
+    out = _Writes()
+    with contextlib.redirect_stdout(out):
+        assert main(["ingest", "sample", "--kind", kind, "--canonical"]) == 0
+    text = out.getvalue()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert len(text) > 5 * 50 and max(out.lengths[2:]) <= 50  # print writes the ok line and its newline
+
+
 @pytest.mark.parametrize(
     "argv, name, digest",
     [

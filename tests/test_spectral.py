@@ -37,6 +37,18 @@ from motivic_stems.spectral import (
 )
 
 
+def _admits(presentation, exps) -> bool:
+    """The exponent rules, stated apart from the library's own checks.
+
+    One exponent per generator, none negative on a generator that is not
+    invertible, and none above 1 on a square-zero one.
+    """
+    gens = presentation.generators
+    return len(exps) == len(gens) and all(
+        (e >= 0 or g.invertible) and (e <= 1 or not g.square_zero) for g, e in zip(gens, exps)
+    )
+
+
 def _reduce_mod(echelon: list[int], v: int) -> int:
     """Reduce v against rows already in reduced echelon form."""
     for b in echelon:
@@ -89,6 +101,29 @@ def test_sum_multiply_drops_square_zero(presentation_and_d3):
     assert sum_multiply(presentation, [a4, presentation.monomial(alpha3=1)], a4) == frozenset(
         (presentation.monomial(alpha3=1, alpha4=1),)
     )
+
+
+@st.composite
+def _two_factors(draw):
+    """A presentation of 1-6 generators of drawn kinds, and two monomials on it, valid or not."""
+    kinds = draw(st.lists(_kinds, min_size=1, max_size=6))
+    presentation = MonomialAlgebraPresentation(
+        GeneratorSpec(f"g{i}", Tridegree(i, 1, 0), invertible=k == "invertible", square_zero=k == "square_zero")
+        for i, k in enumerate(kinds)
+    )
+    factor = st.lists(st.integers(-1, 2), min_size=len(kinds), max_size=len(kinds)).map(tuple)
+    return presentation, Monomial(draw(factor)), Monomial(draw(factor))
+
+
+@given(_two_factors())
+def test_multiply_drops_exactly_the_products_the_exponent_rules_reject(case):
+    presentation, m1, m2 = case
+    if not (_admits(presentation, m1.exponents) and _admits(presentation, m2.exponents)):
+        with pytest.raises(PresentationError):
+            presentation.multiply(m1, m2)
+        return
+    exps = tuple(a + b for a, b in zip(m1.exponents, m2.exponents))
+    assert presentation.multiply(m1, m2) == (Monomial(exps) if _admits(presentation, exps) else None)
 
 
 def _both_constructors_raise(presentation, page, images, error, message):
@@ -387,7 +422,7 @@ def _matches_the_definition(presentation, diff, window):
                 i = presentation.index_of(name)
                 for u in image:
                     cand = tuple(a + (j == i) - b for j, (a, b) in enumerate(zip(n.exponents, u.exponents)))
-                    if not presentation.is_valid_exponents(cand):
+                    if not _admits(presentation, cand):
                         continue
                     c = Monomial(cand)
                     if n in leibniz_extend(diff, c) and not window.contains(presentation, c):
@@ -513,7 +548,7 @@ def test_a_candidate_that_passes_the_parity_test_is_valid_above_the_floor(case):
             for off, _ in offs:
                 if (n[g] - off[g]) % 2:
                     floor = all(e >= o for e, o, gen in zip(n, off, gens) if not gen.invertible)
-                    assert presentation.is_valid_exponents(tuple(e - o for e, o in zip(n, off))) == floor
+                    assert _admits(presentation, tuple(e - o for e, o in zip(n, off))) == floor
 
 
 @given(presentations_with_differential())
@@ -832,6 +867,28 @@ def _wide_case(x_hi):
     d3 = build_differential(presentation, 3, {"u": hit})
     bounds = {"t": (0, 4), **{f"x{i}": (0, x_hi) for i in range(4)}, "u": (0, 3)}
     return presentation, [d3], Window.from_dict(presentation, bounds)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_a_fibre_the_window_cuts_short_is_not_valid():
+    # the full fibre at (3,3,3) is the 20 cubics in x0..x3, with no
+    # differential into or out of it; the window, with x_i <= 2, holds 16
+    presentation, diffs, _ = _wide_case(4)
+    bounds = {"t": (0, 2), **{f"x{i}": (0, 2) for i in range(4)}, "u": (0, 1)}
+    state = run_to_einfty(presentation, diffs, Window.from_dict(presentation, bounds))
+    t = Tridegree(3, 3, 3)
+    assert state.status[t] is Certainty.INDETERMINATE or len(state.classes[t]) == 20
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("r", [2, 5])
+def test_an_infinite_fibre_is_not_valid(r):
+    # g0^k * g1^(-2-2k) sits in (0,-2,-2) for every k >= 0
+    presentation = MonomialAlgebraPresentation.parse("g0 0 2 2\ng1 0 1 1 invertible\ng2 1 1 -2\ng3 2 2 2\n")
+    d3 = DifferentialSpec(presentation, 3, {"g3": [presentation.monomial(g0=1, g1=2, g2=1)]})
+    bounds = {"g0": (0, r), "g1": (-r, r), "g2": (0, r), "g3": (0, r)}
+    state = run_to_einfty(presentation, [d3], Window.from_dict(presentation, bounds))
+    assert state.status[Tridegree(0, -2, -2)] is Certainty.INDETERMINATE
 
 
 def _builtin_case(alpha1_shift):
