@@ -45,9 +45,11 @@ class Tridegree(NamedTuple):
     __rmul__ = __mul__
 
     def bidegree(self) -> Bidegree:
+        """The chart coordinate (s, w), dropping the filtration."""
         return Bidegree(self.s, self.w)
 
     def as_tuple(self) -> tuple[int, int, int]:
+        """The plain (s, f, w) tuple."""
         return (self.s, self.f, self.w)
 
     def __str__(self) -> str:
@@ -107,6 +109,7 @@ class MonomialAlgebraPresentation:
         object.__setattr__(self, "_index", {g.name: i for i, g in enumerate(self.generators)})
 
     def index_of(self, name: str) -> int:
+        """Position of the named generator; an unknown name raises ``PresentationMismatchError``."""
         try:
             return self._index[name]
         except KeyError:
@@ -122,6 +125,7 @@ class MonomialAlgebraPresentation:
         return m
 
     def validate_monomial(self, m: Monomial) -> None:
+        """Raise unless m has one exponent per generator, negative only if invertible, at most 1 if square-zero."""
         if len(m.exponents) != len(self.generators):
             raise PresentationMismatchError(
                 f"monomial has {len(m.exponents)} exponents, presentation has {len(self.generators)} generators"
@@ -151,6 +155,7 @@ class MonomialAlgebraPresentation:
         return None if any(e > 1 and g.square_zero for g, e in zip(self.generators, exps)) else Monomial(exps)
 
     def monomial_str(self, m: Monomial) -> str:
+        """The monomial as ``name^e`` factors joined by ``*``, or ``1`` for the unit."""
         parts = []
         for g, e in zip(self.generators, m.exponents):
             if e == 0:
@@ -159,6 +164,7 @@ class MonomialAlgebraPresentation:
         return "*".join(parts) if parts else "1"
 
     def sum_str(self, terms: Iterable[Monomial]) -> str:
+        """A formal sum as its sorted monomials joined by ``+``, or ``0`` when empty."""
         ordered = sorted(terms)
         return " + ".join(self.monomial_str(m) for m in ordered) if ordered else "0"
 
@@ -213,6 +219,7 @@ class Window:
 
     @classmethod
     def from_dict(cls, presentation: MonomialAlgebraPresentation, bounds: dict[str, tuple[int, int]]) -> Window:
+        """Bounds keyed by generator name, one for each generator and no other."""
         missing = [g.name for g in presentation.generators if g.name not in bounds]
         if missing:
             raise PresentationError(f"window missing bounds for generators: {missing}")
@@ -237,6 +244,7 @@ class Window:
         return eff
 
     def contains(self, presentation: MonomialAlgebraPresentation, m: Monomial) -> bool:
+        """Whether every exponent of m lies in its effective bounds; a wrong length is outside."""
         if len(m.exponents) != len(self.bounds):
             return False
         return all(lo <= e <= hi for e, (lo, hi) in zip(m.exponents, self.effective_bounds(presentation)))
@@ -267,14 +275,17 @@ class TridegreeView(Mapping):
         self.read = read or data.__getitem__
 
     def pack(self, t: Tridegree) -> int:
+        """The packed key of t in this grid's radices, linear in t."""
         return _pack(t, self.radices)
 
     def tridegree(self, key: int) -> Tridegree:
+        """Decode a key: the tridegree that packs to it with f and w in the padded ranges above ``origin``."""
         (_, f0, w0), (rf, rw) = self.origin, self.radices
         sf, w = divmod(key - f0 * rw - w0, rw)
         return Tridegree(sf // rf, f0 + sf % rf, w0 + w)
 
     def over(self, data, read=None) -> TridegreeView:
+        """A view of the same keys over another sequence in the same order."""
         return TridegreeView(self.origin, self.radices, self.packed, data, read)
 
     def __getitem__(self, t: Tridegree) -> Any:
@@ -294,10 +305,12 @@ class TridegreeView(Mapping):
     def __len__(self) -> int:
         return len(self.packed)
 
-    def values(self) -> Iterator[Any]:  # in key order, building no Tridegree
+    def values(self) -> Iterator[Any]:
+        """The values in key order, building no ``Tridegree``."""
         return map(self.read, range(len(self.packed)))
 
-    def items(self) -> Iterator[tuple[Tridegree, Any]]:  # in key order, with no lookup per key
+    def items(self) -> Iterator[tuple[Tridegree, Any]]:
+        """The pairs in key order, with no lookup per key."""
         return zip(self, self.values())
 
 

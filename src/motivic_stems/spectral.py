@@ -8,10 +8,12 @@ fibre at a time inside a finite exponent window, from the E2 page on.
 
 Windowed homology near the window boundary sees truncated differentials, so
 every page turn certifies each tridegree as VALID or INDETERMINATE. VALID
-means the window contained every differential interaction of that fibre's
-monomials. Where the window's fibre equals the full fibre of the algebra, as
-it does on the built-in instance, a VALID answer equals the answer in the
-infinite algebra.
+at t means the window contained every differential interaction of t's
+fibre: every Leibniz term out of it and out of its source fibre, and every
+valid monomial that reaches t with an odd coefficient, which one key set
+per page turn records. Where the window's fibre equals the full fibre of
+the algebra, as it does on the built-in instance, a VALID answer equals the
+answer in the infinite algebra.
 
 ``DifferentialSpec`` says when inputs are checked, ``PageState`` how a page
 is stored, ``turn_page`` how a page turns and what it certifies, and
@@ -24,8 +26,8 @@ import enum
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, replace
-from itertools import compress
-from operator import add, gt, le, lt
+from itertools import compress, product
+from operator import add, gt, lt
 from types import MappingProxyType
 
 from . import gf2
@@ -47,6 +49,8 @@ class DifferentialSpecError(PresentationError):
 
 
 class Certainty(enum.Enum):
+    """A tridegree's certificate: VALID when the window held every interaction ``turn_page`` checks."""
+
     VALID = "VALID"
     INDETERMINATE = "INDETERMINATE"
 
@@ -195,12 +199,14 @@ class PageState:
 
     @property
     def classes(self) -> Mapping[Tridegree, list[frozenset[Monomial]]]:
+        """The surviving classes at each tridegree as formal sums, decoded on read."""
         fibres, vs = self.basis.data, self.vectors.data
         return self.vectors.over(
             vs, lambda i: [frozenset(Monomial(e) for b, e in enumerate(fibres[i]) if v >> b & 1) for v in vs[i]]
         )
 
     def valid_classes(self) -> dict[Tridegree, list[frozenset[Monomial]]]:
+        """The classes at the VALID tridegrees only."""
         classes, tridegree = self.classes.read, self.basis.tridegree
         return {tridegree(key): classes(i) for i, key in compress(enumerate(self.basis.packed), self.status.data)}
 
@@ -223,6 +229,46 @@ def initial_page(presentation: MonomialAlgebraPresentation, window: Window) -> P
         status=_status(basis, bytearray(b"\x01") * len(basis)),
         boundaries={},
     )
+
+
+def _reached_from_outside(diff: DifferentialSpec, window: Window, grid: TridegreeView) -> set[int]:
+    """Keys of the window tridegrees that some valid monomial outside the window reaches with an odd coefficient.
+
+    The coefficient of n = m + off in d(m) is the sum, mod 2, of m[g] over
+    the generators g that have off among their offsets. For one offset and
+    one pattern of those exponents' parities with an odd sum, the window
+    monomials n reached from outside are a union over k of products of
+    exponent ranges: n in the window; n - off not negative on each generator
+    that is not invertible, at most 1 on each square-zero one, and of the
+    pattern's parity; and n - off outside the window on generator k. The key
+    of n in the grid is the sum of n[j] * pack(degree of generator j), as
+    ``enumerate_basis`` packs it.
+    """
+    sources: dict[tuple[int, ...], list[int]] = {}
+    for g, offs in diff.offsets:
+        for off, _ in offs:
+            sources.setdefault(off, []).append(g)
+    gens = diff.presentation.generators
+    bounds = window.effective_bounds(diff.presentation)
+    weights = [grid.pack(gen.degree) for gen in gens]
+    keys: set[int] = set()
+    for off, gs in sources.items():
+        valid = [
+            (lo if gen.invertible else max(lo, o), min(hi, 1 + o) if gen.square_zero else hi)
+            for gen, (lo, hi), o in zip(gens, bounds, off)
+        ]
+        for parities in product((0, 1), repeat=len(gs)):
+            if sum(parities) % 2 == 0:
+                continue
+            spans = [range(a, b + 1) for a, b in valid]
+            for g, p in zip(gs, parities):
+                a, b = valid[g]
+                spans[g] = range(a + (a - off[g] - p) % 2, b + 1, 2)
+            terms = [[n * w for n in span] for span, w in zip(spans, weights)]
+            for k, (lo, hi) in enumerate(bounds):
+                outside = [n * weights[k] for n in spans[k] if not lo <= n - off[k] <= hi]
+                keys.update(map(sum, product(*terms[:k], outside, *terms[k + 1 :])))
+    return keys
 
 
 def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
@@ -250,42 +296,20 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
 
     t stays VALID when it was VALID on the previous page, every Leibniz term
     of the monomials at t and at t - shift lies in the window, every valid
-    monomial whose differential can reach t lies in the window, and, where
-    d_r is nonzero into or out of t, the tridegree at the other end was
-    VALID on the previous page.
+    monomial that reaches t with an odd coefficient lies in the window, and,
+    where d_r is nonzero into or out of t, the tridegree at the other end
+    was VALID on the previous page. The window-reach check is one set of
+    packed keys, built once per page turn by ``_reached_from_outside``, and
+    one lookup per tridegree.
     """
     if diff.page < state.page:
         raise ValueError(f"differential is for page {diff.page}, state is on page {state.page}")
     if diff.presentation != state.presentation:
         raise PresentationMismatchError("differential is built on a different presentation than the page")
-    pres, grid, shift = state.presentation, state.basis, diff.shift
+    grid, shift = state.basis, diff.shift
     basis, vectors, status, boundaries = grid.data, state.vectors.data, state.status.data, state.boundaries
     packed, step, (rf, rw) = grid.packed, grid.pack(shift), grid.radices
-    bounds = state.window.effective_bounds(pres)
-    lows, highs = [lo for lo, _ in bounds], [hi for _, hi in bounds]
-    # A candidate n - off lies in the window exactly when n lies in the window
-    # shifted by off. Once the parity test below passes, it is valid exactly
-    # when n is at least the floor: max(lo, off[j]) on each generator j that
-    # is not invertible, and lo, which every window monomial meets, elsewhere.
-    # No square-zero cap can bind then: at a square-zero j other than g,
-    # off[j] = u[j] >= 0, so n[j] - off[j] <= n[j] <= 1; at g the candidate
-    # exponent is odd and at most n[g] + 1 <= 2, so it is 1.
-    boxes = []
-    for g, offs in diff.offsets:
-        for off, _ in offs:
-            floor = [lo if gen.invertible else max(lo, o) for gen, lo, o in zip(pres.generators, lows, off)]
-            boxes.append((g, off, floor, [*map(add, lows, off)], [*map(add, highs, off)]))
-
-    def reached_only_from_window(mons: tuple[tuple[int, ...], ...]) -> bool:
-        # a source outside the window would leave the incoming image short; a
-        # candidate n - (u - e_g) with an even g exponent reaches n with an even coefficient
-        for n in mons:
-            for g, off, floor, lo, hi in boxes:
-                if (n[g] - off[g]) % 2 and not (all(map(le, lo, n)) and all(map(le, n, hi))):
-                    if all(map(le, floor, n)):
-                        return False
-        return True
-
+    reached = _reached_from_outside(diff, state.window, grid)
     order, behind = (reversed, gt) if step < 0 else (iter, lt)
     walk = zip(order(range(len(basis))), order(packed), order(basis), order(vectors), order(status))
     # past enumerate_basis's reach guard the shift has no target, and the pointer searches no key
@@ -297,10 +321,10 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
     nothing = ([], True)
     j = next(targets, None)
     for i, key, mons, classes, previous in walk:
-        key += step  # the pointer stops at the first key not behind t + shift's
-        while j is not None and behind(packed[j], key):
+        there = key + step  # the pointer stops at the first key not behind t + shift's
+        while j is not None and behind(packed[j], there):
             j = next(targets, None)
-        target = basis[j] if j is not None and packed[j] == key else ()
+        target = basis[j] if j is not None and packed[j] == there else ()
         # Leibniz terms are valid and sit in t + shift, so a term lies in the
         # window exactly when it is in the target fiber, found by bisection in
         # its sorted monomials. Terms outside are dropped from the matrix, and
@@ -352,7 +376,7 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
         if reps and bounded:
             new_boundaries[i] = bounded
         if previous and forward and upstream_ok and (not hits or status[j]):
-            new_status[i] = reached_only_from_window(mons)
+            new_status[i] = key not in reached  # a source outside the window would leave the incoming image short
     return replace(
         state,
         page=diff.page + 1,

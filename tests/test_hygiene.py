@@ -64,6 +64,20 @@ def _public_definitions(tree: ast.Module) -> dict[str, int]:
     return defs
 
 
+@pytest.mark.parametrize("module", ["algebra", "spectral", "gf2"])
+def test_every_public_name_of_the_engine_has_a_docstring(module):
+    # a public alias such as build_differential has its target's docstring
+    tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text(encoding="utf-8"))
+    nodes = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            nodes[node.name] = node
+        if isinstance(node, ast.ClassDef):
+            nodes.update((f"{node.name}.{item.name}", item) for item in node.body if isinstance(item, ast.FunctionDef))
+    bare = [name for name in _public_definitions(tree) if name in nodes and not ast.get_docstring(nodes[name])]
+    assert bare == []
+
+
 def _referenced_names(tree: ast.Module) -> set[str]:
     """Names read (binding a name is not a use), attributes, imported names and string constants.
 

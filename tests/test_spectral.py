@@ -394,6 +394,17 @@ def _positive_shift():
     return presentation, d2, Window(((0, 2), (0, 1), (0, 2)))
 
 
+def _shared_offset():
+    # d2(u) = u*w and d2(v) = v*w share the offset w, so u*v, outside the
+    # window where w is held at 1, reaches u*v*w at (1,2,0) twice and d2(u*v)
+    # = 0: (1,2,0) is VALID. A check that tests each offset on its own reads
+    # it INDETERMINATE, and no drawn presentation gives two sources one offset.
+    degrees = {"u": Tridegree(1, 0, 0), "v": Tridegree(1, 0, 0), "w": Tridegree(-1, 2, 0)}
+    presentation = MonomialAlgebraPresentation(GeneratorSpec(g, t, square_zero=True) for g, t in degrees.items())
+    diff = build_differential(presentation, 2, {g: [presentation.monomial(**{g: 1, "w": 1})] for g in "uv"})
+    return presentation, diff, Window(((0, 1), (0, 1), (1, 1)))
+
+
 def _matches_the_definition(presentation, diff, window):
     """Run one differential and check every tridegree against the definition; return the page."""
     state = run_to_einfty(presentation, [diff], window)
@@ -450,8 +461,21 @@ def _matches_the_definition(presentation, diff, window):
 @example(_two_sources_on_a_two_monomial_target("a"))
 @example(_zero_shift())
 @example(_positive_shift())
+@example(_shared_offset())
 def test_page_turn_matches_the_definition(case):
     _matches_the_definition(*case)
+
+
+@pytest.mark.parametrize("alpha1_shift", [0, -3, 3])
+def test_the_builtin_run_matches_the_definition(alpha1_shift):
+    # the einfty window, with alpha1's range shifted as the einfty_builtin
+    # benchmark's seeds shift it: an invertible generator with negative
+    # bounds beside a square-zero one, on the presentation verify runs
+    presentation, [d3] = localized_motivic_anss()
+    bounds = dict(verify.EINFTY_WINDOW)
+    lo, hi = bounds["alpha1"]
+    bounds["alpha1"] = (lo + alpha1_shift, hi + alpha1_shift)
+    _matches_the_definition(presentation, d3, Window.from_dict(presentation, bounds))
 
 
 def test_a_term_seen_twice_outside_the_window_cancels():
@@ -537,18 +561,27 @@ def test_items_zips_keys_and_values_with_no_lookup(monkeypatch, presentation_and
 
 
 @given(presentations_with_differential())
-def test_a_candidate_that_passes_the_parity_test_is_valid_above_the_floor(case):
-    # turn_page's window-reach check takes a candidate n - off as valid
-    # exactly when it is non-negative on the generators that are not
-    # invertible: once the parity test passes, no square-zero cap can bind
+@example(_shared_offset())
+@example(_positive_shift())
+def test_the_window_reach_keys_are_the_tridegrees_reached_from_outside(case):
+    # turn_page's one key set per page turn, against every candidate n - off
+    # of every window monomial n, read with the library's Leibniz rule: t is
+    # in it exactly when a valid monomial outside the window reaches a
+    # monomial at t with an odd coefficient
     presentation, diff, window = case
-    gens = presentation.generators
-    for n in product(*(range(lo, hi + 1) for lo, hi in window.effective_bounds(presentation))):
-        for g, offs in diff.offsets:
-            for off, _ in offs:
-                if (n[g] - off[g]) % 2:
-                    floor = all(e >= o for e, o, gen in zip(n, off, gens) if not gen.invertible)
-                    assert _admits(presentation, tuple(e - o for e, o in zip(n, off))) == floor
+    grid = enumerate_basis(presentation, window)
+    keys = spectral._reached_from_outside(diff, window, grid)
+    reached = set()
+    for t, mons in grid.items():
+        for n in mons:
+            for _, offs in diff.offsets:
+                for off, _ in offs:
+                    m = Monomial(tuple(e - o for e, o in zip(n, off)))
+                    if _admits(presentation, m.exponents) and not window.contains(presentation, m):
+                        if Monomial(n) in leibniz_extend(diff, m):
+                            reached.add(t)
+    assert keys <= set(grid.packed)
+    assert {grid.tridegree(key) for key in keys} == reached
 
 
 @given(presentations_with_differential())
