@@ -1,10 +1,10 @@
 """Leibniz differentials and windowed page-turning for monomial DGAs over F2.
 
 A differential is specified on generators only and extended to monomials by
-the Leibniz rule; since coefficients live in F2, a generator slot contributes
-a term exactly when its exponent is odd. A formal sum is a frozenset of
-monomials, and the empty set is zero. Homology is computed one tridegree
-fibre at a time inside a finite exponent window, from the E2 page on.
+the Leibniz rule, with coefficients in F2 (``DifferentialSpec``). A formal
+sum is a frozenset of monomials, and the empty set is zero. Homology is
+computed one tridegree fibre at a time inside a finite exponent window, from
+the E2 page on.
 
 Windowed homology near the window boundary sees truncated differentials, so
 every page turn certifies each tridegree as VALID or INDETERMINATE. VALID
@@ -74,17 +74,19 @@ class DifferentialSpec:
     ``leibniz_extend`` check the monomials they are given. Inside a page turn
     the window monomials and their Leibniz terms are valid by construction.
 
-    ``offsets`` lists, per generator g with a nonzero image, its index and
-    u - e_g for every image term u: the term (m / g) * u of a monomial m is
-    m + (u - e_g). Each offset comes with the square-zero slots it raises,
-    the only slots where a valid monomial's term can exceed exponent 1.
+    ``offsets`` has one entry per distinct offset u - e_g over the image
+    terms u of the generators g: the generators with that offset, the
+    offset, and the square-zero slots it raises, the only slots where a
+    valid monomial's term can exceed exponent 1. The term (m / g) * u of a
+    monomial m is m + (u - e_g), so the coefficient of m + off in d(m) is
+    the sum, mod 2, of m's exponents over the entry's generators.
     """
 
     presentation: MonomialAlgebraPresentation
     page: int
     images: Mapping[str, frozenset[Monomial]]
     shift: Tridegree = field(init=False)
-    offsets: tuple[tuple[int, tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]], ...] = field(
+    offsets: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...] = field(
         init=False, repr=False, compare=False
     )
 
@@ -94,12 +96,10 @@ class DifferentialSpec:
             raise DifferentialSpecError(f"page must be at least 2, got {self.page}")
         images = MappingProxyType({name: frozenset(terms) for name, terms in self.images.items()})
         shift = None
-        offsets = []
-        square_zero = [j for j, g in enumerate(pres.generators) if g.square_zero]
+        sources: dict[tuple[int, ...], list[int]] = {}
         for name, image in images.items():
             i = pres.index_of(name)
             gdeg = pres.generators[i].degree
-            offs = []
             for u in image:
                 observed = pres.degree(u) - gdeg  # degree validates u
                 if shift is None:
@@ -111,12 +111,14 @@ class DifferentialSpec:
                     )
                 off = list(u.exponents)
                 off[i] -= 1
-                offs.append((tuple(off), tuple(j for j in square_zero if off[j] > 0)))
-            if offs:
-                offsets.append((i, tuple(offs)))
+                sources.setdefault(tuple(off), []).append(i)
+        square_zero = [j for j, g in enumerate(pres.generators) if g.square_zero]
+        offsets = tuple(
+            (tuple(gs), off, tuple(j for j in square_zero if off[j] > 0)) for off, gs in sources.items()
+        )
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "shift", Tridegree(-1, self.page, 0) if shift is None else shift)
-        object.__setattr__(self, "offsets", tuple(offsets))
+        object.__setattr__(self, "offsets", offsets)
         # over F2, d^2 is a derivation, so it vanishes once it does on generators
         for name, image in images.items():
             twice = d_sum(self, image)
@@ -126,21 +128,20 @@ class DifferentialSpec:
                     f"{pres.sum_str(twice)}"
                 )
 
-    def terms(self, exps: tuple[int, ...]) -> set[tuple[int, ...]]:
-        """Nonzero Leibniz terms of the monomial with exponents ``exps``, mod 2.
+    def terms(self, exps: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """The nonzero Leibniz terms of the monomial with exponents ``exps``, each once, as a list.
 
-        Each generator slot with an odd exponent contributes (m / g) * d(g);
-        terms erased by a square-zero relation are genuinely zero, and terms
-        appearing twice cancel. ``exps`` must be valid, so only the slots an
-        offset raises can pass exponent 1.
+        Distinct offsets give distinct terms, so no term cancels another;
+        terms erased by a square-zero relation are genuinely zero. ``exps``
+        must be valid, so only the slots an offset raises can pass exponent 1.
         """
-        out: set[tuple[int, ...]] = set()
-        for i, offsets in self.offsets:
-            if exps[i] % 2:
-                for off, raised in offsets:
-                    p = tuple(map(add, exps, off))
-                    if not raised or not any(p[j] > 1 for j in raised):
-                        out.symmetric_difference_update((p,))
+        out = []
+        for gs, off, raised in self.offsets:
+            # most entries have one generator, read without the slower sum
+            if (exps[gs[0]] if len(gs) == 1 else sum(map(exps.__getitem__, gs))) % 2:
+                p = tuple(map(add, exps, off))
+                if not raised or not any(p[j] > 1 for j in raised):
+                    out.append(p)
         return out
 
 
@@ -234,25 +235,20 @@ def initial_page(presentation: MonomialAlgebraPresentation, window: Window) -> P
 def _reached_from_outside(diff: DifferentialSpec, window: Window, grid: TridegreeView) -> set[int]:
     """Keys of the window tridegrees that some valid monomial outside the window reaches with an odd coefficient.
 
-    The coefficient of n = m + off in d(m) is the sum, mod 2, of m[g] over
-    the generators g that have off among their offsets. For one offset and
-    one pattern of those exponents' parities with an odd sum, the window
-    monomials n reached from outside are a union over k of products of
-    exponent ranges: n in the window; n - off not negative on each generator
+    For one entry of ``DifferentialSpec.offsets`` and one pattern of its
+    generators' exponent parities with an odd sum, the window monomials n
+    reached from outside are a union over k of products of exponent
+    ranges: n in the window; n - off not negative on each generator
     that is not invertible, at most 1 on each square-zero one, and of the
     pattern's parity; and n - off outside the window on generator k. The key
     of n in the grid is the sum of n[j] * pack(degree of generator j), as
     ``enumerate_basis`` packs it.
     """
-    sources: dict[tuple[int, ...], list[int]] = {}
-    for g, offs in diff.offsets:
-        for off, _ in offs:
-            sources.setdefault(off, []).append(g)
     gens = diff.presentation.generators
     bounds = window.effective_bounds(diff.presentation)
     weights = [grid.pack(gen.degree) for gen in gens]
     keys: set[int] = set()
-    for off, gs in sources.items():
+    for gs, off, _ in diff.offsets:
         valid = [
             (lo if gen.invertible else max(lo, o), min(hi, 1 + o) if gen.square_zero else hi)
             for gen, (lo, hi), o in zip(gens, bounds, off)
@@ -319,12 +315,14 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
     new_status = bytearray(len(basis))
     new_boundaries: dict[int, list[int]] = {}
     nothing = ([], True)
+    terms = diff.terms
     j = next(targets, None)
     for i, key, mons, classes, previous in walk:
         there = key + step  # the pointer stops at the first key not behind t + shift's
         while j is not None and behind(packed[j], there):
             j = next(targets, None)
         target = basis[j] if j is not None and packed[j] == there else ()
+        size = len(target)
         # Leibniz terms are valid and sit in t + shift, so a term lies in the
         # window exactly when it is in the target fiber, found by bisection in
         # its sorted monomials. Terms outside are dropped from the matrix, and
@@ -333,9 +331,9 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
         images = []
         for e in mons:
             bits = 0
-            for p in diff.terms(e):
+            for p in terms(e):
                 k = bisect_left(target, p)
-                if k < len(target) and target[k] == p:
+                if k < size and target[k] == p:
                     bits ^= 1 << k
                 else:
                     forward = False

@@ -306,11 +306,15 @@ def presentations_with_differential(draw):
     The sources are g0 and up to two twins, square-zero generators of its
     tridegree with its image, so several sources can hit one target and a
     kernel can hold more than one class. With twins, g0 is square-zero too.
-    Every image term carries an even exponent of each source, so a single
-    source's image terms are cycles; the cross terms of square-zero sources
-    lie in the window together or not at all, and cancel in pairs. So d
-    squares to zero, also after truncation to any window. The image terms
-    share a tridegree, drawn from the small exponent box around the unit.
+    Without twins a drawn generator h may be a source as well, with image
+    u - e_0 + e_h for each image term u of g0 where all of these are valid,
+    so h shares every offset of g0. Every image term carries an even
+    exponent of each source, so a single source's image terms are cycles;
+    the cross terms of square-zero sources lie in the window together or
+    not at all, and cancel in pairs; in d of a term of h's image, the terms
+    from g0 and from h coincide and cancel. So d squares to zero, also
+    after truncation to any window. The image terms share a tridegree,
+    drawn from the small exponent box around the unit.
     """
     specs = draw(_generators)
     twins = draw(st.integers(0, 2))
@@ -325,12 +329,18 @@ def presentations_with_differential(draw):
     )
     gens = presentation.generators
     sources = [0, *range(len(gens) - twins, len(gens))]
+    h = None if twins else draw(st.sampled_from([None, *range(1, len(gens))]))
+    even = [*sources, h]
     by_degree: dict[Tridegree, list[Monomial]] = {}
-    for exps in product(*(_exponent_range(g, i in sources) for i, g in enumerate(gens))):
+    for exps in product(*(_exponent_range(g, i in even) for i, g in enumerate(gens))):
         by_degree.setdefault(presentation.degree(Monomial(exps)), []).append(Monomial(exps))
     terms = draw(st.sampled_from(sorted(by_degree.values(), key=len)))
     image = draw(st.lists(st.sampled_from(terms), min_size=1, max_size=3, unique=True))
     images = {gens[i].name: image for i in sources}
+    if h is not None:
+        shared = [tuple(e - (j == 0) + (j == h) for j, e in enumerate(u.exponents)) for u in image]
+        if all(_admits(presentation, e) for e in shared):
+            images[gens[h].name] = [Monomial(e) for e in shared]
     diff = build_differential(presentation, page=draw(st.integers(2, 4)), images=images)
     bounds = draw(st.lists(st.tuples(st.integers(-2, 0), st.integers(0, 2)), min_size=len(gens), max_size=len(gens)))
     return presentation, diff, Window(tuple(bounds))
@@ -398,11 +408,46 @@ def _shared_offset():
     # d2(u) = u*w and d2(v) = v*w share the offset w, so u*v, outside the
     # window where w is held at 1, reaches u*v*w at (1,2,0) twice and d2(u*v)
     # = 0: (1,2,0) is VALID. A check that tests each offset on its own reads
-    # it INDETERMINATE, and no drawn presentation gives two sources one offset.
+    # it INDETERMINATE; drawn presentations share an offset only by chance.
     degrees = {"u": Tridegree(1, 0, 0), "v": Tridegree(1, 0, 0), "w": Tridegree(-1, 2, 0)}
     presentation = MonomialAlgebraPresentation(GeneratorSpec(g, t, square_zero=True) for g, t in degrees.items())
     diff = build_differential(presentation, 2, {g: [presentation.monomial(**{g: 1, "w": 1})] for g in "uv"})
     return presentation, diff, Window(((0, 1), (0, 1), (1, 1)))
+
+
+def test_a_shared_offset_is_one_entry_of_the_table():
+    # u and v both have the offset w, so d(u*v) = u*v*w + u*v*w = 0
+    presentation, diff, _ = _shared_offset()
+    u, v, w = (presentation.monomial(**{g: 1}) for g in "uvw")
+    assert diff.offsets == (((0, 1), w.exponents, (2,)),)
+    assert leibniz_extend(diff, presentation.multiply(u, v)) == frozenset()
+    assert leibniz_extend(diff, u) == frozenset((presentation.multiply(u, w),))
+
+
+@st.composite
+def _two_factors_with_differential(draw):
+    """A drawn presentation and differential, and two valid monomials of its small exponent box."""
+    presentation, diff, _ = draw(presentations_with_differential())
+    factor = st.tuples(*(st.sampled_from(_exponent_range(g, False)) for g in presentation.generators))
+    return presentation, diff, Monomial(draw(factor)), Monomial(draw(factor))
+
+
+def _shared_offset_factors():
+    presentation, diff, _ = _shared_offset()
+    return presentation, diff, presentation.monomial(u=1), presentation.monomial(v=1)
+
+
+@given(_two_factors_with_differential())
+@example(_shared_offset_factors())
+def test_the_differential_satisfies_leibniz_on_drawn_presentations(case):
+    # d(xy) = d(x)y + xd(y), read with multiply and sum_multiply; a killed product is zero
+    presentation, diff, x, y = case
+    xy = presentation.multiply(x, y)
+    lhs = leibniz_extend(diff, xy) if xy is not None else frozenset()
+    rhs = sum_multiply(presentation, leibniz_extend(diff, x), y) ^ sum_multiply(
+        presentation, leibniz_extend(diff, y), x
+    )
+    assert lhs == rhs
 
 
 def _matches_the_definition(presentation, diff, window):
@@ -574,12 +619,11 @@ def test_the_window_reach_keys_are_the_tridegrees_reached_from_outside(case):
     reached = set()
     for t, mons in grid.items():
         for n in mons:
-            for _, offs in diff.offsets:
-                for off, _ in offs:
-                    m = Monomial(tuple(e - o for e, o in zip(n, off)))
-                    if _admits(presentation, m.exponents) and not window.contains(presentation, m):
-                        if Monomial(n) in leibniz_extend(diff, m):
-                            reached.add(t)
+            for _, off, _ in diff.offsets:
+                m = Monomial(tuple(e - o for e, o in zip(n, off)))
+                if _admits(presentation, m.exponents) and not window.contains(presentation, m):
+                    if Monomial(n) in leibniz_extend(diff, m):
+                        reached.add(t)
     assert keys <= set(grid.packed)
     assert {grid.tridegree(key) for key in keys} == reached
 
