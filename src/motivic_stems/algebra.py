@@ -11,10 +11,12 @@ while ``+``, ``-`` and integer ``*`` on degrees act coordinatewise.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from itertools import product
+from math import prod
 from typing import Any, NamedTuple
 
 
@@ -263,8 +265,9 @@ class TridegreeView(Mapping):
     """A read-only mapping keyed by ``Tridegree`` over a sequence in ``enumerate_basis``'s packed-key order.
 
     ``packed`` holds the packed ints sorted, so in (s, f, w) order, and every view of one grid shares it; a key's
-    position in it is the position of its value. ``data[i]`` belongs to ``packed[i]``, and ``read`` turns a position
-    into its value. ``tridegree`` decodes a key. A lookup packs its tridegree, finds the key by bisection, and misses,
+    position in it is the position of its value. ``read`` turns a position into its value, by default ``data[i]``,
+    which belongs to ``packed[i]``; ``enumerate_basis``'s view holds monomial indices and decodes them on read.
+    ``tridegree`` decodes a key. A lookup packs its tridegree, finds the key by bisection, and misses,
     raising ``KeyError``, unless the key is the grid's and decodes back to it: so a tridegree whose f or w digit leaves
     the padded radix, where packing is not one to one, misses, and so does anything that is not a tridegree.
     Iteration decodes each key as it is read.
@@ -314,12 +317,22 @@ class TridegreeView(Mapping):
         return zip(self, self.values())
 
 
-def enumerate_basis(presentation: MonomialAlgebraPresentation, window: Window) -> TridegreeView:
-    """Group the window's exponent tuples by tridegree.
+def _digits(bounds: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
+    # per slot of a monomial index n, (stride, radix, lo): the exponent is lo + n // stride % radix
+    return [(prod(d - c + 1 for c, d in bounds[j + 1 :]), b - a + 1, a) for j, (a, b) in enumerate(bounds)]
 
-    Keys are sorted by (s, f, w); each fiber is a tuple in the canonical
-    lexicographic monomial order, which downstream linear algebra and
-    ``turn_page``'s bisection rely on.
+
+def enumerate_basis(presentation: MonomialAlgebraPresentation, window: Window) -> TridegreeView:
+    """Group the window's monomials by tridegree.
+
+    Keys are sorted by (s, f, w). A monomial is stored as its index
+    sum((e_j - lo_j) * stride_j) over the effective bounds lo_j..hi_j, where
+    stride_j is the product of hi_k - lo_k + 1 over the later slots k, so
+    index order is the lexicographic order on exponent tuples. The view's
+    ``data`` is the pair (index, starts) of ``array('q')``s: the fibre at
+    position i is index[starts[i]:starts[i + 1]], sorted, which downstream
+    linear algebra and ``turn_page``'s bisection rely on. Reading a fibre
+    decodes it to a tuple of exponent tuples.
     Window monomials are valid by construction, so degrees come straight
     from the generator degrees without ``degree``'s validation.
 
@@ -329,7 +342,7 @@ def enumerate_basis(presentation: MonomialAlgebraPresentation, window: Window) -
     and |dw| < W, and of no window tridegree when t + shift leaves the window;
     a shift with |df| >= F or |dw| >= W has no target fibre in the window. The
     packed int is linear: a sum of per-generator terms, read off a product of
-    term lists in step with the window's exponent tuples.
+    term lists in the order of the monomial indices.
     """
     gens = presentation.generators
     bounds = window.effective_bounds(presentation)
@@ -338,13 +351,26 @@ def enumerate_basis(presentation: MonomialAlgebraPresentation, window: Window) -
     radices = (2 * (hi[1] - lo[1]) + 1, 2 * (hi[2] - lo[2]) + 1)
     terms = product(*([e * _pack(g.degree, radices) for e in range(a, b + 1)] for g, (a, b) in zip(gens, bounds)))
     groups: dict[int, Any] = {}
-    for key, e in zip(map(sum, terms), product(*(range(a, b + 1) for a, b in bounds))):
+    for n, key in enumerate(map(sum, terms)):
         fibre = groups.get(key)
         if fibre is None:  # most fibres hold one monomial, and get no list
-            groups[key] = (e,)
-        elif type(fibre) is tuple:
-            groups[key] = [*fibre, e]
+            groups[key] = n
+        elif type(fibre) is int:
+            groups[key] = [fibre, n]
         else:
-            fibre.append(e)
+            fibre.append(n)
     packed = sorted(groups)
-    return TridegreeView(Tridegree(*lo), radices, packed, [tuple(groups[key]) for key in packed])
+    index, starts = array("q"), array("q", [0])
+    for key in packed:
+        fibre = groups[key]
+        if type(fibre) is int:
+            index.append(fibre)
+        else:
+            index.extend(fibre)
+        starts.append(len(index))
+    digits = _digits(bounds)
+
+    def read(i: int) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple([a + n // s % r for s, r, a in digits]) for n in index[starts[i] : starts[i + 1]])
+
+    return TridegreeView(Tridegree(*lo), radices, packed, (index, starts), read)

@@ -27,7 +27,7 @@ from bisect import bisect_left
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, replace
 from itertools import compress, product
-from operator import add, gt, lt
+from operator import add, gt, lt, sub
 from types import MappingProxyType
 
 from . import gf2
@@ -40,6 +40,7 @@ from .algebra import (
     Tridegree,
     TridegreeView,
     Window,
+    _digits,
     enumerate_basis,
 )
 
@@ -179,15 +180,17 @@ def sum_multiply(
 class PageState:
     """One page of a windowed spectral sequence.
 
-    ``basis[t]`` is the fixed window fibre at t, a tuple of exponent tuples;
-    ``vectors[t]`` holds the surviving classes at t as a tuple of canonical
-    reduced-echelon bitmasks over it (bit i is ``basis[t][i]``), and
-    ``classes`` reads them as formal sums; ``status`` records the
-    certification accumulated over all applied pages. All four are
-    ``TridegreeView``s of one grid, ``basis`` and ``vectors`` over lists and
-    ``status`` over a bytearray (1 for VALID). ``boundaries[i]`` is the
-    reduced-echelon span of every earlier page's image at the i-th
-    tridegree, kept only where it still has classes.
+    ``basis[t]`` is the fixed window fibre at t, stored as monomial indices
+    (``enumerate_basis`` gives the formula) and decoded on read to a tuple of
+    exponent tuples; ``vectors[t]`` holds the surviving classes at t as a
+    tuple of canonical reduced-echelon bitmasks over it (bit i is
+    ``basis[t][i]``), and ``classes`` reads them as formal sums; ``status``
+    records the certification accumulated over all applied pages. All four
+    are ``TridegreeView``s of one grid, ``basis`` over two arrays of
+    indices, ``vectors`` over a list and ``status`` over a bytearray (1 for
+    VALID). ``boundaries[i]`` is the reduced-echelon span of every earlier
+    page's image at the i-th tridegree, kept only where it still has
+    classes.
     """
 
     presentation: MonomialAlgebraPresentation
@@ -201,10 +204,13 @@ class PageState:
     @property
     def classes(self) -> Mapping[Tridegree, list[frozenset[Monomial]]]:
         """The surviving classes at each tridegree as formal sums, decoded on read."""
-        fibres, vs = self.basis.data, self.vectors.data
-        return self.vectors.over(
-            vs, lambda i: [frozenset(Monomial(e) for b, e in enumerate(fibres[i]) if v >> b & 1) for v in vs[i]]
-        )
+        fibre, vs = self.basis.read, self.vectors.data
+
+        def read(i: int) -> list[frozenset[Monomial]]:
+            mons = fibre(i) if vs[i] else ()
+            return [frozenset(Monomial(e) for b, e in enumerate(mons) if v >> b & 1) for v in vs[i]]
+
+        return self.vectors.over(vs, read)
 
     def valid_classes(self) -> dict[Tridegree, list[frozenset[Monomial]]]:
         """The classes at the VALID tridegrees only."""
@@ -220,13 +226,14 @@ def _status(grid: TridegreeView, flags: bytearray) -> TridegreeView:
 def initial_page(presentation: MonomialAlgebraPresentation, window: Window) -> PageState:
     """The E2 page: every window monomial is its own class, all VALID."""
     basis = enumerate_basis(presentation, window)
-    units = [tuple(1 << i for i in range(n)) for n in range(max(map(len, basis.data), default=0) + 1)]
+    sizes = list(map(sub, basis.data[1][1:], basis.data[1]))
+    units = [tuple(1 << i for i in range(n)) for n in range(max(sizes, default=0) + 1)]
     return PageState(
         presentation=presentation,
         window=window,
         page=2,
         basis=basis,
-        vectors=basis.over([units[len(mons)] for mons in basis.data]),
+        vectors=basis.over([units[n] for n in sizes]),
         status=_status(basis, bytearray(b"\x01") * len(basis)),
         boundaries={},
     )
@@ -267,6 +274,30 @@ def _reached_from_outside(diff: DifferentialSpec, window: Window, grid: Tridegre
     return keys
 
 
+def _digit_table(diff: DifferentialSpec, bounds: list[tuple[int, int]]) -> list[tuple]:
+    """The entries of ``diff.offsets`` in the index form of ``enumerate_basis``, over these effective bounds.
+
+    Slot j of a monomial index e holds the digit e // stride_j % radix_j,
+    the exponent less lo_j. An entry holds the stride and radix of its first
+    generator, the sum of its generators' lo_j and the (stride, radix) of
+    the others, which give the coefficient's parity; delta = sum(off_j *
+    stride_j), so the term is e + delta; for each slot the offset moves, the
+    modulus stride_j * radix_j and the range of e modulo it where the digit
+    stays in range after the move; and for each square-zero slot it raises,
+    the modulus and the least e modulo it where the term's exponent passes 1.
+    """
+    digits = _digits(bounds)
+    table = []
+    for gs, off, raised in diff.offsets:
+        (stride, radix, _), *more = (digits[g] for g in gs)
+        moved = [(s * r, max(0, -o) * s, min(r, r - o) * s) for (s, r, _), o in zip(digits, off) if o]
+        kills = [(s * r, max(0, 2 - a - off[j]) * s) for j in raised for s, r, a in [digits[j]]]
+        flip = sum(digits[g][2] for g in gs)
+        delta = sum(o * s for o, (s, _, _) in zip(off, digits))
+        table.append((stride, radix, flip, [(s, r) for s, r, _ in more], delta, moved, kills))
+    return table
+
+
 def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
     """Homology at diff's page number, which must not precede the state's page; the pages between are zero.
 
@@ -303,40 +334,48 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
     if diff.presentation != state.presentation:
         raise PresentationMismatchError("differential is built on a different presentation than the page")
     grid, shift = state.basis, diff.shift
-    basis, vectors, status, boundaries = grid.data, state.vectors.data, state.status.data, state.boundaries
+    (index, starts), vectors, status, boundaries = grid.data, state.vectors.data, state.status.data, state.boundaries
     packed, step, (rf, rw) = grid.packed, grid.pack(shift), grid.radices
     reached = _reached_from_outside(diff, state.window, grid)
+    table = _digit_table(diff, state.window.effective_bounds(state.presentation))
     order, behind = (reversed, gt) if step < 0 else (iter, lt)
-    walk = zip(order(range(len(basis))), order(packed), order(basis), order(vectors), order(status))
+    walk = zip(order(range(len(packed))), order(packed), order(vectors), order(status))
     # past enumerate_basis's reach guard the shift has no target, and the pointer searches no key
     targets = order(range(len(packed) if 2 * abs(shift.f) < rf and 2 * abs(shift.w) < rw else 0))
     pending: dict[int, tuple[list[int], bool]] = {}
-    new_vectors: list[tuple[int, ...]] = [()] * len(basis)
-    new_status = bytearray(len(basis))
+    new_vectors: list[tuple[int, ...]] = [()] * len(packed)
+    new_status = bytearray(len(packed))
     new_boundaries: dict[int, list[int]] = {}
     nothing = ([], True)
-    terms = diff.terms
     j = next(targets, None)
-    for i, key, mons, classes, previous in walk:
+    for i, key, classes, previous in walk:
         there = key + step  # the pointer stops at the first key not behind t + shift's
         while j is not None and behind(packed[j], there):
             j = next(targets, None)
-        target = basis[j] if j is not None and packed[j] == there else ()
-        size = len(target)
-        # Leibniz terms are valid and sit in t + shift, so a term lies in the
-        # window exactly when it is in the target fiber, found by bisection in
-        # its sorted monomials. Terms outside are dropped from the matrix, and
-        # the tridegree is not forward-closed.
+        target = j is not None and packed[j] == there
+        a, b = starts[i], starts[i + 1]
+        first, last = (starts[j], starts[j + 1]) if target else (0, 0)
+        # A term e + delta lies in the window exactly when every slot the
+        # offset moves keeps its digit in range, and then sits in the target
+        # fibre, found by bisection in its sorted indices. A term outside is
+        # zero when a raised square-zero slot passes 1; any other is dropped
+        # from the matrix, and the tridegree is not forward-closed.
         forward = True
         images = []
-        for e in mons:
+        for e in index[a:b]:
             bits = 0
-            for p in terms(e):
-                k = bisect_left(target, p)
-                if k < size and target[k] == p:
-                    bits ^= 1 << k
-                else:
-                    forward = False
+            for s, r, flip, more, delta, moved, kills in table:
+                odd = e // s % r + flip
+                if more:
+                    odd += sum([e // t % q for t, q in more])
+                if odd & 1:
+                    for m, lo, hi in moved:
+                        if not lo <= e % m < hi:
+                            if not any(e % n >= k for n, k in kills):
+                                forward = False
+                            break
+                    else:
+                        bits ^= 1 << bisect_left(index, e + delta, first, last) - first
             images.append(bits)
         hits = any(images)  # with every term in the window, d_r is nonzero out of t exactly when this holds
         columns = []
@@ -362,7 +401,7 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
         incoming, upstream_ok = pending.pop(i, nothing)
         # an incoming echelon already holds the earlier boundaries
         bounded = incoming or boundaries.get(i, incoming)
-        if len(bounded) == len(mons):
+        if len(bounded) == b - a:
             reps = ()
         elif kernel and (bounded or kernel is not classes):
             reps = tuple(gf2.quotient_representatives(kernel, bounded))

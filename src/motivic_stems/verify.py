@@ -215,17 +215,20 @@ def _oracle_row(s: int, r: int) -> tuple[list[RegionLabel], list[tuple[RegionLab
     return row, runs
 
 
-def _region_oracle_fraction(s: int, w: int) -> RegionLabel:
-    # and a third time, through exact rational comparisons
-    if s < 0 or w > s:
-        return RegionLabel.ZERO
-    if s == 0:
-        return RegionLabel.TAU_LOCAL
-    if w <= Fraction(s + 2, 2):  # w <= s/2 + 1
-        return RegionLabel.TAU_LOCAL
-    if w > Fraction(3 * s + 5, 5):  # w > 3s/5 + 1
-        return RegionLabel.ETA_LOCAL
-    return RegionLabel.NOT_UNDERSTOOD
+def _region_oracle_fraction(s: int) -> Callable[[int], RegionLabel]:
+    # and a third time, through exact rational comparisons against one pair of fractions per stem
+    tau_edge, eta_edge = Fraction(s + 2, 2), Fraction(3 * s + 5, 5)  # s/2 + 1 and 3s/5 + 1
+
+    def label(w: int) -> RegionLabel:
+        if s < 0 or w > s:
+            return RegionLabel.ZERO
+        if s == 0 or w <= tau_edge:
+            return RegionLabel.TAU_LOCAL
+        if w > eta_edge:
+            return RegionLabel.ETA_LOCAL
+        return RegionLabel.NOT_UNDERSTOOD
+
+    return label
 
 
 BOUNDARY_SPOTS = (
@@ -258,12 +261,10 @@ def check_partition() -> list[CheckResult]:
             for label in counts:
                 counts[label] += row.count(label)
     fr = FRACTION_RADIUS
-    fraction_mismatches = sum(
-        1
-        for s in range(-fr, fr + 1)
-        for w in range(-fr, fr + 1)
-        if classify(s, w) is not _region_oracle_fraction(s, w)
-    )
+    fraction_mismatches = 0
+    for s in range(-fr, fr + 1):
+        oracle = _region_oracle_fraction(s)
+        fraction_mismatches += sum(1 for w in range(-fr, fr + 1) if classify(s, w) is not oracle(w))
     spots_ok = all(classify(s, w) is label for s, w, label in BOUNDARY_SPOTS)
     total = (2 * r + 1) ** 2
     return [

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import tracemalloc
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import example, given
@@ -628,6 +629,44 @@ def test_the_window_reach_keys_are_the_tridegrees_reached_from_outside(case):
     assert {grid.tridegree(key) for key in keys} == reached
 
 
+@st.composite
+def _presentations_in_any_window(draw):
+    """A drawn presentation and differential in a window that may start above 0 or hold one exponent of a generator."""
+    presentation, diff, _ = draw(presentations_with_differential())
+    bounds = []
+    for g in presentation.generators:
+        lo = draw(st.integers(0, 1) if g.square_zero else st.integers(-2 if g.invertible else 0, 2))
+        bounds.append((lo, draw(st.integers(lo, 1 if g.square_zero else lo + 2))))
+    return presentation, diff, Window(tuple(bounds))
+
+
+@given(_presentations_in_any_window())
+@example(_shared_offset())
+@example(_positive_shift())
+def test_the_index_form_terms_are_the_leibniz_terms_in_the_window(case):
+    # turn_page's Leibniz rule on monomial indices, read from its digit table
+    # as its docstring says, against DifferentialSpec.terms on exponent tuples
+    presentation, diff, window = case
+    bounds = window.effective_bounds(presentation)
+    grid = enumerate_basis(presentation, window)
+    strides = [prod(b - a + 1 for a, b in bounds[j + 1 :]) for j in range(len(bounds))]
+    exponents = dict(zip(grid.data[0], (e for mons in grid.values() for e in mons)))
+    assert sorted(exponents) == list(range(len(exponents)))
+    table = spectral._digit_table(diff, bounds)
+    for n, e in exponents.items():
+        assert n == sum((x - a) * stride for x, (a, _), stride in zip(e, bounds, strides))
+        terms, forward = [], True
+        for s, r, flip, more, delta, moved, kills in table:
+            if (n // s % r + flip + sum(n // t % q for t, q in more)) % 2:
+                if all(lo <= n % m < hi for m, lo, hi in moved):
+                    terms.append(exponents[n + delta])
+                elif not any(n % m >= k for m, k in kills):
+                    forward = False
+        inside = [p for p in diff.terms(e) if window.contains(presentation, Monomial(p))]
+        assert sorted(terms) == sorted(inside)
+        assert forward == (len(inside) == len(diff.terms(e)))
+
+
 @given(presentations_with_differential())
 def test_one_page_turn_from_e2_is_the_run_to_einfty(case):
     # turn_page takes any later page's differential; the pages in between are zero
@@ -1018,3 +1057,21 @@ def test_a_run_holds_no_position_per_key():
     finally:
         tracemalloc.stop()
     assert peak <= 225 * len(state.basis), f"peak {peak} bytes for {len(state.basis)} tridegrees"
+
+
+def test_a_run_holds_monomial_indices_not_exponent_tuples():
+    # the einfty_wide benchmark's case, 25,920 monomials in fibres of up to
+    # 146. Fibres of exponent tuples held 114 bytes per monomial here at the
+    # peak, and fibres of monomial indices in one array hold 47.
+    presentation, diffs, window = _wide_case(5)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        state = run_to_einfty(presentation, diffs, window)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    monomials = sum(map(len, state.basis.values()))
+    assert monomials == 25_920
+    assert peak <= 60 * monomials, f"peak {peak} bytes for {monomials} monomials"
