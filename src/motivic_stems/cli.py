@@ -42,6 +42,7 @@ from . import verify as verify_mod
 
 MAX_EINFTY_MONOMIALS = 2_000_000  # above the 1,229,410 of the engine at k=8
 MAX_CHART_CELLS = 1_000_000  # the CLI refuses a larger window before it builds anything; the library takes any
+MAX_CENSUS_LINES = 100_000  # likewise for may-census, which sorts every line first: 1.2 s and 80 MiB at the cap
 
 REGION_PROSE = {
     "Zero": "the group vanishes (negative stem or weight above the stem)",
@@ -260,6 +261,10 @@ def _cmd_families_list(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_may_census(args, parser: argparse.ArgumentParser) -> int:
+    # h_{i,j} sits in stem 2^j (2^i - 1) - 1: for each i, one line per j >= 0 with 2^j <= n // (2^i - 1)
+    n = max(args.max_stem + 1, 0)
+    if (lines := sum((n // (2**i - 1)).bit_length() for i in range(1, (n + 1).bit_length()))) > MAX_CENSUS_LINES:
+        parser.error(f"the census holds {lines:,} generators, more than the limit of {MAX_CENSUS_LINES:,}")
     for g in may_e1_generators(args.max_stem):
         print(f"{g.name} stem={g.stem} weight={g.weight}")
     return 0

@@ -54,6 +54,10 @@ MARGIN_RIGHT = 20
 MARGIN_BOTTOM = 44
 LEGEND_HEIGHT = 30
 MOTIVIC_SCALE = 24  # pixels per unit of a motivic chart unless a scale is given
+# A coordinate in thousandths of a pixel is about 1000 * scale * (cells along its axis), so at this scale a
+# chart within the CLI's 1,000,000-cell cap writes numbers of at most 16 digits, far below the 4,300-digit
+# limit of Python's int-to-string conversion, which a larger scale could pass.
+MAX_SCALE = 1_000_000
 
 
 class RenderError(ValueError):
@@ -96,6 +100,8 @@ class ChartStyle:
             )
         if self.scale <= 0:
             raise RenderError(f"scale must be positive, got {self.scale}")
+        if self.scale > MAX_SCALE:  # the message leaves out a value that may be too long to print
+            raise RenderError(f"scale must be at most {MAX_SCALE:,} pixels per unit")
         known = {f.name for f in builtin_families()}
         unknown = [n for n in self.family_overlays if n not in known]
         if unknown:

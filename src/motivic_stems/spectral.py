@@ -10,10 +10,12 @@ Windowed homology near the window boundary sees truncated differentials, so
 every page turn certifies each tridegree as VALID or INDETERMINATE. VALID
 at t means the window contained every differential interaction of t's
 fibre: every Leibniz term out of it and out of its source fibre, and every
-valid monomial that reaches t with an odd coefficient, which one key set
-per page turn records. Where the window's fibre equals the full fibre of
-the algebra, as it does on the built-in instance, a VALID answer equals the
-answer in the infinite algebra.
+valid monomial that reaches t with an odd coefficient. One pass over the
+differential's offsets per page turn gives the window form of both: the
+Leibniz rule on monomial indices, and the key set of those reached from
+outside. Where the window's fibre equals the full fibre of the algebra, as
+it does on the built-in instance, a VALID answer equals the answer in the
+infinite algebra.
 
 ``DifferentialSpec`` says when inputs are checked, ``PageState`` how a page
 is stored, ``turn_page`` how a page turns and what it certifies, and
@@ -239,30 +241,44 @@ def initial_page(presentation: MonomialAlgebraPresentation, window: Window) -> P
     )
 
 
-def _reached_from_outside(diff: DifferentialSpec, window: Window, grid: TridegreeView) -> set[int]:
-    """Keys of the window tridegrees that some valid monomial outside the window reaches with an odd coefficient.
+def _window_form(diff: DifferentialSpec, window: Window, grid: TridegreeView) -> tuple[list[tuple], set[int]]:
+    """``diff.offsets`` over the window in one pass: the Leibniz rule in index form, and the window-reach keys.
 
-    For one entry of ``DifferentialSpec.offsets`` and one pattern of its
-    generators' exponent parities with an odd sum, the window monomials n
-    reached from outside are a union over k of products of exponent
-    ranges: n in the window; n - off not negative on each generator
-    that is not invertible, at most 1 on each square-zero one, and of the
-    pattern's parity; and n - off outside the window on generator k. The key
-    of n in the grid is the sum of n[j] * pack(degree of generator j), as
-    ``enumerate_basis`` packs it.
+    Slot j of a monomial index e (``enumerate_basis``) holds the digit e //
+    stride_j % radix_j, the exponent less lo_j. A table entry holds the stride
+    and radix of its first generator, the sum of its generators' lo_j and the
+    (stride, radix) of the others, which give the coefficient's parity; delta
+    = sum(off_j * stride_j), so the term is e + delta; for each slot the
+    offset moves, the modulus stride_j * radix_j and the range of e modulo it
+    where the digit stays in range after the move; and for each square-zero
+    slot it raises, the modulus and the least e modulo it where the term's
+    exponent passes 1.
+
+    The keys are those, sum(n[j] * pack(degree of generator j)), of the
+    window monomials n that a valid monomial outside the window reaches with
+    an odd coefficient. For one entry and one pattern of its generators'
+    exponent parities with an odd sum, those n are a union over k of products
+    of exponent ranges: n in the window; n - off not negative on each
+    generator that is not invertible, at most 1 on each square-zero one, and
+    of the pattern's parity; and n - off outside the window on generator k.
     """
     gens = diff.presentation.generators
     bounds = window.effective_bounds(diff.presentation)
+    digits = _digits(bounds)
     weights = [grid.pack(gen.degree) for gen in gens]
-    keys: set[int] = set()
-    for gs, off, _ in diff.offsets:
+    table, keys = [], set()
+    for gs, off, raised in diff.offsets:
+        (stride, radix, _), *more = (digits[g] for g in gs)
+        moved = [(s * r, max(0, -o) * s, min(r, r - o) * s) for (s, r, _), o in zip(digits, off) if o]
+        kills = [(s * r, max(0, 2 - a - off[j]) * s) for j in raised for s, r, a in [digits[j]]]
+        flip = sum(digits[g][2] for g in gs)
+        delta = sum(o * s for o, (s, _, _) in zip(off, digits))
+        table.append((stride, radix, flip, [(s, r) for s, r, _ in more], delta, moved, kills))
         valid = [
             (lo if gen.invertible else max(lo, o), min(hi, 1 + o) if gen.square_zero else hi)
             for gen, (lo, hi), o in zip(gens, bounds, off)
         ]
-        for parities in product((0, 1), repeat=len(gs)):
-            if sum(parities) % 2 == 0:
-                continue
+        for parities in filter(lambda p: sum(p) % 2, product((0, 1), repeat=len(gs))):
             spans = [range(a, b + 1) for a, b in valid]
             for g, p in zip(gs, parities):
                 a, b = valid[g]
@@ -271,31 +287,7 @@ def _reached_from_outside(diff: DifferentialSpec, window: Window, grid: Tridegre
             for k, (lo, hi) in enumerate(bounds):
                 outside = [n * weights[k] for n in spans[k] if not lo <= n - off[k] <= hi]
                 keys.update(map(sum, product(*terms[:k], outside, *terms[k + 1 :])))
-    return keys
-
-
-def _digit_table(diff: DifferentialSpec, bounds: list[tuple[int, int]]) -> list[tuple]:
-    """The entries of ``diff.offsets`` in the index form of ``enumerate_basis``, over these effective bounds.
-
-    Slot j of a monomial index e holds the digit e // stride_j % radix_j,
-    the exponent less lo_j. An entry holds the stride and radix of its first
-    generator, the sum of its generators' lo_j and the (stride, radix) of
-    the others, which give the coefficient's parity; delta = sum(off_j *
-    stride_j), so the term is e + delta; for each slot the offset moves, the
-    modulus stride_j * radix_j and the range of e modulo it where the digit
-    stays in range after the move; and for each square-zero slot it raises,
-    the modulus and the least e modulo it where the term's exponent passes 1.
-    """
-    digits = _digits(bounds)
-    table = []
-    for gs, off, raised in diff.offsets:
-        (stride, radix, _), *more = (digits[g] for g in gs)
-        moved = [(s * r, max(0, -o) * s, min(r, r - o) * s) for (s, r, _), o in zip(digits, off) if o]
-        kills = [(s * r, max(0, 2 - a - off[j]) * s) for j in raised for s, r, a in [digits[j]]]
-        flip = sum(digits[g][2] for g in gs)
-        delta = sum(o * s for o, (s, _, _) in zip(off, digits))
-        table.append((stride, radix, flip, [(s, r) for s, r, _ in more], delta, moved, kills))
-    return table
+    return table, keys
 
 
 def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
@@ -325,9 +317,9 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
     of the monomials at t and at t - shift lies in the window, every valid
     monomial that reaches t with an odd coefficient lies in the window, and,
     where d_r is nonzero into or out of t, the tridegree at the other end
-    was VALID on the previous page. The window-reach check is one set of
-    packed keys, built once per page turn by ``_reached_from_outside``, and
-    one lookup per tridegree.
+    was VALID on the previous page. ``_window_form`` reads the window once
+    per page turn: it gives the index-form table of the Leibniz terms and the
+    packed keys of the window-reach check, one lookup per tridegree.
     """
     if diff.page < state.page:
         raise ValueError(f"differential is for page {diff.page}, state is on page {state.page}")
@@ -336,8 +328,7 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
     grid, shift = state.basis, diff.shift
     (index, starts), vectors, status, boundaries = grid.data, state.vectors.data, state.status.data, state.boundaries
     packed, step, (rf, rw) = grid.packed, grid.pack(shift), grid.radices
-    reached = _reached_from_outside(diff, state.window, grid)
-    table = _digit_table(diff, state.window.effective_bounds(state.presentation))
+    table, reached = _window_form(diff, state.window, grid)
     order, behind = (reversed, gt) if step < 0 else (iter, lt)
     walk = zip(order(range(len(packed))), order(packed), order(vectors), order(status))
     # past enumerate_basis's reach guard the shift has no target, and the pointer searches no key

@@ -284,6 +284,17 @@ def test_chart_regions_stdout_with_options(capsys):
         pytest.param(
             ["chart", "motivic", "--scale", "0"], "error: scale must be positive, got 0", id="motivic-zero-scale"
         ),
+        # 4,299 nines pass argparse, but would print coordinates past Python's int-to-string limit
+        pytest.param(
+            ["chart", "regions", "--scale", "9" * 4299],
+            "error: scale must be at most 1,000,000 pixels per unit",
+            id="huge-scale",
+        ),
+        pytest.param(
+            ["chart", "motivic", "--scale", "1000001"],
+            "error: scale must be at most 1,000,000 pixels per unit",
+            id="motivic-huge-scale",
+        ),
         pytest.param(["chart", "regions", "--overlay", "nope"], "invalid choice: 'nope'", id="unknown-overlay"),
         # a usage error is reported before any file is read
         pytest.param(
@@ -467,15 +478,23 @@ K8_WINDOW = "tau=0:64,alpha1=-96:96,alpha3=0:48,alpha4=0:1"  # 65 * 193 * 49 * 2
         (["chart", "motivic", "--chart", 998], None),
         (["chart", "motivic", "--chart", 999], "default window 0..1000 holds 1,002,001 cells"),
         (["chart", "motivic", "--chart", 10**20], "holds 10,000,000,000,000,000,000,400,000,000,000,000,000,004 cells"),
+        # h_{320,127} sits in stem 2^127 (2^320 - 1) - 1 and is the 100,001st generator
+        (["may-census", str(2**127 * (2**320 - 1) - 2)], None),
+        (["may-census", str(2**127 * (2**320 - 1) - 1)], "the census holds 100,001 generators"),
     ],
-    ids=["einfty-k8", "einfty", "regions-at-cap", "regions", "groups", "motivic", "motivic-at-cap", "motivic-default", "smax-1e20"],
+    ids=[
+        "einfty-k8", "einfty", "regions-at-cap", "regions", "groups", "motivic", "motivic-at-cap", "motivic-default",
+        "smax-1e20", "census-at-cap", "census",
+    ],
 )
 def test_a_window_past_the_cli_limit_is_refused_before_anything_is_built(capsys, monkeypatch, tmp_path, argv, message):
-    # A window past the limit gives one error line and exit 2; one at the
-    # limit reaches the (stubbed) renderers. chart motivic's default window,
-    # 0..s_max+1 in s and f, counts s_max from the chart's "# smax:" line.
+    # A window or census past the limit gives one error line and exit 2; one
+    # at the limit reaches the (stubbed) renderers or census. chart motivic's
+    # default window, 0..s_max+1 in s and f, counts s_max from the chart's
+    # "# smax:" line.
     built = []
-    for name in ("region_chart_svg", "groups_tsv", "lift_to_motivic", "motivic_chart_style", "motivic_chart_svg"):
+    renderers = ("region_chart_svg", "groups_tsv", "lift_to_motivic", "motivic_chart_style", "motivic_chart_svg")
+    for name in (*renderers, "may_e1_generators"):
         monkeypatch.setattr(cli, name, lambda *args, _name=name, **kwargs: built.append(_name) or "")
     monkeypatch.setattr(cli.verify_mod, "check_einfty", lambda *args, **kwargs: built.append("check_einfty") or [])
     argv = [_chart_with_smax(tmp_path, a) if isinstance(a, int) else a for a in argv]

@@ -55,6 +55,9 @@ def test_chart_style_validation():
         ChartStyle(s_min=5, s_max=4, w_min=0, w_max=1)
     with pytest.raises(RenderError, match="scale must be positive"):
         ChartStyle(scale=0)
+    with pytest.raises(RenderError, match="scale must be at most 1,000,000"):
+        ChartStyle(scale=render.MAX_SCALE + 1)
+    ChartStyle(scale=render.MAX_SCALE)
     with pytest.raises(RenderError, match="unknown family overlays"):
         ChartStyle(family_overlays=("nope",))
     ChartStyle(family_overlays=("eta_powers", "tau_powers"))  # all builtin names pass

@@ -592,6 +592,17 @@ def test_a_lookup_outside_the_padded_range_is_a_key_error(presentation_and_d3, e
                 view[probe]
 
 
+def test_a_lookup_of_a_fractional_alias_is_a_key_error(presentation_and_d3, einfty_window):
+    # the padded radix of f is odd, so (s - 1/2, f + rf/2, w) packs to the
+    # key of (s, f, w) with its f and w in the padded ranges: only the type
+    # of the key tells it from the grid's tridegree
+    grid = enumerate_basis(presentation_and_d3[0], einfty_window)
+    t, (rf, _) = next(iter(grid)), grid.radices
+    alias = Tridegree(t.s - 0.5, t.f + rf / 2, t.w)
+    assert grid.pack(alias) == grid.pack(t) and t in grid
+    assert alias not in grid
+
+
 def test_items_zips_keys_and_values_with_no_lookup(monkeypatch, presentation_and_d3, einfty_window):
     presentation, d3 = presentation_and_d3
     state = run_to_einfty(presentation, [d3], einfty_window)
@@ -604,29 +615,6 @@ def test_items_zips_keys_and_values_with_no_lookup(monkeypatch, presentation_and
 
     monkeypatch.setattr(TridegreeView, "__getitem__", lookup)
     assert [list(view.items()) for view in views] == expected
-
-
-@given(presentations_with_differential())
-@example(_shared_offset())
-@example(_positive_shift())
-def test_the_window_reach_keys_are_the_tridegrees_reached_from_outside(case):
-    # turn_page's one key set per page turn, against every candidate n - off
-    # of every window monomial n, read with the library's Leibniz rule: t is
-    # in it exactly when a valid monomial outside the window reaches a
-    # monomial at t with an odd coefficient
-    presentation, diff, window = case
-    grid = enumerate_basis(presentation, window)
-    keys = spectral._reached_from_outside(diff, window, grid)
-    reached = set()
-    for t, mons in grid.items():
-        for n in mons:
-            for _, off, _ in diff.offsets:
-                m = Monomial(tuple(e - o for e, o in zip(n, off)))
-                if _admits(presentation, m.exponents) and not window.contains(presentation, m):
-                    if Monomial(n) in leibniz_extend(diff, m):
-                        reached.add(t)
-    assert keys <= set(grid.packed)
-    assert {grid.tridegree(key) for key in keys} == reached
 
 
 @st.composite
@@ -643,16 +631,20 @@ def _presentations_in_any_window(draw):
 @given(_presentations_in_any_window())
 @example(_shared_offset())
 @example(_positive_shift())
-def test_the_index_form_terms_are_the_leibniz_terms_in_the_window(case):
-    # turn_page's Leibniz rule on monomial indices, read from its digit table
-    # as its docstring says, against DifferentialSpec.terms on exponent tuples
+def test_the_window_form_is_the_leibniz_terms_and_the_reach_of_the_window(case):
+    # turn_page's one window form against its two definitions. The table, read
+    # on monomial indices as its docstring says, gives DifferentialSpec.terms
+    # on exponent tuples inside the window. The key set holds t exactly when a
+    # valid monomial outside the window reaches a monomial at t with an odd
+    # coefficient: every candidate n - off of every window monomial n, read
+    # with the library's Leibniz rule.
     presentation, diff, window = case
     bounds = window.effective_bounds(presentation)
     grid = enumerate_basis(presentation, window)
     strides = [prod(b - a + 1 for a, b in bounds[j + 1 :]) for j in range(len(bounds))]
     exponents = dict(zip(grid.data[0], (e for mons in grid.values() for e in mons)))
     assert sorted(exponents) == list(range(len(exponents)))
-    table = spectral._digit_table(diff, bounds)
+    table, keys = spectral._window_form(diff, window, grid)
     for n, e in exponents.items():
         assert n == sum((x - a) * stride for x, (a, _), stride in zip(e, bounds, strides))
         terms, forward = [], True
@@ -665,6 +657,16 @@ def test_the_index_form_terms_are_the_leibniz_terms_in_the_window(case):
         inside = [p for p in diff.terms(e) if window.contains(presentation, Monomial(p))]
         assert sorted(terms) == sorted(inside)
         assert forward == (len(inside) == len(diff.terms(e)))
+    reached = set()
+    for t, mons in grid.items():
+        for n in mons:
+            for _, off, _ in diff.offsets:
+                m = Monomial(tuple(e - o for e, o in zip(n, off)))
+                if _admits(presentation, m.exponents) and not window.contains(presentation, m):
+                    if Monomial(n) in leibniz_extend(diff, m):
+                        reached.add(t)
+    assert keys <= set(grid.packed)
+    assert {grid.tridegree(key) for key in keys} == reached
 
 
 @given(presentations_with_differential())
@@ -1042,20 +1044,24 @@ def test_fibres_of_many_monomials_are_pinned(case, largest, digest):
     assert hashlib.sha256(kept.encode()).hexdigest() == digest
 
 
-def test_a_run_holds_no_position_per_key():
-    # the einfty_builtin benchmark's window, 21,658 tridegrees of one monomial
-    # each. Positions come from the sorted keys alone: a key-to-position dict
-    # and its position ints held 253 bytes per tridegree here at the peak, and
-    # the grid without them holds 199.
-    presentation, diffs, window = _builtin_case(0)
+def _traced_peak(presentation, diffs, window):
+    """The run to E-infinity, and the peak bytes tracemalloc saw it allocate above what was held before."""
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
         state = run_to_einfty(presentation, diffs, window)
-        peak = tracemalloc.get_traced_memory()[1] - held
+        return state, tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
+
+
+def test_a_run_holds_no_position_per_key():
+    # the einfty_builtin benchmark's window, 21,658 tridegrees of one monomial
+    # each. Positions come from the sorted keys alone: a key-to-position dict
+    # and its position ints held 253 bytes per tridegree here at the peak, and
+    # the grid without them holds 199.
+    state, peak = _traced_peak(*_builtin_case(0))
     assert peak <= 225 * len(state.basis), f"peak {peak} bytes for {len(state.basis)} tridegrees"
 
 
@@ -1063,15 +1069,7 @@ def test_a_run_holds_monomial_indices_not_exponent_tuples():
     # the einfty_wide benchmark's case, 25,920 monomials in fibres of up to
     # 146. Fibres of exponent tuples held 114 bytes per monomial here at the
     # peak, and fibres of monomial indices in one array hold 47.
-    presentation, diffs, window = _wide_case(5)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        held = tracemalloc.get_traced_memory()[0]
-        state = run_to_einfty(presentation, diffs, window)
-        peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
+    state, peak = _traced_peak(*_wide_case(5))
     monomials = sum(map(len, state.basis.values()))
     assert monomials == 25_920
     assert peak <= 60 * monomials, f"peak {peak} bytes for {monomials} monomials"
