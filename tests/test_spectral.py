@@ -631,20 +631,17 @@ def _presentations_in_any_window(draw):
 @given(_presentations_in_any_window())
 @example(_shared_offset())
 @example(_positive_shift())
-def test_the_window_form_is_the_leibniz_terms_and_the_reach_of_the_window(case):
-    # turn_page's one window form against its two definitions. The table, read
-    # on monomial indices as its docstring says, gives DifferentialSpec.terms
-    # on exponent tuples inside the window. The key set holds t exactly when a
-    # valid monomial outside the window reaches a monomial at t with an odd
-    # coefficient: every candidate n - off of every window monomial n, read
-    # with the library's Leibniz rule.
+def test_the_index_form_terms_are_the_leibniz_terms_in_the_window(case):
+    # turn_page's Leibniz rule on monomial indices, read from the table of its
+    # window form as its docstring says, against DifferentialSpec.terms on
+    # exponent tuples
     presentation, diff, window = case
     bounds = window.effective_bounds(presentation)
     grid = enumerate_basis(presentation, window)
     strides = [prod(b - a + 1 for a, b in bounds[j + 1 :]) for j in range(len(bounds))]
     exponents = dict(zip(grid.data[0], (e for mons in grid.values() for e in mons)))
     assert sorted(exponents) == list(range(len(exponents)))
-    table, keys = spectral._window_form(diff, window, grid)
+    table, _ = spectral._window_form(diff, window, grid)
     for n, e in exponents.items():
         assert n == sum((x - a) * stride for x, (a, _), stride in zip(e, bounds, strides))
         terms, forward = [], True
@@ -657,6 +654,19 @@ def test_the_window_form_is_the_leibniz_terms_and_the_reach_of_the_window(case):
         inside = [p for p in diff.terms(e) if window.contains(presentation, Monomial(p))]
         assert sorted(terms) == sorted(inside)
         assert forward == (len(inside) == len(diff.terms(e)))
+
+
+@given(_presentations_in_any_window())
+@example(_shared_offset())
+@example(_positive_shift())
+def test_the_window_reach_keys_are_the_tridegrees_reached_from_outside(case):
+    # turn_page's one key set per page turn, from its window form, against
+    # every candidate n - off of every window monomial n, read with the
+    # library's Leibniz rule: t is in it exactly when a valid monomial outside
+    # the window reaches a monomial at t with an odd coefficient
+    presentation, diff, window = case
+    grid = enumerate_basis(presentation, window)
+    _, keys = spectral._window_form(diff, window, grid)
     reached = set()
     for t, mons in grid.items():
         for n in mons:
