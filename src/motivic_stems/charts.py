@@ -31,16 +31,24 @@ class ChartError(ValueError):
     pass
 
 
+# These two keep their constructor's arguments as args, so that a pickle round
+# trip (a verify suite that fails in a worker process) rebuilds them.
 class ChartParseError(ChartError):
     def __init__(self, lineno: int, message: str):
-        super().__init__(f"line {lineno}: {message}")
+        super().__init__(lineno, message)
         self.lineno = lineno
+
+    def __str__(self) -> str:
+        return f"line {self.lineno}: {self.args[1]}"
 
 
 class ChartValidationError(ChartError):
     def __init__(self, violations: list[str]):
-        super().__init__("chart violates structural invariants: " + "; ".join(violations))
+        super().__init__(violations)
         self.violations = violations
+
+    def __str__(self) -> str:
+        return "chart violates structural invariants: " + "; ".join(self.violations)
 
 
 class StemRangeError(ChartError):

@@ -12,6 +12,9 @@ The two big scans set the gate's cost, and each visits a cell once. In
 ``partition`` every bidegree goes through ``classify`` once, and the region
 counts it reports are ``classify``'s. In ``etalocal`` every band cell goes
 through ``resolve_group`` once, and its region is read off the resolved value.
+On Linux the CLI runs more than one suite in forked worker processes, one per
+usable CPU, so these two run side by side; the output and its order are those
+of a run in one process.
 """
 
 from __future__ import annotations

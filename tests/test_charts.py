@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import pickle
 import random
 import re
 from pathlib import Path
@@ -106,6 +107,17 @@ def test_validation_collects_multiple_violations():
     assert any("negative stem" in v for v in violations)
     assert any("negative filtration" in v for v in violations)
     assert any("stem exceeds declared range" in v for v in violations)
+
+
+def test_chart_errors_survive_a_pickle_round_trip():
+    # a verify suite that fails in a worker process sends its error back pickled
+    for text in ("0 0 1 Z\n1 1 x 7\n", "0 0 1 Z\n-1 -2 bad 2\n9 1 far 2\n# smax: 3\n"):
+        with pytest.raises((ChartParseError, ChartValidationError)) as exc:
+            parse_chart(text)
+        copy = pickle.loads(pickle.dumps(exc.value))
+        assert type(copy) is type(exc.value) and str(copy) == str(exc.value)
+        assert vars(copy) == vars(exc.value)
+    assert copy.violations == exc.value.violations and len(copy.violations) == 3
 
 
 def test_serialize_is_canonical_and_roundtrips(sample_chart):

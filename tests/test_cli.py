@@ -5,6 +5,10 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import multiprocessing
+import os
+import re
+import shutil
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -353,6 +357,63 @@ def test_verify_single_suite(capsys):
     lines = out.splitlines()
     assert all(line.startswith("PASS ctau.") for line in lines[:-1])
     assert lines[-1].endswith("checks passed")
+
+
+def test_verify_runs_a_suite_named_twice_once(capsys):
+    assert run(capsys, "verify", "ctau", "families", "ctau") == run(capsys, "verify", "ctau", "families")
+
+
+CHEAP_SUITES = ("ctau", "localization", "families", "roundtrip", "golden")  # each under 4 ms
+needs_affinity = pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="verify forks workers on Linux only")
+
+
+def run_verify(capsys, monkeypatch, cpus, *argv):
+    # verify with `cpus` usable CPUs: with more than one, several suites run
+    # in forked workers, and none is left running afterwards
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    result = run(capsys, "verify", *argv)
+    assert multiprocessing.active_children() == []
+    return result
+
+
+@needs_affinity
+@pytest.mark.parametrize("argv", [CHEAP_SUITES, ("einfty", "ctau", "--table")], ids=["cheap", "table"])
+def test_verify_in_workers_prints_the_bytes_of_an_in_process_run(capsys, monkeypatch, argv):
+    def masked(cpus):  # einfty's time_budget line holds a measured time
+        code, out, err = run_verify(capsys, monkeypatch, cpus, *argv)
+        return code, re.sub(r"time_budget: .*", "", out), err
+
+    pooled = masked(2)
+    assert pooled == masked(1) and pooled[0] == 0 and "FAIL" not in pooled[1]
+
+
+@needs_affinity
+def test_a_suite_failing_in_a_worker_prints_its_fail_line_in_place(capsys, monkeypatch):
+    def failing():  # runs in the worker, so the pid is the worker's
+        return [verify.CheckResult("forced", False, f"pid {os.getpid()}")]
+
+    monkeypatch.setitem(verify.SUITES, "localization", failing)
+    code, out, _ = run_verify(capsys, monkeypatch, 2, *CHEAP_SUITES)
+    lines = out.splitlines()
+    n_ctau = sum(line.startswith("PASS ctau.") for line in lines)
+    assert code == 1 and [i for i, line in enumerate(lines) if not line.startswith("PASS ")] == [n_ctau, len(lines) - 1]
+    name, _, pid = lines[n_ctau].rpartition(" ")
+    assert name == "FAIL localization.forced: pid" and int(pid) != os.getpid()
+    assert lines[-1] == f"{len(lines) - 2}/{len(lines) - 1} checks passed"
+
+
+@needs_affinity
+@pytest.mark.parametrize("stems", ["1 2\n2 x\n", None], ids=["corrupt", "missing"])
+def test_a_data_error_in_a_worker_is_one_error_line(capsys, monkeypatch, tmp_path, stems):
+    data = shutil.copytree(data_path(SAMPLE_STEMS_FILE).parent, tmp_path / "data")
+    if stems is None:
+        (data / SAMPLE_STEMS_FILE).unlink()
+        message = f"data file not found: {data / SAMPLE_STEMS_FILE}"
+    else:
+        (data / SAMPLE_STEMS_FILE).write_text(stems, encoding="utf-8")
+        message = "line 2: order token 'x' is neither Z nor an integer"
+    monkeypatch.setenv(DATA_ENV_VAR, str(data))
+    assert run_verify(capsys, monkeypatch, 2) == (1, "", f"error: {message}\n")
 
 
 def test_verify_unknown_suite(capsys):

@@ -1019,6 +1019,26 @@ def test_an_infinite_fibre_is_not_valid(r):
     assert state.status[Tridegree(0, -2, -2)] is Certainty.INDETERMINATE
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_a_neighbour_fibre_the_window_cuts_short_does_not_certify_a_class():
+    # A case of test_valid_classes_do_not_depend_on_the_window. (0,-2,-1)
+    # holds g1^-1 in both windows. Its d4 source (-1,-2,-1) holds g2^-1,
+    # which no d2 cycle contains while g3 is held at 0; W' adds g3*g1^-1,
+    # and d4(g2^-1 + g3*g1^-1) = g1^-1 kills the class that W certifies.
+    presentation = MonomialAlgebraPresentation.parse(
+        "g0 0 0 1\ng1 0 2 1 invertible\ng2 1 2 1 invertible\ng3 -1 0 0 square_zero\n"
+    )
+    d2 = DifferentialSpec(
+        presentation, 2, {"g2": [presentation.monomial(g0=1, g1=-1, g2=2)], "g3": [presentation.monomial(g0=1)]}
+    )
+    d4 = DifferentialSpec(presentation, 4, {"g2": [presentation.monomial(g1=-1, g2=2)]})
+    inner = ((-1, 1), (-1, 0), (-1, 0), (0, 0))
+    small, large = (run_to_einfty(presentation, [d2, d4], Window(w)) for w in (inner, inner[:3] + ((0, 1),)))
+    t = Tridegree(0, -2, -1)
+    assert small.basis[t] == large.basis[t] == ((0, -1, 0, 0),)
+    assert small.status[t] is not Certainty.VALID or small.vectors[t] == large.vectors[t]
+
+
 def _builtin_case(alpha1_shift):
     presentation, diffs = localized_motivic_anss()
     bounds = {name: (2 * lo, 2 * hi) for name, (lo, hi) in verify.EINFTY_WINDOW.items()}
