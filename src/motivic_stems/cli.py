@@ -322,7 +322,7 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     # suites are independent, so on Linux more than one runs in forked workers, one per usable CPU
     workers = min(len(names), len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
     if workers > 1:
-        # imported only here: at the top of the module they add about 15 ms to every start of the CLI
+        # imported only here: at the top of the module they would add about 25 ms to every start of the CLI
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
