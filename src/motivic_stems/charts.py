@@ -277,27 +277,18 @@ def eta_localize_chart(chart: ClassicalChart, max_steps: int | None = None) -> d
     exceeds max_steps first is UNRESOLVED. None means no cap: each eta edge
     raises the stem by one, so a chain ends within s_max - s steps.
     """
-    results: dict[str, LocalizationResult] = {}
-    for cls in chart.classes:
-        cur = cls
-        steps = 0
-        while True:
-            if localization_guaranteed(cur.s, cur.f):
-                res = LocalizationResult(cls, LOCALIZATION_STABLE, cur, steps)
-                break
-            if cur.eta_edge is None:
-                if cur.s + 1 > chart.s_max:
-                    res = LocalizationResult(cls, LOCALIZATION_UNRESOLVED, None, steps)
-                else:
-                    res = LocalizationResult(cls, LOCALIZATION_STABLE, None, steps)
-                break
-            if max_steps is not None and steps >= max_steps:
-                res = LocalizationResult(cls, LOCALIZATION_UNRESOLVED, None, steps)
-                break
-            cur = chart.by_name(cur.eta_edge)
-            steps += 1
-        results[cls.name] = res
-    return results
+    return {cls.name: _eta_localize(chart, cls, max_steps) for cls in chart.classes}
+
+
+def _eta_localize(chart: ClassicalChart, cls: ClassicalChartClass, max_steps: int | None) -> LocalizationResult:
+    cur, steps = cls, 0
+    while not localization_guaranteed(cur.s, cur.f) and cur.eta_edge is not None and (max_steps is None or steps < max_steps):
+        cur, steps = chart.by_name(cur.eta_edge), steps + 1
+    if localization_guaranteed(cur.s, cur.f):
+        return LocalizationResult(cls, LOCALIZATION_STABLE, cur, steps)
+    if cur.eta_edge is None and cur.s < chart.s_max:
+        return LocalizationResult(cls, LOCALIZATION_STABLE, None, steps)
+    return LocalizationResult(cls, LOCALIZATION_UNRESOLVED, None, steps)
 
 
 @dataclass

@@ -39,7 +39,7 @@ from .render import ChartStyle, RenderError, bidegree_window, groups_tsv, motivi
 from .render import MOTIVIC_SCALE, motivic_chart_style
 from .resources import DATA_ENV_VAR
 from .spectral import localized_motivic_anss
-from . import verify as verify_mod
+from . import families, verify as verify_mod
 
 MAX_EINFTY_MONOMIALS = 2_000_000  # above the 1,229,410 of the engine at k=8
 MAX_CHART_CELLS = 1_000_000  # the CLI refuses a larger window before it builds anything; the library takes any
@@ -262,9 +262,7 @@ def _cmd_families_list(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_may_census(args, parser: argparse.ArgumentParser) -> int:
-    # h_{i,j} sits in stem 2^j (2^i - 1) - 1: for each i, one line per j >= 0 with 2^j <= n // (2^i - 1)
-    n = max(args.max_stem + 1, 0)
-    if (lines := sum((n // (2**i - 1)).bit_length() for i in range(1, (n + 1).bit_length()))) > MAX_CENSUS_LINES:
+    if (lines := sum(families.may_e1_counts(args.max_stem))) > MAX_CENSUS_LINES:
         parser.error(f"the census holds {lines:,} generators, more than the limit of {MAX_CENSUS_LINES:,}")
     for g in may_e1_generators(args.max_stem):
         print(f"{g.name} stem={g.stem} weight={g.weight}")

@@ -150,13 +150,18 @@ class MayGenerator:
     def make(cls, i: int, j: int) -> MayGenerator:
         if i < 1 or j < 0:
             raise FamilyError(f"need i >= 1 and j >= 0, got ({i},{j})")
-        if j == 0:
-            return cls(i, 0, 2 ** i - 2, 2 ** (i - 1) - 1)
-        return cls(i, j, 2 ** j * (2 ** i - 1) - 1, 2 ** (j - 1) * (2 ** i - 1))
+        stem = 2 ** j * (2 ** i - 1) - 1
+        return cls(i, j, stem, (stem + 1) // 2)
 
     @property
     def name(self) -> str:
         return f"h{self.i},{self.j}"
+
+
+def may_e1_counts(max_stem: int) -> list[int]:
+    """How many h_{i,j} have stem <= max_stem, for i = 1, 2, ... while any do, counted from bit lengths."""
+    n = max(max_stem + 1, 0)
+    return [(n // (2 ** i - 1)).bit_length() for i in range(1, (n + 1).bit_length())]
 
 
 def may_e1_generators(max_stem: int) -> list[MayGenerator]:
@@ -165,15 +170,7 @@ def may_e1_generators(max_stem: int) -> list[MayGenerator]:
     Every generator satisfies weight <= stem, which is what forces the motivic
     stable stems to vanish above the line w = s.
     """
-    gens = []
-    i = 1
-    while 2 ** i - 2 <= max_stem:
-        gens.append(MayGenerator.make(i, 0))
-        j = 1
-        while 2 ** j * (2 ** i - 1) - 1 <= max_stem:
-            gens.append(MayGenerator.make(i, j))
-            j += 1
-        i += 1
+    gens = [MayGenerator.make(i, j) for i, count in enumerate(may_e1_counts(max_stem), start=1) for j in range(count)]
     return sorted(gens, key=lambda g: (g.stem, g.i, g.j))
 
 

@@ -124,7 +124,9 @@ def eta_local_group(s: int, w: int) -> GroupValue:
     return _ETA_TRIVIAL_VALUE
 
 
-@functools.cache
+# bounded: every caller walks one stem's cells in a row (an s-major window, a dot column, verify's tau
+# band), so a small memo still shares each stem's value, and a million-stem window no longer keeps a million
+@functools.lru_cache(maxsize=1024)
 def _tau_local_value(s: int, entry: GroupDescriptor | None) -> GroupValue:
     # memoized on every input, so a stems table edited in place cannot serve a stale value
     return GroupValue(_TAU_LOCAL, entry) if entry is not None else GroupValue(_TAU_LOCAL, stem=s)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby, product, repeat
+from itertools import count, groupby, product, repeat, takewhile
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -277,27 +277,20 @@ def _family_layer(canvas: _Canvas) -> list[str]:
     for idx, name in enumerate(style.family_overlays):
         fam = families[name]
         color = FAMILY_PALETTE[idx % len(FAMILY_PALETTE)]
-        k = 0
-        first = None
-        while True:
-            p = fam.bidegree(k)
-            if not (style.s_min <= p.s <= style.s_max and style.w_min <= p.w <= style.w_max):
-                # a family advances the stem or is the tau tower, which
-                # descends in weight, so one of these ends the walk
-                if p.s > style.s_max or (fam.period.s == 0 and p.w < style.w_min):
-                    break
-                k += 1
-                continue
-            if first is None:
-                first = p
+        # a family advances the stem or is the tau tower, which descends in
+        # weight, so its members end past s_max or, for the tau tower, below w_min
+        members = takewhile(
+            lambda p: p.s <= style.s_max and (fam.period.s != 0 or p.w >= style.w_min), map(fam.bidegree, count())
+        )
+        shown = [p for p in members if style.s_min <= p.s <= style.s_max and style.w_min <= p.w <= style.w_max]
+        out.extend(
+            f'<circle cx="{_fmt_milli(canvas.x(p.s))}" cy="{_fmt_milli(canvas.y(p.w))}" r="{r}" '
+            f'fill="none" stroke="{color}" stroke-width="1.500"/>'
+            for p in shown
+        )
+        if shown:
             out.append(
-                f'<circle cx="{_fmt_milli(canvas.x(p.s))}" cy="{_fmt_milli(canvas.y(p.w))}" r="{r}" '
-                f'fill="none" stroke="{color}" stroke-width="1.500"/>'
-            )
-            k += 1
-        if first is not None:
-            out.append(
-                f'<text x="{_fmt_milli(canvas.x(first.s) + 6000)}" y="{_fmt_milli(canvas.y(first.w) - 6000)}" '
+                f'<text x="{_fmt_milli(canvas.x(shown[0].s) + 6000)}" y="{_fmt_milli(canvas.y(shown[0].w) - 6000)}" '
                 f'font-size="10.000" text-anchor="start" fill="{color}">{_escape(name)}</text>'
             )
     return out

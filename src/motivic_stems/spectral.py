@@ -322,7 +322,7 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
     packed keys of the window-reach check, one lookup per tridegree.
     """
     if diff.page < state.page:
-        raise ValueError(f"differential is for page {diff.page}, state is on page {state.page}")
+        raise DifferentialSpecError(f"differential is for page {diff.page}, state is on page {state.page}")
     if diff.presentation != state.presentation:
         raise PresentationMismatchError("differential is built on a different presentation than the page")
     grid, shift = state.basis, diff.shift

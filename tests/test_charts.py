@@ -226,6 +226,65 @@ def test_eta_localize_chain_leaving_range_is_unresolved():
     assert x_res.status == LOCALIZATION_UNRESOLVED and x_res.value is None
 
 
+# One chart for each way a chain ends. Only c and g, with f = 3 and 4, lie in
+# the guaranteed range s < 5f - 10. The unit's chain 1 -> a -> b -> c enters
+# it at c and would go on to g; p's chain ends at q, and z has no edge, both
+# before the last charted stem 4; d's chain ends at e on stem 4.
+LOCALIZE_CHART = """# smax: 4
+0 0 1 Z eta:a
+1 1 a 2 eta:b
+1 1 p 2 eta:q
+2 2 b 2 eta:c
+2 2 q 2
+3 1 d 2 eta:e
+3 1 z 4
+3 3 c 2 eta:g
+4 2 e 2
+4 4 g 2
+"""
+
+
+def _localize(max_steps: int | None = None) -> dict[str, tuple[str, str | None, int]]:
+    results = eta_localize_chart(parse_chart(LOCALIZE_CHART), max_steps=max_steps)
+    return {name: (r.status, r.value.name if r.value else None, r.steps) for name, r in results.items()}
+
+
+def test_eta_localize_stops_where_the_value_is_guaranteed():
+    # at c, not at g one edge further; g is stable though nothing past it is charted
+    res = _localize()
+    assert res["1"] == (LOCALIZATION_STABLE, "c", 3)
+    assert res["c"] == (LOCALIZATION_STABLE, "c", 0) and res["g"] == (LOCALIZATION_STABLE, "g", 0)
+
+
+def test_eta_localize_is_zero_where_a_chain_ends_before_the_charts_last_stem():
+    res = _localize()
+    assert res["p"] == (LOCALIZATION_STABLE, None, 1)
+    assert res["z"] == (LOCALIZATION_STABLE, None, 0)
+
+
+def test_eta_localize_is_unresolved_where_a_chain_ends_on_the_charts_last_stem():
+    res = _localize()
+    assert res["d"] == (LOCALIZATION_UNRESOLVED, None, 1)
+    assert res["e"] == (LOCALIZATION_UNRESOLVED, None, 0)
+
+
+def test_eta_localize_is_unresolved_once_the_cap_is_reached():
+    assert _localize(max_steps=2)["1"] == (LOCALIZATION_UNRESOLVED, None, 2)
+    assert _localize(max_steps=3)["1"] == (LOCALIZATION_STABLE, "c", 3)
+
+
+def test_eta_localize_with_no_steps_classifies_each_class_where_it_stands():
+    # a guaranteed class, or one with no edge, ends its chain before the cap does
+    res = _localize(max_steps=0)
+    assert res["1"] == res["p"] == res["d"] == (LOCALIZATION_UNRESOLVED, None, 0)
+    assert res["c"] == (LOCALIZATION_STABLE, "c", 0)
+    assert res["z"] == (LOCALIZATION_STABLE, None, 0) and res["e"] == (LOCALIZATION_UNRESOLVED, None, 0)
+
+
+def test_eta_localize_with_a_negative_cap_stops_at_once():
+    assert _localize(max_steps=-1) == _localize(max_steps=-2) == _localize(max_steps=0)
+
+
 @pytest.mark.parametrize(
     "classes, fragment",
     [

@@ -17,6 +17,7 @@ from motivic_stems.families import (
     MayGenerator,
     builtin_families,
     family_line,
+    may_e1_counts,
     may_e1_generators,
     sharpness_report,
     vn_bidegree,
@@ -168,6 +169,21 @@ def test_census_sits_on_or_below_diagonal(max_stem):
     for g in gens:
         assert 0 <= g.weight <= g.stem <= max_stem
         assert classify(g.stem, g.weight) is not RegionLabel.ZERO
+
+
+@given(st.integers(min_value=-5, max_value=2000))
+def test_census_counts_are_the_generators_per_i(max_stem):
+    # one count for each i = 1, 2, ... that has a generator in range, checked
+    # against the h_{i,j} with i, j <= 12, which include every generator below stem 8,190
+    assert sum(may_e1_counts(max_stem)) == len(may_e1_generators(max_stem))
+    in_range = [sum(MayGenerator.make(i, j).stem <= max_stem for j in range(13)) for i in range(1, 13)]
+    assert may_e1_counts(max_stem) == [n for n in in_range if n]
+
+
+def test_census_counts_at_the_cli_cap():
+    # h_{320,127} sits in stem 2^127 (2^320 - 1) - 1 and is the 100,001st generator
+    assert sum(may_e1_counts(2**127 * (2**320 - 1) - 2)) == 100_000
+    assert sum(may_e1_counts(2**127 * (2**320 - 1) - 1)) == 100_001
 
 
 def test_sharpness_report_mentions_everything(sample_stems):

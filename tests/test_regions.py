@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from motivic_stems import regions
 from motivic_stems.charts import StemsTable, load_sample_stems
 from motivic_stems.groups import TRIVIAL_GROUP, Z_MOD_2, GroupDescriptor
 from motivic_stems.regions import (
@@ -78,6 +79,16 @@ def test_tau_local_values_follow_the_table():
     assert resolve_group(5, 2, other).group_str == "Z/4"
     assert resolve_group(5, 2, table).group_str == "Z/2"
     assert resolve_group(5, 2).group_str == "pi_5"
+
+
+def test_the_tau_local_memo_is_bounded_and_one_stems_cells_share_a_value():
+    memo = regions._tau_local_value
+    bound = memo.cache_info().maxsize
+    assert bound is not None
+    for s in range(10**6, 10**6 + 2 * bound + 1):
+        # w = 0 and w = 1 are both tau-local for s >= 1
+        assert resolve_group(s, 0) is resolve_group(s, 1)
+    assert memo.cache_info().currsize <= bound
 
 
 @pytest.mark.parametrize(

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 from motivic_stems.charts import lift_to_motivic, parse_chart
 from motivic_stems import render
+from motivic_stems.families import builtin_families
 from motivic_stems.regions import RegionLabel, classify, resolve_group
 from motivic_stems.render import (
+    FAMILY_PALETTE,
     REGION_FILL,
     ChartStyle,
     RenderError,
@@ -216,6 +218,7 @@ def test_motivic_chart_default_style(sample_chart):
 
 
 SVG = "{http://www.w3.org/2000/svg}"
+ALL_OVERLAYS = ("Pk_h1_4", "w1_family", "Pk_h1", "eta_powers", "tau_powers")
 
 
 def _layer(svg: str, layer_id: str) -> list:
@@ -235,7 +238,9 @@ def test_region_chart_coordinates_match_an_exact_oracle(sample_stems, s_min, s_l
     # the lattice point (s, w) sits at x = 56 + (s - s_min + 1/2)*scale,
     # y = 36 + (w_max + 1/2 - w)*scale, and its cell spans scale/2 either side
     s_max, w_max = min(30, s_min + s_len), min(30, w_min + w_len)
-    style = ChartStyle(s_min=s_min, s_max=s_max, w_min=w_min, w_max=w_max, scale=scale, group_dots=True)
+    style = ChartStyle(
+        s_min=s_min, s_max=s_max, w_min=w_min, w_max=w_max, scale=scale, group_dots=True, family_overlays=ALL_OVERLAYS
+    )
     svg = region_chart_svg(style, stems_table=sample_stems)
     half = Fraction(1, 2)
 
@@ -287,6 +292,24 @@ def test_region_chart_coordinates_match_an_exact_oracle(sample_stems, s_min, s_l
     ]
     assert seen == dots
 
+    # each overlay's members in the window, in k order, the first one labelled;
+    # no member past k = 63 is in a window within |s|, |w| <= 30, since each
+    # step raises the stem or, on the tau tower, lowers the weight
+    families = {f.name: f for f in builtin_families()}
+    marks = []
+    for color, name in zip(FAMILY_PALETTE, ALL_OVERLAYS):
+        members = map(families[name].bidegree, range(64))
+        shown = [p for p in members if s_min <= p.s <= s_max and w_min <= p.w <= w_max]
+        marks += [("circle", fmt3(x(p.s)), fmt3(y(p.w)), fmt3(Fraction(3, 10) * scale), color) for p in shown]
+        marks += [("text", fmt3(x(p.s) + 6), fmt3(y(p.w) - 6), name, color) for p in shown[:1]]
+    seen = [
+        ("text", e.get("x"), e.get("y"), e.text, e.get("fill"))
+        if e.tag == f"{SVG}text"
+        else ("circle", e.get("cx"), e.get("cy"), e.get("r"), e.get("stroke"))
+        for e in _layer(svg, "families")
+    ]
+    assert seen == marks
+
 
 @given(
     st.integers(1, 41),
@@ -321,9 +344,6 @@ def test_motivic_chart_offsets_match_an_exact_oracle(scale, s_min, s_len, f_min,
         for e in _layer(svg, "classes")
     }
     assert seen == expected
-
-
-ALL_OVERLAYS = ("Pk_h1_4", "w1_family", "Pk_h1", "eta_powers", "tau_powers")
 
 
 # SHA-256 of renders beyond the golden files' two windows and scales: small and

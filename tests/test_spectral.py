@@ -200,7 +200,7 @@ def test_turn_page_rejects_an_earlier_page_and_turns_a_later_one(presentation_an
     presentation, d3 = presentation_and_d3
     state = turn_page(initial_page(presentation, einfty_window), d3)
     assert state.page == 4
-    with pytest.raises(ValueError, match="differential is for page 3, state is on page 4"):
+    with pytest.raises(DifferentialSpecError, match="differential is for page 3, state is on page 4"):
         turn_page(state, d3)
 
 
