@@ -117,29 +117,27 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=f"Chart and stems paths accept the literal 'sample' for the bundled data; "
         f"set {DATA_ENV_VAR} to point at a different data directory.",
     )
+    # the arguments that several subcommands share, each declared once on a parent parser
+    bidegree, stems, chart, output = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    bidegree.add_argument("s", type=int)
+    bidegree.add_argument("w", type=int)
+    stems.add_argument("--stems", default="sample", help="stems table file, or 'sample'")
+    chart.add_argument("--chart", default="sample", help="classical chart file, or 'sample'")
+    output.add_argument("-o", "--output", default=None, help="output file; stdout when omitted")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", help="region of a bidegree (s, w)")
-    p.add_argument("s", type=int)
-    p.add_argument("w", type=int)
+    p = sub.add_parser("classify", parents=[bidegree], help="region of a bidegree (s, w)")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("group", help="resolved group value at (s, w)")
-    p.add_argument("s", type=int)
-    p.add_argument("w", type=int)
-    p.add_argument("--stems", default="sample", help="stems table file, or 'sample'")
+    p = sub.add_parser("group", parents=[bidegree, stems], help="resolved group value at (s, w)")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_group)
 
-    p = sub.add_parser("ctau", help="homotopy of the cofiber of tau at (s, w)")
-    p.add_argument("s", type=int)
-    p.add_argument("w", type=int)
-    p.add_argument("--chart", default="sample", help="classical chart file, or 'sample'")
+    p = sub.add_parser("ctau", parents=[bidegree, chart], help="homotopy of the cofiber of tau at (s, w)")
     p.set_defaults(func=_cmd_ctau)
 
-    p = sub.add_parser("localize", help="eta-localize the classes of a chart")
-    p.add_argument("--chart", default="sample")
+    p = sub.add_parser("localize", parents=[chart], help="eta-localize the classes of a chart")
     p.add_argument("--name", help="restrict to one class")
     p.add_argument("--max-steps", type=int, default=None)
     p.set_defaults(func=_cmd_localize)
@@ -162,33 +160,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chart", help="render charts")
     chart_sub = p.add_subparsers(dest="chart_command", required=True)
 
-    pc = chart_sub.add_parser("regions", help="SVG of the four-region picture")
+    pc = chart_sub.add_parser("regions", parents=[stems, output], help="SVG of the four-region picture")
     pc.add_argument("--window", default=None, help="smin:smax:wmin:wmax; ChartStyle's window when omitted")
     pc.add_argument("--scale", type=int, default=ChartStyle.scale)
     pc.add_argument("--dots", action="store_true", help="mark each lattice point with its group")
     family_names = [f.name for f in builtin_families()]
     pc.add_argument("--overlay", action="append", default=[], choices=family_names, help="family name; repeatable")
-    pc.add_argument("--stems", default="sample")
-    pc.add_argument("-o", "--output", default=None, help="output file; stdout when omitted")
     pc.set_defaults(func=_cmd_chart_regions)
 
-    pc = chart_sub.add_parser("groups", help="TSV of resolved groups over a window")
+    pc = chart_sub.add_parser("groups", parents=[stems, output], help="TSV of resolved groups over a window")
     pc.add_argument("--window", default=None, help="smin:smax:wmin:wmax; the golden file's window when omitted")
-    pc.add_argument("--stems", default="sample")
-    pc.add_argument("-o", "--output", default=None)
     pc.set_defaults(func=_cmd_chart_groups)
 
-    pc = chart_sub.add_parser("motivic", help="SVG of the motivic lift of a chart")
-    pc.add_argument("--chart", default="sample")
+    pc = chart_sub.add_parser("motivic", parents=[chart, output], help="SVG of the motivic lift of a chart")
     pc.add_argument("--window", default=None, help="smin:smax:fmin:fmax")
     pc.add_argument("--scale", type=int, default=MOTIVIC_SCALE)
-    pc.add_argument("-o", "--output", default=None)
     pc.set_defaults(func=_cmd_chart_motivic)
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("suites", nargs="*", help=f"subset of {', '.join(verify_mod.SUITES)}; all when omitted")
     p.add_argument("--table", action="store_true", help="with einfty: per-tridegree comparison table")
-    p.add_argument("--einfty-window", default=None, help="override, e.g. tau=0:8,alpha1=-12:12,alpha3=0:6,alpha4=0:1")
+    example = ",".join(f"{name}={lo}:{hi}" for name, (lo, hi) in verify_mod.EINFTY_WINDOW.items())
+    p.add_argument("--einfty-window", default=None, help=f"override, e.g. {example}")
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -274,7 +267,7 @@ def _cmd_chart_regions(args, parser: argparse.ArgumentParser) -> int:
         *(() if args.window is None else _parse_window4(args.window, parser)),
         scale=args.scale,
         group_dots=args.dots,
-        family_overlays=tuple(args.overlay),
+        family_overlays=tuple(dict.fromkeys(args.overlay)),
     )
     table = _load_stems(args.stems) if args.dots else None
     _emit(region_chart_svg(style, stems_table=table), args.output)

@@ -54,7 +54,7 @@ from .families import (
 )
 from .regions import RegionLabel, adams_weak_bound, classify, eta_local_group, resolve_group
 from .render import MOTIVIC_SCALE, ChartStyle, bidegree_window, groups_tsv, motivic_chart_svg, region_chart_svg
-from .resources import read_data_text
+from .resources import SAMPLE_CHART_FILE, SAMPLE_STEMS_FILE, read_data_text
 from .spectral import (
     Certainty,
     d_sum,
@@ -704,7 +704,7 @@ def check_families() -> list[CheckResult]:
 
 def check_roundtrip() -> list[CheckResult]:
     results = []
-    chart_text = read_data_text("sample_chart.txt")
+    chart_text = read_data_text(SAMPLE_CHART_FILE)
     chart = parse_chart(chart_text)
     canonical = serialize_chart(chart)
     results.append(
@@ -714,7 +714,7 @@ def check_roundtrip() -> list[CheckResult]:
             f"{len(chart.classes)} classes, s_max {chart.s_max}",
         )
     )
-    stems_text = read_data_text("stems.txt")
+    stems_text = read_data_text(SAMPLE_STEMS_FILE)
     stems = parse_stems(stems_text)
     results.append(
         CheckResult(

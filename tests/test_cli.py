@@ -363,6 +363,11 @@ def test_verify_runs_a_suite_named_twice_once(capsys):
     assert run(capsys, "verify", "ctau", "families", "ctau") == run(capsys, "verify", "ctau", "families")
 
 
+def test_an_overlay_named_twice_is_drawn_once(capsys):
+    twice = run(capsys, "chart", "regions", "--overlay", "Pk_h1", "--overlay", "Pk_h1", "--overlay", "w1_family")
+    assert twice == run(capsys, "chart", "regions", "--overlay", "Pk_h1", "--overlay", "w1_family")
+
+
 CHEAP_SUITES = ("ctau", "localization", "families", "roundtrip", "golden")  # each under 4 ms
 needs_affinity = pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="verify forks workers on Linux only")
 
@@ -515,6 +520,94 @@ def test_verify_einfty_window_is_checked_at_parse_time(capsys, bounds, message):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+def help_text(capsys, monkeypatch, *argv):
+    monkeypatch.setenv("COLUMNS", "200")  # argparse wraps help to the terminal's width
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_the_einfty_window_example_is_the_suites_window(capsys, monkeypatch):
+    example = re.search(r"e\.g\. (\S+)", help_text(capsys, monkeypatch, "verify")).group(1)
+    assert cli._parse_exponent_window(example, cli.build_parser()) == verify.EINFTY_WINDOW
+
+
+@pytest.mark.parametrize(
+    "option, entry, commands",
+    [
+        ("--stems", "--stems STEMS stems table file, or 'sample'", [["group"], ["chart", "regions"], ["chart", "groups"]]),
+        ("--chart", "--chart CHART classical chart file, or 'sample'", [["ctau"], ["localize"], ["chart", "motivic"]]),
+        (
+            "-o",
+            "-o OUTPUT, --output OUTPUT output file; stdout when omitted",
+            [["chart", "regions"], ["chart", "groups"], ["chart", "motivic"]],
+        ),
+    ],
+    ids=["stems", "chart", "output"],
+)
+def test_a_shared_option_has_one_help_entry(capsys, monkeypatch, option, entry, commands):
+    # an entry runs from its option to the next line indented as little as an option; argparse's
+    # column padding and line breaks are collapsed to single spaces
+    for argv in commands:
+        text = help_text(capsys, monkeypatch, *argv)
+        assert " ".join(re.search(rf"^  {option} .*?(?=^ {{0,2}}\S|\Z)", text, re.M | re.S).group().split()) == entry
+
+
+@pytest.mark.parametrize(
+    "argv, namespace",
+    [
+        (["classify", "10", "8"], {"command": "classify", "s": 10, "w": 8, "pretty": False}),
+        (["group", "3", "1"], {"command": "group", "s": 3, "w": 1, "stems": "sample", "pretty": False}),
+        (
+            ["group", "-1", "2", "--stems", "x.txt", "--pretty"],
+            {"command": "group", "s": -1, "w": 2, "stems": "x.txt", "pretty": True},
+        ),
+        (["ctau", "3", "2"], {"command": "ctau", "s": 3, "w": 2, "chart": "sample"}),
+        (["localize"], {"command": "localize", "chart": "sample", "name": None, "max_steps": None}),
+        (
+            ["localize", "--chart", "c.txt", "--name", "h1", "--max-steps", "3"],
+            {"command": "localize", "chart": "c.txt", "name": "h1", "max_steps": 3},
+        ),
+        (
+            ["chart", "regions"],
+            {
+                "command": "chart", "chart_command": "regions", "window": None, "scale": 20, "dots": False,
+                "overlay": [], "stems": "sample", "output": None,
+            },
+        ),
+        (
+            ["chart", "regions", "--window", "0:1:0:1", "--scale", "9", "--dots", "--overlay", "Pk_h1",
+             "--stems", "t.txt", "-o", "f.svg"],
+            {
+                "command": "chart", "chart_command": "regions", "window": "0:1:0:1", "scale": 9, "dots": True,
+                "overlay": ["Pk_h1"], "stems": "t.txt", "output": "f.svg",
+            },
+        ),
+        (
+            ["chart", "groups"],
+            {"command": "chart", "chart_command": "groups", "window": None, "stems": "sample", "output": None},
+        ),
+        (
+            ["chart", "motivic"],
+            {"command": "chart", "chart_command": "motivic", "chart": "sample", "window": None, "scale": 24, "output": None},
+        ),
+        (
+            ["chart", "motivic", "--chart", "c.txt", "--window", "0:1:0:1", "--scale", "3", "--output", "m.svg"],
+            {
+                "command": "chart", "chart_command": "motivic", "chart": "c.txt", "window": "0:1:0:1", "scale": 3,
+                "output": "m.svg",
+            },
+        ),
+    ],
+)
+def test_parsed_arguments(argv, namespace):
+    # the dest and default of every argument, so that none moves unseen
+    parsed = vars(cli.build_parser().parse_args(argv))
+    del parsed["func"]
+    assert parsed == namespace
 
 
 def _chart_with_smax(tmp_path, s_max):
