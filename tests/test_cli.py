@@ -536,24 +536,25 @@ def test_the_einfty_window_example_is_the_suites_window(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "option, entry, commands",
+    "option, option_help, commands",
     [
-        ("--stems", "--stems STEMS stems table file, or 'sample'", [["group"], ["chart", "regions"], ["chart", "groups"]]),
-        ("--chart", "--chart CHART classical chart file, or 'sample'", [["ctau"], ["localize"], ["chart", "motivic"]]),
-        (
-            "-o",
-            "-o OUTPUT, --output OUTPUT output file; stdout when omitted",
-            [["chart", "regions"], ["chart", "groups"], ["chart", "motivic"]],
-        ),
+        ("--stems", "stems table file, or 'sample'", [["group"], ["chart", "regions"], ["chart", "groups"]]),
+        ("--chart", "classical chart file, or 'sample'", [["ctau"], ["localize"], ["chart", "motivic"]]),
+        ("-o", "output file; stdout when omitted", [["chart", "regions"], ["chart", "groups"], ["chart", "motivic"]]),
     ],
     ids=["stems", "chart", "output"],
 )
-def test_a_shared_option_has_one_help_entry(capsys, monkeypatch, option, entry, commands):
+def test_a_shared_option_has_one_help_entry(capsys, monkeypatch, option, option_help, commands):
     # an entry runs from its option to the next line indented as little as an option; argparse's
-    # column padding and line breaks are collapsed to single spaces
+    # column padding and line breaks are collapsed to single spaces. How argparse writes the
+    # option and its metavar differs between Python versions, so the entries are compared with
+    # each other and only their help text is pinned
+    entries = set()
     for argv in commands:
         text = help_text(capsys, monkeypatch, *argv)
-        assert " ".join(re.search(rf"^  {option} .*?(?=^ {{0,2}}\S|\Z)", text, re.M | re.S).group().split()) == entry
+        entry = re.search(rf"^  {option}[ ,].*?(?=^ {{0,2}}\S|\Z)", text, re.M | re.S).group()
+        entries.add(" ".join(entry.split()))
+    assert len(entries) == 1 and entries.pop().endswith(f" {option_help}")
 
 
 @pytest.mark.parametrize(
