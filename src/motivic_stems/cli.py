@@ -269,8 +269,7 @@ def _cmd_chart_regions(args, parser: argparse.ArgumentParser) -> int:
         group_dots=args.dots,
         family_overlays=tuple(dict.fromkeys(args.overlay)),
     )
-    table = _load_stems(args.stems) if args.dots else None
-    _emit(region_chart_svg(style, stems_table=table), args.output)
+    _emit(region_chart_svg(style, stems_table=_load_stems(args.stems)), args.output)
     return 0
 
 

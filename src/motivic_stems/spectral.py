@@ -12,7 +12,8 @@ at t means the window contained every differential interaction of t's
 fibre: every Leibniz term out of it and out of its source fibre, and every
 valid monomial that reaches t with an odd coefficient. One pass over the
 differential's offsets per page turn gives the window form of both: the
-Leibniz rule on monomial indices, and the key set of those reached from
+Leibniz rule on monomial indices, and, by one rule, the key sets of the
+tridegrees with a term that leaves the window and of those reached from
 outside. Where the window's fibre equals the full fibre of the algebra, as
 it does on the built-in instance, a VALID answer equals the answer in the
 infinite algebra.
@@ -241,8 +242,8 @@ def initial_page(presentation: MonomialAlgebraPresentation, window: Window) -> P
     )
 
 
-def _window_form(diff: DifferentialSpec, window: Window, grid: TridegreeView) -> tuple[list[tuple], set[int]]:
-    """``diff.offsets`` over the window in one pass: the Leibniz rule in index form, and the window-reach keys.
+def _window_form(diff: DifferentialSpec, window: Window, grid: TridegreeView) -> tuple[list[tuple], set[int], set[int]]:
+    """``diff.offsets`` over the window in one pass: the Leibniz rule in index form, the forward and reach keys.
 
     Slot j of a monomial index e (``enumerate_basis``) holds the digit e //
     stride_j % radix_j, the exponent less lo_j. A table entry holds the stride
@@ -250,44 +251,43 @@ def _window_form(diff: DifferentialSpec, window: Window, grid: TridegreeView) ->
     (stride, radix) of the others, which give the coefficient's parity; delta
     = sum(off_j * stride_j), so the term is e + delta; for each slot the
     offset moves, the modulus stride_j * radix_j and the range of e modulo it
-    where the digit stays in range after the move; and for each square-zero
-    slot it raises, the modulus and the least e modulo it where the term's
-    exponent passes 1.
+    where the digit stays in range after the move.
 
-    The keys are those, sum(n[j] * pack(degree of generator j)), of the
-    window monomials n that a valid monomial outside the window reaches with
-    an odd coefficient. For one entry and one pattern of its generators'
-    exponent parities with an odd sum, those n are a union over k of products
-    of exponent ranges: n in the window; n - off not negative on each
-    generator that is not invertible, at most 1 on each square-zero one, and
-    of the pattern's parity; and n - off outside the window on generator k.
+    A key set holds sum(n[j] * pack(degree of generator j)) over the window
+    monomials n with n + v valid and outside the window and an odd exponent
+    sum of n + c over the entry's generators: v = off and c = 0 for the
+    forward keys, of n with a term outside, and v = c = -off for the reach
+    keys, of n reached from outside. For one pattern of exponent parities
+    with an odd sum, those n are a union over k of products of ranges: n in
+    the window, n + v valid, n + c of the pattern, n + v outside on k.
     """
     gens = diff.presentation.generators
     bounds = window.effective_bounds(diff.presentation)
     digits = _digits(bounds)
     weights = [grid.pack(gen.degree) for gen in gens]
-    table, keys = [], set()
-    for gs, off, raised in diff.offsets:
+    table, leaves, reached = [], set(), set()
+    for gs, off, _ in diff.offsets:
         (stride, radix, _), *more = (digits[g] for g in gs)
         moved = [(s * r, max(0, -o) * s, min(r, r - o) * s) for (s, r, _), o in zip(digits, off) if o]
-        kills = [(s * r, max(0, 2 - a - off[j]) * s) for j in raised for s, r, a in [digits[j]]]
         flip = sum(digits[g][2] for g in gs)
         delta = sum(o * s for o, (s, _, _) in zip(off, digits))
-        table.append((stride, radix, flip, [(s, r) for s, r, _ in more], delta, moved, kills))
-        valid = [
-            (lo if gen.invertible else max(lo, o), min(hi, 1 + o) if gen.square_zero else hi)
-            for gen, (lo, hi), o in zip(gens, bounds, off)
-        ]
-        for parities in filter(lambda p: sum(p) % 2, product((0, 1), repeat=len(gs))):
-            spans = [range(a, b + 1) for a, b in valid]
-            for g, p in zip(gs, parities):
-                a, b = valid[g]
-                spans[g] = range(a + (a - off[g] - p) % 2, b + 1, 2)
-            terms = [[n * w for n in span] for span, w in zip(spans, weights)]
-            for k, (lo, hi) in enumerate(bounds):
-                outside = [n * weights[k] for n in spans[k] if not lo <= n - off[k] <= hi]
-                keys.update(map(sum, product(*terms[:k], outside, *terms[k + 1 :])))
-    return table, keys
+        table.append((stride, radix, flip, [(s, r) for s, r, _ in more], delta, moved))
+        back = [-o for o in off]
+        for keys, v, c in ((leaves, off, [0] * len(off)), (reached, back, back)):
+            valid = [
+                (lo if gen.invertible else max(lo, -x), min(hi, 1 - x) if gen.square_zero else hi)
+                for gen, (lo, hi), x in zip(gens, bounds, v)
+            ]
+            for parities in filter(lambda p: sum(p) % 2, product((0, 1), repeat=len(gs))):
+                spans = [range(a, b + 1) for a, b in valid]
+                for g, p in zip(gs, parities):
+                    a, b = valid[g]
+                    spans[g] = range(a + (a + c[g] - p) % 2, b + 1, 2)
+                terms = [[n * w for n in span] for span, w in zip(spans, weights)]
+                for k, (lo, hi) in enumerate(bounds):
+                    outside = [n * weights[k] for n in spans[k] if not lo <= n + v[k] <= hi]
+                    keys.update(map(sum, product(*terms[:k], outside, *terms[k + 1 :])))
+    return table, leaves, reached
 
 
 def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
@@ -319,7 +319,7 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
     where d_r is nonzero into or out of t, the tridegree at the other end
     was VALID on the previous page. ``_window_form`` reads the window once
     per page turn: it gives the index-form table of the Leibniz terms and the
-    packed keys of the window-reach check, one lookup per tridegree.
+    packed keys of the forward and reach checks, one lookup each per tridegree.
     """
     if diff.page < state.page:
         raise DifferentialSpecError(f"differential is for page {diff.page}, state is on page {state.page}")
@@ -328,7 +328,8 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
     grid, shift = state.basis, diff.shift
     (index, starts), vectors, status, boundaries = grid.data, state.vectors.data, state.status.data, state.boundaries
     packed, step, (rf, rw) = grid.packed, grid.pack(shift), grid.radices
-    table, reached = _window_form(diff, state.window, grid)
+    table, leaves, reached = _window_form(diff, state.window, grid)
+    inside = [(*row[:5], row[5] if raised else ()) for row, (_, _, raised) in zip(table, diff.offsets)]
     order, behind = (reversed, gt) if step < 0 else (iter, lt)
     walk = zip(order(range(len(packed))), order(packed), order(vectors), order(status))
     # past enumerate_basis's reach guard the shift has no target, and the pointer searches no key
@@ -349,21 +350,20 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
         # A term e + delta lies in the window exactly when every slot the
         # offset moves keeps its digit in range, and then sits in the target
         # fibre, found by bisection in its sorted indices. A term outside is
-        # zero when a raised square-zero slot passes 1; any other is dropped
-        # from the matrix, and the tridegree is not forward-closed.
-        forward = True
+        # dropped from the matrix. It is zero unless it is valid, and only a
+        # forward key's monomials have valid ones, so elsewhere only an entry
+        # that raises a square-zero slot needs the test (``inside``).
+        forward = key not in leaves
         images = []
         for e in index[a:b]:
             bits = 0
-            for s, r, flip, more, delta, moved, kills in table:
+            for s, r, flip, more, delta, moved in inside if forward else table:
                 odd = e // s % r + flip
                 if more:
                     odd += sum([e // t % q for t, q in more])
                 if odd & 1:
                     for m, lo, hi in moved:
                         if not lo <= e % m < hi:
-                            if not any(e % n >= k for n, k in kills):
-                                forward = False
                             break
                     else:
                         bits ^= 1 << bisect_left(index, e + delta, first, last) - first

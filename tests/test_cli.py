@@ -158,6 +158,7 @@ def test_unreadable_files_are_data_errors(capsys, tmp_path):
         ["group", "3", "1", "--stems", str(binary)],
         ["ctau", "3", "2", "--chart", str(tmp_path)],
         ["chart", "groups", "--window", "0:3:0:3", "-o", str(tmp_path)],
+        ["chart", "regions", "--stems", str(binary)],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 1, argv

@@ -634,26 +634,32 @@ def _presentations_in_any_window(draw):
 def test_the_index_form_terms_are_the_leibniz_terms_in_the_window(case):
     # turn_page's Leibniz rule on monomial indices, read from the table of its
     # window form as its docstring says, against DifferentialSpec.terms on
-    # exponent tuples
+    # exponent tuples; and its forward keys, against every term of every
+    # window monomial: t is in them exactly when a monomial at t has a term
+    # outside the window
     presentation, diff, window = case
     bounds = window.effective_bounds(presentation)
     grid = enumerate_basis(presentation, window)
     strides = [prod(b - a + 1 for a, b in bounds[j + 1 :]) for j in range(len(bounds))]
     exponents = dict(zip(grid.data[0], (e for mons in grid.values() for e in mons)))
     assert sorted(exponents) == list(range(len(exponents)))
-    table, _ = spectral._window_form(diff, window, grid)
+    table, leaves, _ = spectral._window_form(diff, window, grid)
     for n, e in exponents.items():
         assert n == sum((x - a) * stride for x, (a, _), stride in zip(e, bounds, strides))
-        terms, forward = [], True
-        for s, r, flip, more, delta, moved, kills in table:
+        terms = []
+        for s, r, flip, more, delta, moved in table:
             if (n // s % r + flip + sum(n // t % q for t, q in more)) % 2:
                 if all(lo <= n % m < hi for m, lo, hi in moved):
                     terms.append(exponents[n + delta])
-                elif not any(n % m >= k for m, k in kills):
-                    forward = False
         inside = [p for p in diff.terms(e) if window.contains(presentation, Monomial(p))]
         assert sorted(terms) == sorted(inside)
-        assert forward == (len(inside) == len(diff.terms(e)))
+    leaving = {
+        t
+        for t, mons in grid.items()
+        if any(not window.contains(presentation, Monomial(p)) for e in mons for p in diff.terms(e))
+    }
+    assert leaves <= set(grid.packed)
+    assert {grid.tridegree(key) for key in leaves} == leaving
 
 
 @given(_presentations_in_any_window())
@@ -666,7 +672,7 @@ def test_the_window_reach_keys_are_the_tridegrees_reached_from_outside(case):
     # the window reaches a monomial at t with an odd coefficient
     presentation, diff, window = case
     grid = enumerate_basis(presentation, window)
-    _, keys = spectral._window_form(diff, window, grid)
+    _, _, keys = spectral._window_form(diff, window, grid)
     reached = set()
     for t, mons in grid.items():
         for n in mons:
