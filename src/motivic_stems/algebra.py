@@ -267,9 +267,8 @@ class TridegreeView(Mapping):
     ``packed`` holds the packed ints sorted, so in (s, f, w) order, and every view of one grid shares it; a key's
     position in it is the position of its value. ``read`` turns a position into its value, by default ``data[i]``,
     which belongs to ``packed[i]``; ``enumerate_basis``'s view holds monomial indices and decodes them on read.
-    ``tridegree`` decodes a key. A lookup packs its tridegree, finds the key by bisection, and misses, raising
-    ``KeyError``, unless the key is the grid's and t's f and w lie in the padded ranges above ``origin``, where packing
-    is one to one; anything that is not a tuple of three ints misses too. Iteration decodes each key as it is read.
+    ``tridegree`` decodes a key. A lookup hits only when bisection finds t's packed key and it decodes back to t, as
+    in a dict: an alias of a grid key misses, and a miss raises ``KeyError``. Iteration decodes each key.
     """
 
     def __init__(self, origin: Tridegree, radices: tuple[int, int], packed: list[int], data, read=None):
@@ -292,11 +291,10 @@ class TridegreeView(Mapping):
 
     def __getitem__(self, t: Tridegree) -> Any:
         try:
-            (_, f0, w0), (rf, rw), (_, f, w) = self.origin, self.radices, t if isinstance(t, tuple) else ()
             key = self.pack(t)
             i = bisect_left(self.packed, key)
-            hit = type(key) is int and self.packed[i] == key and f0 <= f < f0 + rf and w0 <= w < w0 + rw
-        except (TypeError, ValueError, IndexError):  # t is not a triple of ints, or its key is past the last
+            hit = self.packed[i] == key and self.tridegree(key) == t
+        except (TypeError, IndexError):  # t does not pack, or its key is past the last
             hit = False
         if not hit:
             raise KeyError(t)

@@ -1,7 +1,8 @@
 """Command line interface.
 
 Machine-readable `key=value` output on stdout, prose behind --pretty, errors
-on stderr. Exit codes: 0 on success, 1 when a file cannot be read, data fails
+on stderr. A command raises on a bad input, and `main` alone turns the outcome
+into the exit code: 0 on success, 1 when a file cannot be read, data fails
 validation or a verification check fails, 2 for usage errors.
 """
 
@@ -12,6 +13,7 @@ import contextlib
 import math
 import os
 import sys
+from argparse import ArgumentTypeError
 from pathlib import Path
 
 from .algebra import PresentationError, Window
@@ -65,37 +67,37 @@ def _load_stems(path: str):
     return parse_stems(Path(path).read_text(encoding="utf-8"))
 
 
-def _parse_window4(text: str, parser: argparse.ArgumentParser) -> tuple[int, int, int, int]:
+def _parse_window4(text: str, form: str = "smin:smax:wmin:wmax") -> tuple[int, int, int, int]:
     parts = text.split(":")
     if len(parts) != 4:
-        parser.error(f"--window expects smin:smax:wmin:wmax, got {text!r}")
+        raise ArgumentTypeError(f"--window expects {form}, got {text!r}")
     try:
         s_min, s_max, w_min, w_max = (int(p) for p in parts)
     except ValueError:
-        parser.error(f"--window has a non-integer bound in {text!r}")
+        raise ArgumentTypeError(f"--window has a non-integer bound in {text!r}") from None
     if (cells := max(0, s_max - s_min + 1) * max(0, w_max - w_min + 1)) > MAX_CHART_CELLS:
-        parser.error(f"--window holds {cells:,} cells, more than the limit of {MAX_CHART_CELLS:,}")
+        raise ArgumentTypeError(f"--window holds {cells:,} cells, more than the limit of {MAX_CHART_CELLS:,}")
     return s_min, s_max, w_min, w_max
 
 
-def _parse_exponent_window(text: str, parser: argparse.ArgumentParser) -> dict[str, tuple[int, int]]:
+def _parse_exponent_window(text: str) -> dict[str, tuple[int, int]]:
     bounds: dict[str, tuple[int, int]] = {}
     for piece in text.split(","):
         name, _, span = piece.partition("=")
         lo_text, _, hi_text = span.partition(":")
         if name.strip() in bounds:
-            parser.error(f"--einfty-window gives {name.strip()!r} twice")
+            raise ArgumentTypeError(f"--einfty-window gives {name.strip()!r} twice")
         try:
             bounds[name.strip()] = (int(lo_text), int(hi_text))
         except ValueError:
-            parser.error(f"--einfty-window expects name=lo:hi[,...] with integer bounds, got {piece!r}")
+            raise ArgumentTypeError(f"--einfty-window expects name=lo:hi[,...] with integer bounds, got {piece!r}") from None
     presentation = localized_motivic_anss()[0]
     try:
         effective = Window.from_dict(presentation, bounds).effective_bounds(presentation)
     except PresentationError as exc:
-        parser.error(f"--einfty-window: {exc}")
+        raise ArgumentTypeError(f"--einfty-window: {exc}") from None
     if (n := math.prod(hi - lo + 1 for lo, hi in effective)) > MAX_EINFTY_MONOMIALS:
-        parser.error(f"--einfty-window holds {n:,} monomials, more than the limit of {MAX_EINFTY_MONOMIALS:,}")
+        raise ArgumentTypeError(f"--einfty-window holds {n:,} monomials, more than the limit of {MAX_EINFTY_MONOMIALS:,}")
     return bounds
 
 
@@ -187,32 +189,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_classify(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_classify(args) -> None:
     label = classify(args.s, args.w)
     print(f"region={label}")
     if args.pretty:
         print(f"pi_{{{args.s},{args.w}}}: {REGION_PROSE[str(label)]}")
-    return 0
 
 
-def _cmd_group(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_group(args) -> None:
     table = _load_stems(args.stems)
     value = resolve_group(args.s, args.w, table)
     print(f"group={value.group_str} generator={value.generator_str}")
     if args.pretty:
         print(f"region={value.region}; {REGION_PROSE[str(value.region)]}")
-    return 0
 
 
-def _cmd_ctau(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_ctau(args) -> None:
     chart = _load_chart(args.chart)
     print(f"group={ctau_homotopy(chart, args.s, args.w)}")
-    return 0
 
 
-def _cmd_localize(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_localize(args) -> None:
     if args.max_steps is not None and args.max_steps < 0:
-        parser.error(f"--max-steps must be >= 0, got {args.max_steps}")
+        raise ArgumentTypeError(f"--max-steps must be >= 0, got {args.max_steps}")
     chart = _load_chart(args.chart)
     results = eta_localize_chart(chart, max_steps=args.max_steps)
     if args.name and args.name not in results:
@@ -221,10 +220,9 @@ def _cmd_localize(args, parser: argparse.ArgumentParser) -> int:
     for r in shown:  # chart classes, and so the results, are in (s, f, name) order
         target = r.value.name if r.value is not None else "0"
         print(f"{r.cls.name} ({r.cls.s},{r.cls.f}): {r.status} -> {target} steps={r.steps}")
-    return 0
 
 
-def _cmd_ingest(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_ingest(args) -> None:
     if args.kind == "chart":
         chart = _load_chart(args.path)
         print(
@@ -239,10 +237,9 @@ def _cmd_ingest(args, parser: argparse.ArgumentParser) -> int:
         print(f"ok: {stems}, provenance={table.provenance or '(none)'}")
         if args.canonical:
             _emit(serialize_stems(table), None)
-    return 0
 
 
-def _cmd_families_list(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_families_list(args) -> None:
     for fam in builtin_families():
         print(f"{fam.name}: base={fam.base} period={fam.period} annihilated_by={fam.annihilated_by}")
         if fam.period.s != 0:
@@ -251,44 +248,39 @@ def _cmd_families_list(args, parser: argparse.ArgumentParser) -> int:
         print(f"  {fam.note}")
     print()
     print(sharpness_report(load_sample_stems()))
-    return 0
 
 
-def _cmd_may_census(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_may_census(args) -> None:
     if (lines := sum(families.may_e1_counts(args.max_stem))) > MAX_CENSUS_LINES:
-        parser.error(f"the census holds {lines:,} generators, more than the limit of {MAX_CENSUS_LINES:,}")
+        raise ArgumentTypeError(f"the census holds {lines:,} generators, more than the limit of {MAX_CENSUS_LINES:,}")
     for g in may_e1_generators(args.max_stem):
         print(f"{g.name} stem={g.stem} weight={g.weight}")
-    return 0
 
 
-def _cmd_chart_regions(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_chart_regions(args) -> None:
     style = ChartStyle(
-        *(() if args.window is None else _parse_window4(args.window, parser)),
+        *(() if args.window is None else _parse_window4(args.window)),
         scale=args.scale,
         group_dots=args.dots,
         family_overlays=tuple(dict.fromkeys(args.overlay)),
     )
     _emit(region_chart_svg(style, stems_table=_load_stems(args.stems)), args.output)
-    return 0
 
 
-def _cmd_chart_groups(args, parser: argparse.ArgumentParser) -> int:
-    bounds = verify_mod.GOLDEN_GROUPS_WINDOW if args.window is None else _parse_window4(args.window, parser)
+def _cmd_chart_groups(args) -> None:
+    bounds = verify_mod.GOLDEN_GROUPS_WINDOW if args.window is None else _parse_window4(args.window)
     window = bidegree_window(*bounds)
     table = _load_stems(args.stems)
     _emit(groups_tsv(window, stems_table=table), args.output)
-    return 0
 
 
-def _cmd_chart_motivic(args, parser: argparse.ArgumentParser) -> int:
-    style = None if args.window is None else ChartStyle(*_parse_window4(args.window, parser), scale=args.scale)
+def _cmd_chart_motivic(args) -> None:
+    style = None if args.window is None else ChartStyle(*_parse_window4(args.window, "smin:smax:fmin:fmax"), scale=args.scale)
     chart = _load_chart(args.chart)
     if style is None and (n := max(0, chart.s_max + 2)) ** 2 > MAX_CHART_CELLS:  # s and f in 0..s_max+1
-        parser.error(f"default window 0..{n - 1} holds {n * n:,} cells, more than the limit of {MAX_CHART_CELLS:,}")
+        raise ArgumentTypeError(f"default window 0..{n - 1} holds {n * n:,} cells, more than the limit of {MAX_CHART_CELLS:,}")
     lift = lift_to_motivic(chart)
     _emit(motivic_chart_svg(lift, style or motivic_chart_style(lift, args.scale)), args.output)
-    return 0
 
 
 def _run_suite(name: str, window_bounds: dict | None, table: bool) -> tuple[list, list[str]]:
@@ -299,15 +291,15 @@ def _run_suite(name: str, window_bounds: dict | None, table: bool) -> tuple[list
     return verify_mod.check_einfty(window_bounds, table=lines if table else None), lines
 
 
-def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
-    window_bounds = _parse_exponent_window(args.einfty_window, parser) if args.einfty_window else None
+def _cmd_verify(args) -> int:
+    window_bounds = _parse_exponent_window(args.einfty_window) if args.einfty_window else None
     names = list(dict.fromkeys(args.suites)) or list(verify_mod.SUITES)
     unknown = [n for n in names if n not in verify_mod.SUITES]
     if unknown:
-        parser.error(f"unknown suites: {', '.join(unknown)}; available: {', '.join(verify_mod.SUITES)}")
+        raise ArgumentTypeError(f"unknown suites: {', '.join(unknown)}; available: {', '.join(verify_mod.SUITES)}")
     flag = "--table" if args.table else "--einfty-window" if args.einfty_window else None
     if flag and "einfty" not in names:
-        parser.error(f"{flag} needs the einfty suite")
+        raise ArgumentTypeError(f"{flag} needs the einfty suite")
     suite_args = (names, [window_bounds] * len(names), [args.table] * len(names))
     # suites are independent, so on Linux more than one runs in forked workers, one per usable CPU
     workers = min(len(names), len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
@@ -338,8 +330,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
-    except RenderError as exc:  # every render argument comes from the command line
+        return args.func(args) or 0
+    except (ArgumentTypeError, RenderError) as exc:  # usage errors: every render argument comes from the command line
         parser.error(str(exc))
     except (ChartError, FamilyError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -278,6 +278,10 @@ def test_chart_regions_stdout_with_options(capsys):
     "argv, message",
     [
         pytest.param(["chart", "regions", "--window", "1:2:3"], "--window expects", id="short-window"),
+        # chart motivic's window bounds the filtration f, as its --help says
+        pytest.param(
+            ["chart", "motivic", "--window", "1:2"], "--window expects smin:smax:fmin:fmax", id="motivic-short-window"
+        ),
         pytest.param(["chart", "groups", "--window=0:x:0:1"], "--window has a non-integer bound", id="non-integer"),
         pytest.param(
             ["chart", "regions", "--window=5:4:0:1"], "error: empty chart range: s in [5,4]", id="regions-s-reversed"
@@ -533,7 +537,7 @@ def help_text(capsys, monkeypatch, *argv):
 
 def test_the_einfty_window_example_is_the_suites_window(capsys, monkeypatch):
     example = re.search(r"e\.g\. (\S+)", help_text(capsys, monkeypatch, "verify")).group(1)
-    assert cli._parse_exponent_window(example, cli.build_parser()) == verify.EINFTY_WINDOW
+    assert cli._parse_exponent_window(example) == verify.EINFTY_WINDOW
 
 
 @pytest.mark.parametrize(

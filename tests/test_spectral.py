@@ -23,6 +23,7 @@ from motivic_stems.algebra import (
     Window,
     enumerate_basis,
 )
+from motivic_stems.regions import RegionLabel, classify, eta_local_group
 from motivic_stems.spectral import (
     Certainty,
     DifferentialSpec,
@@ -594,13 +595,15 @@ def test_a_lookup_outside_the_padded_range_is_a_key_error(presentation_and_d3, e
 
 def test_a_lookup_of_a_fractional_alias_is_a_key_error(presentation_and_d3, einfty_window):
     # the padded radix of f is odd, so (s - 1/2, f + rf/2, w) packs to the
-    # key of (s, f, w) with its f and w in the padded ranges: only the type
-    # of the key tells it from the grid's tridegree
+    # key of (s, f, w) with its f and w in the padded ranges: the key decodes
+    # to (s, f, w), not to the alias, so the lookup misses
     grid = enumerate_basis(presentation_and_d3[0], einfty_window)
     t, (rf, _) = next(iter(grid)), grid.radices
     alias = Tridegree(t.s - 0.5, t.f + rf / 2, t.w)
     assert grid.pack(alias) == grid.pack(t) and t in grid
     assert alias not in grid
+    # a float triple equal to the grid's tridegree is the same key, as in a dict
+    assert grid[Tridegree(float(t.s), float(t.f), float(t.w))] == grid[t]
 
 
 def test_items_zips_keys_and_values_with_no_lookup(monkeypatch, presentation_and_d3, einfty_window):
@@ -1052,6 +1055,27 @@ def _builtin_case(alpha1_shift):
     lo, hi = bounds["alpha1"]
     bounds["alpha1"] = (lo + alpha1_shift, hi + alpha1_shift)
     return presentation, diffs, Window.from_dict(presentation, bounds)
+
+
+@pytest.mark.parametrize("k, bidegrees", [(1, 65), (2, 252)])
+def test_the_eta_local_region_is_the_engines_einfty(presentation_and_d3, k, bidegrees):
+    # The paper's eta-local region, read off F2[eta^(+-1), sigma, mu9] / sigma^2
+    # by regions.eta_local_group, against the engine's E-infinity in the einfty
+    # suite's window scaled by k but for alpha4. A tridegree outside the window
+    # is unknown, not zero, so only the eta-local (s, w) whose window
+    # tridegrees are all VALID are compared: the class count summed over f is
+    # the number of summands of the group.
+    presentation, d3 = presentation_and_d3
+    bounds = {name: (k * lo, k * hi) for name, (lo, hi) in verify.EINFTY_WINDOW.items()}
+    bounds["alpha4"] = verify.EINFTY_WINDOW["alpha4"]
+    state = run_to_einfty(presentation, [d3], Window.from_dict(presentation, bounds))
+    counts, certified = {}, {}
+    for (t, classes), status in zip(state.classes.items(), state.status.values()):
+        counts[t.s, t.w] = counts.get((t.s, t.w), 0) + len(classes)
+        certified[t.s, t.w] = certified.get((t.s, t.w), True) and status is Certainty.VALID
+    compared = [b for b in counts if certified[b] and classify(*b) is RegionLabel.ETA_LOCAL]
+    assert len(compared) == bidegrees
+    assert {b: counts[b] for b in compared} == {b: len(eta_local_group(*b).descriptor.summands) for b in compared}
 
 
 @pytest.mark.parametrize(
