@@ -14,10 +14,11 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass, field
 from itertools import product
 from math import prod
 from typing import Any, NamedTuple
+
+from .records import Record, _set
 
 
 class PresentationError(ValueError):
@@ -73,20 +74,27 @@ class Bidegree(NamedTuple):
         return f"({self.s},{self.w})"
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+def is_tridegree(t: object) -> bool:
+    """Whether t is a ``Tridegree`` of three ints; a bool or a float is not an int here."""
+    return isinstance(t, Tridegree) and all(type(c) is int for c in t)
+
+
+class GeneratorSpec(Record):
     """One algebra generator: name, tridegree, and exponent discipline."""
 
-    name: str
-    degree: Tridegree
-    invertible: bool = False
-    square_zero: bool = False
+    __slots__ = ("name", "degree", "invertible", "square_zero")
 
-    def __post_init__(self) -> None:
-        if not self.name or any(ch.isspace() for ch in self.name):
-            raise PresentationError(f"generator name {self.name!r} must be non-empty without spaces")
-        if self.invertible and self.square_zero:
-            raise PresentationError(f"generator {self.name!r} cannot be both invertible and square-zero")
+    def __init__(self, name: str, degree: Tridegree, invertible: bool = False, square_zero: bool = False):
+        if not name or any(ch.isspace() for ch in name):
+            raise PresentationError(f"generator name {name!r} must be non-empty without spaces")
+        if not is_tridegree(degree):
+            raise PresentationError(f"generator {name!r}: degree must be a Tridegree of three ints, got {degree!r}")
+        if invertible and square_zero:
+            raise PresentationError(f"generator {name!r} cannot be both invertible and square-zero")
+        _set(self, "name", name)
+        _set(self, "degree", degree)
+        _set(self, "invertible", invertible)
+        _set(self, "square_zero", square_zero)
 
 
 class Monomial(NamedTuple):
@@ -95,20 +103,19 @@ class Monomial(NamedTuple):
     exponents: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class MonomialAlgebraPresentation:
+class MonomialAlgebraPresentation(Record, compared=("generators",)):
     """Ordered generator list defining a graded monomial algebra over F2."""
 
-    generators: tuple[GeneratorSpec, ...]
-    _index: dict = field(default=None, compare=False, repr=False, hash=False)
+    __slots__ = ("generators", "_index")
 
     def __init__(self, generators: Iterable[GeneratorSpec]):
-        object.__setattr__(self, "generators", tuple(generators))
-        names = [g.name for g in self.generators]
+        generators = tuple(generators)
+        names = [g.name for g in generators]
         dupes = {n for n in names if names.count(n) > 1}
         if dupes:
             raise PresentationError(f"duplicate generator names: {sorted(dupes)}")
-        object.__setattr__(self, "_index", {g.name: i for i, g in enumerate(self.generators)})
+        _set(self, "generators", generators)
+        _set(self, "_index", {g.name: i for i, g in enumerate(generators)})
 
     def index_of(self, name: str) -> int:
         """Position of the named generator; an unknown name raises ``PresentationMismatchError``."""
@@ -201,8 +208,7 @@ class MonomialAlgebraPresentation:
         return cls(gens)
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(Record):
     """Inclusive per-generator exponent bounds, in generator declaration order.
 
     Bounds must be finite for every generator; the constraints of the
@@ -210,14 +216,15 @@ class Window:
     so a loose declared bound is harmless.
     """
 
-    bounds: tuple[tuple[int, int], ...]
+    __slots__ = ("bounds",)
 
-    def __post_init__(self) -> None:
-        pairs = isinstance(self.bounds, tuple) and all(
-            isinstance(b, tuple) and len(b) == 2 and all(type(e) is int for e in b) for b in self.bounds
+    def __init__(self, bounds: tuple[tuple[int, int], ...]):
+        pairs = isinstance(bounds, tuple) and all(
+            isinstance(b, tuple) and len(b) == 2 and all(type(e) is int for e in b) for b in bounds
         )
         if not pairs:
-            raise PresentationError(f"window bounds must be a tuple of (int, int) pairs, got {self.bounds!r}")
+            raise PresentationError(f"window bounds must be a tuple of (int, int) pairs, got {bounds!r}")
+        _set(self, "bounds", bounds)
 
     @classmethod
     def from_dict(cls, presentation: MonomialAlgebraPresentation, bounds: dict[str, tuple[int, int]]) -> Window:

@@ -20,10 +20,12 @@ suffices.
 from __future__ import annotations
 
 import collections
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from itertools import groupby
+from typing import NamedTuple
 
 from .groups import TRIVIAL_GROUP, GroupDescriptor, is_power_of_two
+from .records import Record, _set
 from .resources import SAMPLE_CHART_FILE, SAMPLE_STEMS_FILE, read_data_text
 
 
@@ -59,17 +61,18 @@ class LiftError(ChartError):
     """Classes with odd s+f admit no motivic lift of this shape."""
 
 
-@dataclass(frozen=True)
-class ClassicalChartClass:
-    name: str
-    s: int
-    f: int
-    order: int  # 0 for a 2-adic summand, else a power of 2
-    eta_edge: str | None = None
+class ClassicalChartClass(Record):
+    __slots__ = ("name", "s", "f", "order", "eta_edge")
+
+    def __init__(self, name: str, s: int, f: int, order: int, eta_edge: str | None = None):
+        _set(self, "name", name)
+        _set(self, "s", s)
+        _set(self, "f", f)
+        _set(self, "order", order)  # 0 for a 2-adic summand, else a power of 2
+        _set(self, "eta_edge", eta_edge)
 
 
-@dataclass(frozen=True)
-class ClassicalChart:
+class ClassicalChart(Record, compared=("classes", "s_max", "provenance")):
     """Classes of a classical Adams-Novikov E2 chart through stem s_max.
 
     ``classes`` is kept as a tuple in canonical (s, f, name) order, so
@@ -79,17 +82,15 @@ class ClassicalChart:
     constructor raises ChartValidationError listing every violation.
     """
 
-    classes: tuple[ClassicalChartClass, ...]
-    s_max: int
-    provenance: str = ""
-    _by_name: dict = field(default=None, repr=False, compare=False)
-    _by_bidegree: dict = field(default=None, repr=False, compare=False)
+    __slots__ = ("classes", "s_max", "provenance", "_by_name", "_by_bidegree")
 
-    def __post_init__(self) -> None:
-        classes = tuple(sorted(self.classes, key=lambda c: (c.s, c.f, c.name)))
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "_by_name", {c.name: c for c in classes})
-        object.__setattr__(self, "_by_bidegree", {k: tuple(g) for k, g in groupby(classes, lambda c: (c.s, c.f))})
+    def __init__(self, classes: Iterable[ClassicalChartClass], s_max: int, provenance: str = ""):
+        classes = tuple(sorted(classes, key=lambda c: (c.s, c.f, c.name)))
+        _set(self, "classes", classes)
+        _set(self, "s_max", s_max)
+        _set(self, "provenance", provenance)
+        _set(self, "_by_name", {c.name: c for c in classes})
+        _set(self, "_by_bidegree", {k: tuple(g) for k, g in groupby(classes, lambda c: (c.s, c.f))})
         violations = self._violations()
         if violations:
             raise ChartValidationError(violations)
@@ -212,12 +213,14 @@ def serialize_chart(chart: ClassicalChart) -> str:
     return "\n".join(lines)
 
 
-@dataclass
-class MotivicLift:
+class MotivicLift(Record):
     """Motivic lift of a chart: each class spans the weights w <= (s+f)/2."""
 
-    chart: ClassicalChart
-    w_top: dict[str, int]  # class name -> (s + f) / 2, the top of its tau tower
+    __slots__ = ("chart", "w_top")
+
+    def __init__(self, chart: ClassicalChart, w_top: dict[str, int]):
+        _set(self, "chart", chart)
+        _set(self, "w_top", w_top)  # class name -> (s + f) / 2, the top of its tau tower
 
 
 def lift_to_motivic(chart: ClassicalChart) -> MotivicLift:
@@ -257,8 +260,7 @@ def localization_guaranteed(s: int, f: int) -> bool:
     return s < 5 * f - 10
 
 
-@dataclass(frozen=True)
-class LocalizationResult:
+class LocalizationResult(NamedTuple):
     cls: ClassicalChartClass
     status: str  # STABLE or UNRESOLVED
     value: ClassicalChartClass | None  # stabilized class; None means localizes to zero
@@ -291,12 +293,14 @@ def _eta_localize(chart: ClassicalChart, cls: ClassicalChartClass, max_steps: in
     return LocalizationResult(cls, LOCALIZATION_UNRESOLVED, None, steps)
 
 
-@dataclass
-class StemsTable:
+class StemsTable(Record):
     """2-primary classical stable stems: stem -> group, with provenance."""
 
-    groups: dict[int, GroupDescriptor]
-    provenance: str = ""
+    __slots__ = ("groups", "provenance")
+
+    def __init__(self, groups: dict[int, GroupDescriptor], provenance: str = ""):
+        _set(self, "groups", groups)
+        _set(self, "provenance", provenance)
 
     @property
     def s_max(self) -> int:

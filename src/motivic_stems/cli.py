@@ -38,7 +38,7 @@ from .families import (
 )
 from .regions import classify, resolve_group
 from .render import ChartStyle, RenderError, bidegree_window, groups_tsv, motivic_chart_svg, region_chart_svg
-from .render import MOTIVIC_SCALE, motivic_chart_style
+from .render import MOTIVIC_SCALE, REGION_SCALE, motivic_chart_style
 from .resources import DATA_ENV_VAR
 from .spectral import localized_motivic_anss
 from . import families, verify as verify_mod
@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = chart_sub.add_parser("regions", parents=[stems, output], help="SVG of the four-region picture")
     pc.add_argument("--window", default=None, help="smin:smax:wmin:wmax; ChartStyle's window when omitted")
-    pc.add_argument("--scale", type=int, default=ChartStyle.scale)
+    pc.add_argument("--scale", type=int, default=REGION_SCALE)
     pc.add_argument("--dots", action="store_true", help="mark each lattice point with its group")
     family_names = [f.name for f in builtin_families()]
     pc.add_argument("--overlay", action="append", default=[], choices=family_names, help="family name; repeatable")

@@ -8,34 +8,40 @@ fractions.Fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .algebra import Bidegree, Tridegree
+from .algebra import Bidegree, Tridegree, is_tridegree
 from .charts import StemsTable
+from .records import Record, _set
 
 
 class FamilyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Arithmetic progression of elements: member k sits at base + k * period."""
+class FamilySpec(Record):
+    """Arithmetic progression of elements: member k sits at base + k * period.
 
-    name: str
-    base: Tridegree
-    period: Tridegree
-    annihilated_by: str  # "tau", "eta", or "none"
-    note: str = ""
+    ``annihilated_by`` is "tau", "eta" or "none".
+    """
 
-    def __post_init__(self) -> None:
-        if self.annihilated_by not in ("tau", "eta", "none"):
-            raise FamilyError(f"annihilated_by must be tau, eta, or none, got {self.annihilated_by!r}")
-        if self.period.s <= 0 and self.period != (0, 0, -1):
+    __slots__ = ("name", "base", "period", "annihilated_by", "note")
+
+    def __init__(self, name: str, base: Tridegree, period: Tridegree, annihilated_by: str, note: str = ""):
+        if annihilated_by not in ("tau", "eta", "none"):
+            raise FamilyError(f"annihilated_by must be tau, eta, or none, got {annihilated_by!r}")
+        if not (is_tridegree(base) and is_tridegree(period)):
             raise FamilyError(
-                f"family {self.name!r}: period must advance the stem, or be the tau tower (0,0,-1)"
+                f"family {name!r}: base and period must be Tridegrees of three ints, got {base!r} and {period!r}"
             )
+        if period.s <= 0 and period != (0, 0, -1):
+            raise FamilyError(f"family {name!r}: period must advance the stem, or be the tau tower (0,0,-1)")
+        _set(self, "name", name)
+        _set(self, "base", base)
+        _set(self, "period", period)
+        _set(self, "annihilated_by", annihilated_by)
+        _set(self, "note", note)
 
     def member(self, k: int) -> Tridegree:
         if k < 0:
@@ -137,8 +143,7 @@ def wn_slope(n: int) -> Fraction:
     return Fraction(step.w, step.s)
 
 
-@dataclass(frozen=True)
-class MayGenerator:
+class MayGenerator(NamedTuple):
     """Generator h_{i,j} of the motivic May E1 page, with its stem and weight."""
 
     i: int

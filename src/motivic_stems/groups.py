@@ -7,7 +7,7 @@ form lists 2-adic summands first, then cyclic orders in descending order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .records import Record, _set
 
 
 class GroupDescriptorError(ValueError):
@@ -24,24 +24,22 @@ def summand_str(n: int) -> str:
     return "Z2" if n == 0 else f"Z/{n}"
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
+class GroupDescriptor(Record, compared=("summands",)):
     """Multiset of summands in canonical order; empty means the trivial group.
 
     Its string, such as ``Z2+Z/8``, is built once with the descriptor and
     takes no part in equality or hashing.
     """
 
-    summands: tuple[int, ...]
-    _str: str = field(init=False, repr=False, compare=False)
+    __slots__ = ("summands", "_str")
 
-    def __post_init__(self) -> None:
-        for n in self.summands:
+    def __init__(self, summands: tuple[int, ...]):
+        for n in summands:
             if n != 0 and not is_power_of_two(n):
                 raise GroupDescriptorError(f"summand {n} is neither 0 (2-adics) nor a power of 2 >= 2")
-        canon = tuple(sorted(self.summands, key=lambda n: (n != 0, -n)))
-        object.__setattr__(self, "summands", canon)
-        object.__setattr__(self, "_str", "+".join(map(summand_str, canon)) if canon else "0")
+        canon = tuple(sorted(summands, key=lambda n: (n != 0, -n)))
+        _set(self, "summands", canon)
+        _set(self, "_str", "+".join(map(summand_str, canon)) if canon else "0")
 
     @property
     def is_trivial(self) -> bool:

@@ -14,7 +14,6 @@ no copy follows it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, groupby, product, repeat, takewhile
 from operator import itemgetter
@@ -23,6 +22,7 @@ from typing import Iterable, Iterator
 from .charts import MotivicLift, StemsTable
 from .families import builtin_families
 from .groups import summand_str
+from .records import Record, _set
 from .regions import RegionLabel, classify, resolve_group
 
 REGION_FILL = {
@@ -53,6 +53,7 @@ MARGIN_TOP = 36
 MARGIN_RIGHT = 20
 MARGIN_BOTTOM = 44
 LEGEND_HEIGHT = 30
+REGION_SCALE = 20  # pixels per unit of a region chart unless a scale is given
 MOTIVIC_SCALE = 24  # pixels per unit of a motivic chart unless a scale is given
 # A coordinate in thousandths of a pixel is about 1000 * scale * (cells along its axis), so at this scale a
 # chart within the CLI's 1,000,000-cell cap writes numbers of at most 16 digits, far below the 4,300-digit
@@ -81,31 +82,39 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
 
 
-@dataclass(frozen=True)
-class ChartStyle:
-    """Viewport and optional layers for the region chart, in chart units."""
+class ChartStyle(Record):
+    """Viewport and optional layers for the region chart, in chart units; ``scale`` is pixels per unit."""
 
-    s_min: int = -4
-    s_max: int = 24
-    w_min: int = -8
-    w_max: int = 26
-    scale: int = 20  # pixels per unit
-    group_dots: bool = False
-    family_overlays: tuple[str, ...] = ()
+    __slots__ = ("s_min", "s_max", "w_min", "w_max", "scale", "group_dots", "family_overlays")
 
-    def __post_init__(self) -> None:
-        if self.s_min > self.s_max or self.w_min > self.w_max:
-            raise RenderError(
-                f"empty chart range: s in [{self.s_min},{self.s_max}], w in [{self.w_min},{self.w_max}]"
-            )
-        if self.scale <= 0:
-            raise RenderError(f"scale must be positive, got {self.scale}")
-        if self.scale > MAX_SCALE:  # the message leaves out a value that may be too long to print
+    def __init__(
+        self,
+        s_min: int = -4,
+        s_max: int = 24,
+        w_min: int = -8,
+        w_max: int = 26,
+        scale: int = REGION_SCALE,
+        group_dots: bool = False,
+        family_overlays: tuple[str, ...] = (),
+    ):
+        bounds = {"s_min": s_min, "s_max": s_max, "w_min": w_min, "w_max": w_max, "scale": scale}
+        odd = [f"{name}={value!r}" for name, value in bounds.items() if type(value) is not int]
+        if odd:
+            raise RenderError(f"chart bounds and scale must be ints, got {', '.join(odd)}")
+        if s_min > s_max or w_min > w_max:
+            raise RenderError(f"empty chart range: s in [{s_min},{s_max}], w in [{w_min},{w_max}]")
+        if scale <= 0:
+            raise RenderError(f"scale must be positive, got {scale}")
+        if scale > MAX_SCALE:  # the message leaves out a value that may be too long to print
             raise RenderError(f"scale must be at most {MAX_SCALE:,} pixels per unit")
         known = {f.name for f in builtin_families()}
-        unknown = [n for n in self.family_overlays if n not in known]
+        unknown = [n for n in family_overlays if n not in known]
         if unknown:
             raise RenderError(f"unknown family overlays: {unknown}")
+        for name, value in bounds.items():
+            _set(self, name, value)
+        _set(self, "group_dots", group_dots)
+        _set(self, "family_overlays", family_overlays)
 
 
 class _Canvas:

@@ -28,10 +28,10 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field, replace
 from itertools import compress, product
 from operator import add, gt, lt, sub
 from types import MappingProxyType
+from typing import NamedTuple
 
 from . import gf2
 from .algebra import (
@@ -46,6 +46,7 @@ from .algebra import (
     _digits,
     enumerate_basis,
 )
+from .records import Record, _set
 
 
 class DifferentialSpecError(PresentationError):
@@ -62,8 +63,7 @@ class Certainty(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class DifferentialSpec:
+class DifferentialSpec(Record, compared=("presentation", "page", "images", "shift")):
     """Page-r differential given by generator images; zero off the listed names.
 
     ``images`` maps generator name to the monomials of its image; it is
@@ -86,50 +86,44 @@ class DifferentialSpec:
     the sum, mod 2, of m's exponents over the entry's generators.
     """
 
-    presentation: MonomialAlgebraPresentation
-    page: int
-    images: Mapping[str, frozenset[Monomial]]
-    shift: Tridegree = field(init=False)
-    offsets: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    __slots__ = ("presentation", "page", "images", "shift", "offsets")
 
-    def __post_init__(self) -> None:
-        pres = self.presentation
-        if self.page < 2:
-            raise DifferentialSpecError(f"page must be at least 2, got {self.page}")
-        images = MappingProxyType({name: frozenset(terms) for name, terms in self.images.items()})
+    def __init__(self, presentation: MonomialAlgebraPresentation, page: int, images: Mapping[str, Iterable[Monomial]]):
+        if page < 2:
+            raise DifferentialSpecError(f"page must be at least 2, got {page}")
+        images = MappingProxyType({name: frozenset(terms) for name, terms in images.items()})
         shift = None
         sources: dict[tuple[int, ...], list[int]] = {}
         for name, image in images.items():
-            i = pres.index_of(name)
-            gdeg = pres.generators[i].degree
+            i = presentation.index_of(name)
+            gdeg = presentation.generators[i].degree
             for u in image:
-                observed = pres.degree(u) - gdeg  # degree validates u
+                observed = presentation.degree(u) - gdeg  # degree validates u
                 if shift is None:
                     shift = observed
                 elif observed != shift:
                     raise DifferentialSpecError(
-                        f"image term {pres.monomial_str(u)} of {name!r} sits in shift "
+                        f"image term {presentation.monomial_str(u)} of {name!r} sits in shift "
                         f"{observed}, expected {shift}"
                     )
                 off = list(u.exponents)
                 off[i] -= 1
                 sources.setdefault(tuple(off), []).append(i)
-        square_zero = [j for j, g in enumerate(pres.generators) if g.square_zero]
+        square_zero = [j for j, g in enumerate(presentation.generators) if g.square_zero]
         offsets = tuple(
             (tuple(gs), off, tuple(j for j in square_zero if off[j] > 0)) for off, gs in sources.items()
         )
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "shift", Tridegree(-1, self.page, 0) if shift is None else shift)
-        object.__setattr__(self, "offsets", offsets)
+        _set(self, "presentation", presentation)
+        _set(self, "page", page)
+        _set(self, "images", images)
+        _set(self, "shift", Tridegree(-1, page, 0) if shift is None else shift)
+        _set(self, "offsets", offsets)
         # over F2, d^2 is a derivation, so it vanishes once it does on generators
         for name, image in images.items():
             twice = d_sum(self, image)
             if twice:
                 raise DifferentialSpecError(
-                    f"d{self.page} squares to a nonzero map: d{self.page}(d{self.page}({name})) = "
-                    f"{pres.sum_str(twice)}"
+                    f"d{page} squares to a nonzero map: d{page}(d{page}({name})) = {presentation.sum_str(twice)}"
                 )
 
     def terms(self, exps: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -179,8 +173,7 @@ def sum_multiply(
     return frozenset(acc)
 
 
-@dataclass
-class PageState:
+class PageState(NamedTuple):
     """One page of a windowed spectral sequence.
 
     ``basis[t]`` is the fixed window fibre at t, stored as monomial indices
@@ -405,8 +398,7 @@ def turn_page(state: PageState, diff: DifferentialSpec) -> PageState:
             new_boundaries[i] = bounded
         if previous and forward and upstream_ok and (not hits or status[j]):
             new_status[i] = key not in reached  # a source outside the window would leave the incoming image short
-    return replace(
-        state,
+    return state._replace(
         page=diff.page + 1,
         vectors=grid.over(new_vectors),
         status=_status(grid, new_status),

@@ -22,9 +22,8 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .algebra import Tridegree, Window, iter_window_monomials
 from .charts import (
@@ -88,8 +87,7 @@ CORRUPT_FIXTURES = (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One check of a suite; the suite's ``SUITES`` key names it in the output."""
 
     name: str

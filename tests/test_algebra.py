@@ -49,6 +49,13 @@ def test_generator_spec_validation():
         GeneratorSpec("x", Tridegree(1, 1, 1), invertible=True, square_zero=True)
 
 
+@pytest.mark.parametrize("degree", [Tridegree(1.5, 1, 1), Tridegree(1, True, 1), (1, 1, 1), Bidegree(1, 1)])
+def test_a_generator_degree_must_be_a_tridegree_of_ints(degree):
+    # a float degree would reach enumerate_basis's keys, and a plain tuple has no .s for degree()
+    with pytest.raises(PresentationError, match="Tridegree of three ints"):
+        GeneratorSpec("x", degree)
+
+
 def test_presentation_rejects_duplicate_names():
     g = GeneratorSpec("x", Tridegree(1, 1, 1))
     with pytest.raises(PresentationError, match="duplicate"):

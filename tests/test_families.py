@@ -59,6 +59,20 @@ def test_family_spec_validation():
         FamilySpec("q", Tridegree(0, 0, 0), Tridegree(-2, 0, 1), annihilated_by="none")
 
 
+@pytest.mark.parametrize(
+    "base, period",
+    [
+        ((1, 1, 1), Tridegree(2, 0, 1)),  # member(k) would concatenate tuples
+        (Tridegree(0, 0, 0), (0, 0, -1)),  # the tau tower's period as a plain tuple
+        (Tridegree(0.5, 0, 0), Tridegree(1, 1, 1)),
+        (Tridegree(0, 0, 0), Tridegree(1, 1, False)),
+    ],
+)
+def test_a_family_degree_must_be_a_tridegree_of_ints(base, period):
+    with pytest.raises(FamilyError, match="Tridegrees of three ints"):
+        FamilySpec("x", base, period, "tau")
+
+
 def test_family_lines():
     assert family_line("Pk_h1_4") == (Fraction(1, 2), Fraction(2))
     assert family_line("w1_family") == (Fraction(3, 5), Fraction(3, 5))

@@ -192,7 +192,10 @@ def test_no_private_definition_left_unread():
 @pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__"))
 def test_module_imports_on_its_own(module):
     # a fresh interpreter per module, so that an import cycle shows whichever
-    # module is imported first
+    # module is imported first; dataclasses and the inspect it imports cost
+    # every start of the CLI about 6 ms, and no module may load them
     env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
-    run = subprocess.run([sys.executable, "-c", f"import motivic_stems.{module}"], env=env, capture_output=True)
+    loaded = "' '.join({'dataclasses', 'inspect'} & set(sys.modules))"
+    code = f"import sys, motivic_stems.{module}; sys.exit({loaded} or None)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
     assert run.returncode == 0, run.stderr.decode()

@@ -63,6 +63,11 @@ def test_chart_style_validation():
     with pytest.raises(RenderError, match="unknown family overlays"):
         ChartStyle(family_overlays=("nope",))
     ChartStyle(family_overlays=("eta_powers", "tau_powers"))  # all builtin names pass
+    # a fractional bound would fail later in range(), and the scale counts whole pixels per unit
+    for field in ("s_min", "s_max", "w_min", "w_max", "scale"):
+        for value in (0.5, 2.0, True, "3"):
+            with pytest.raises(RenderError, match=f"must be ints, got {field}={value!r}"):
+                ChartStyle(**{field: value})
 
 
 def test_region_chart_is_deterministic_and_well_formed(sample_stems):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from motivic_stems import charts, families, regions, resources, verify
@@ -200,7 +198,9 @@ def test_family_off_its_line_fails_families(monkeypatch):
     # the line itself stays right; the family's members leave it
     def moved():
         return [
-            dataclasses.replace(f, base=f.base + Tridegree(0, 0, 1)) if f.name == "w1_family" else f
+            families.FamilySpec(f.name, f.base + Tridegree(0, 0, 1), f.period, f.annihilated_by, f.note)
+            if f.name == "w1_family"
+            else f
             for f in families.builtin_families()
         ]
 
